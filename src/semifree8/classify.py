@@ -6,9 +6,13 @@ this one adds the sphere-area rules, the Fano-index rules, and two
 exclusion rules for interior components, then runs the per-shape
 enumeration: for each admissible pair of extremal dimensions, exhaustively
 sweep the parameter boxes, apply the rules, and coalesce the survivors
-into parameterized families. The sweeps pre-filter candidates with the
-same integer closed forms the rule objects use and every surviving family
-is re-certified on instantiated data through the full rule chain.
+into parameterized families. Every check item and rejection names its
+rule by id; the statement lives once in ``model.RULES``. The sweeps
+pre-filter candidates with the closed forms the rule objects call
+(``model.area_fits``, ``surface_tail``, ``dh.K2_CAP`` and ``dh.b4_cap``),
+keeping only the localization sum inline as the first, hottest test, and
+every surviving family is re-certified on instantiated data through the
+full rule chain.
 
 The final consumers are at the bottom: the table of Fano families with
 large symmetry potential, the volume filter that picks out the realizable
@@ -22,7 +26,15 @@ import json
 from dataclasses import dataclass, field
 from itertools import product
 
-from .dh import b4_bound_check, dh_profile, positivity_check, total_volume
+from .dh import (
+    K2_CAP,
+    b4_cap,
+    dh_profile,
+    half_volume_cp2,
+    half_volume_isolated_pair,
+    positivity_check,
+    total_volume,
+)
 from .localization import (
     FourDimExtremalNormal,
     abbv_sum,
@@ -33,7 +45,10 @@ from .model import (
     ComponentType,
     ConstraintReport,
     FixedPointData,
+    RULES,
+    area_fits,
     area_realizable,
+    betti_contribution,
     betti_vector,
     cp2_extremal,
     cp3_extremal,
@@ -45,8 +60,10 @@ from .model import (
     max_component,
     min_component,
     omega_coefficients,
+    pass_fail,
     point_component,
     reverse_action,
+    rule_statement,
     signature_check,
     surface_component,
     validate,
@@ -55,40 +72,6 @@ from .model import (
 
 class ClassifyError(ValueError):
     """Raised for inputs outside the scope of the case analysis."""
-
-
-# rule statements, shared by the check items below
-R_ABBV = "localization contributions over the fixed set sum to zero"
-R_A1 = ("with a four-dimensional maximum, an empty gap above level 0 and a "
-        "Morse-index-4 point force a sphere of area 2 in the maximum")
-R_A2 = ("with a four-dimensional maximum, an empty gap below level 0 and a "
-        "Morse-index-4 point force a sphere of area |min level| in the minimum")
-R_B = ("if every interior component is a Morse-index-4 point, the minimum "
-       "carries a sphere of area equal to the moment interval length")
-R_C = ("with no interior components and a maximum of dimension at most four, "
-       "both extremes carry spheres of area equal to the moment interval length")
-R_D = ("a Morse-index-2 surface with nothing below it but an isolated minimum "
-       "satisfies 3*a1 = 2 + a1 + a2 + a3 in its normal degrees")
-R_I1 = ("isolated extremes with a unique interior four-dimensional component "
-        "force Fano index at least 4")
-R_I2 = ("a lone Morse-index-2 surface between an isolated minimum and level 0 "
-        "forces an odd Fano index")
-R_I3 = ("a lone Morse-index-2 point between an isolated minimum and level 0 "
-        "caps the Fano index at 2")
-R_CONS = "the Fano index computed at either extremum is the same"
-R_T31 = ("isolated points with two negative weights require an extremal "
-         "component of dimension four")
-R_HALVES = ("between isolated extremes at depth four, each normal line bundle "
-            "of an interior four-dimensional component is half its tangent class")
-R_B2 = "degree-2 classes localize to the fixed components"
-R_B6 = "degree-6 classes localize to the fixed components"
-R_SIG = "signature equals the self-intersection of the fixed set"
-R_MONO = "the symplectic class restricts positively to components"
-R_IDX_RANGE = "the case analysis only realizes Fano indices 2 through 5"
-R_VOL = "the moment-interval volume must equal the integral of c1^4"
-R_GENUS = "degree and genus are linked: c1^4 = 32*(genus - 1) for index-2 families"
-R_AUTOS = "a circle action generates a positive-dimensional symmetry group"
-R_TABLE = "the classification needs the full table of index >= 2 families"
 
 
 # ----------------------------------------------------------------------
@@ -127,14 +110,19 @@ def index_from_extremal(data):
 # sphere-area rules
 # ----------------------------------------------------------------------
 
-def _area_item(check_id, rule, comp, area, where):
-    ok = area_realizable(comp, area)
+def _area_item(check_id, comp, area, where):
     coeffs = omega_coefficients(comp)
     if coeffs is None:
         detail = "no sphere of positive area maps into an isolated %s" % where
     else:
         detail = "area %d vs symplectic restriction %s on the %s" % (area, coeffs, where)
-    return CheckItem(check_id, rule, "PASS" if ok else "FAIL", detail)
+    return pass_fail(check_id, area_realizable(comp, area), detail)
+
+
+def surface_tail(a1):
+    """The degree sum a2 + a3 that the surface degree relation
+    3*a1 = 2 + a1 + a2 + a3 forces, given the negative-weight degree a1."""
+    return 2 * a1 - 2
 
 
 def sphere_constraints(data):
@@ -158,35 +146,28 @@ def sphere_constraints(data):
     def gap_empty(a, b):
         return not any(a < c.level < b for c in data)
 
-    fired = False
     if d2 == 4 and lam2 and gap_empty(0, hi.level):
-        fired = True
-        rep.append(_area_item("sphere-area-max", R_A1, hi, 2, "maximum"))
+        rep.append(_area_item("sphere-area-max", hi, 2, "maximum"))
     if d2 == 4 and lam2 and gap_empty(lo.level, 0):
-        fired = True
-        rep.append(_area_item("sphere-area-min", R_A2, lo, -lo.level, "minimum"))
-    if d2 == 4 and inner and all(c.type is ComponentType.POINT and c.lam == 2 for c in inner):
-        fired = True
-        rep.append(_area_item("sphere-span-min", R_B, lo, hi.level - lo.level, "minimum"))
+        rep.append(_area_item("sphere-area-min", lo, -lo.level, "minimum"))
+    if d2 == 4 and inner and len(lam2) == len(inner):
+        rep.append(_area_item("sphere-span-min", lo, hi.level - lo.level, "minimum"))
     if d2 <= 4 and not inner:
-        fired = True
         span = hi.level - lo.level
-        rep.append(_area_item("sphere-span-extremes", R_C, lo, span, "minimum"))
-        rep.append(_area_item("sphere-span-extremes", R_C, hi, span, "maximum"))
+        rep.append(_area_item("sphere-span-extremes", lo, span, "minimum"))
+        rep.append(_area_item("sphere-span-extremes", hi, span, "maximum"))
     if d1 == 0:
         for c in inner:
             if (c.type is ComponentType.CP1 and c.lam == 1
                     and gap_empty(lo.level, c.level)):
-                fired = True
                 a1 = c.normal.degrees_with_weight(-1)[0]
                 rest = sum(c.normal.degrees_with_weight(1))
-                ok = 3 * a1 == 2 + a1 + rest
-                rep.append(CheckItem(
-                    "surface-degree-relation", R_D, "PASS" if ok else "FAIL",
+                rep.append(pass_fail(
+                    "surface-degree-relation", rest == surface_tail(a1),
                     "3*%d vs 2 + %d + %d (surface alone below level 0 reading)"
                     % (a1, a1, rest)))
-    if not fired:
-        rep.append(CheckItem("sphere-rules", "sphere-area rules", "INFO",
+    if not rep.items:
+        rep.append(CheckItem("sphere-rules", "INFO",
                              "no sphere rule applies to this configuration"))
     return rep
 
@@ -210,35 +191,27 @@ def sphere_index_rules(data):
     if cands:
         values = sorted({v for _, v in cands})
         if len(cands) >= 2:
-            rep.append(CheckItem(
-                "index-consistency", R_CONS,
-                "PASS" if len(values) == 1 else "FAIL",
-                "candidates %s" % (cands,)))
+            rep.append(pass_fail("index-consistency", len(values) == 1,
+                                 "candidates %s" % (cands,)))
         if len(values) == 1:
             iota = values[0]
-            rep.append(CheckItem("fano-index", "Fano index read off the extremes",
-                                 "INFO", "index %d from the %s" % (iota, cands[0][0])))
+            rep.append(CheckItem("fano-index", "INFO",
+                                 "index %d from the %s" % (iota, cands[0][0])))
     else:
-        rep.append(CheckItem("fano-index", "Fano index read off the extremes",
-                             "INFO", "no index rule applies"))
+        rep.append(CheckItem("fano-index", "INFO", "no index rule applies"))
 
     if (lo.complex_dim == hi.complex_dim == 0
             and len([c for c in inner if c.complex_dim == 2]) == 1):
-        ok = iota is not None and iota >= 4
-        rep.append(CheckItem("index-lower-oo", R_I1, "PASS" if ok else "FAIL",
+        rep.append(pass_fail("index-lower-oo", iota is not None and iota >= 4,
                              "index %s" % iota))
 
     between = [c for c in data if lo.level < c.level < 0]
     if lo.type is ComponentType.POINT and len(between) == 1:
         b = between[0]
         if b.type is ComponentType.CP1 and b.lam == 1 and iota is not None:
-            rep.append(CheckItem("index-parity-surface", R_I2,
-                                 "PASS" if iota % 2 == 1 else "FAIL",
-                                 "index %d" % iota))
+            rep.append(pass_fail("index-parity-surface", iota % 2 == 1, "index %d" % iota))
         if b.type is ComponentType.POINT and b.lam == 1 and iota is not None:
-            rep.append(CheckItem("index-cap-point", R_I3,
-                                 "PASS" if iota <= 2 else "FAIL",
-                                 "index %d" % iota))
+            rep.append(pass_fail("index-cap-point", iota <= 2, "index %d" % iota))
     return rep
 
 
@@ -250,8 +223,7 @@ def _lambda2_exclusion(data):
     if not lam2:
         return None
     has4 = any(c is not None and c.complex_dim == 2 for c in (lo, hi))
-    return CheckItem("lambda2-needs-4dim-extremal", R_T31,
-                     "PASS" if has4 else "FAIL",
+    return pass_fail("lambda2-needs-4dim-extremal", has4,
                      "%d such points, 4-dim extreme %s" % (len(lam2), "present" if has4 else "absent"))
 
 
@@ -273,8 +245,7 @@ def _bundle_halves(data):
                   % (c.type.tangent_c1, tuple(half), c.normal.minus, c.normal.plus))
         if rem:
             detail = "tangent class %s is not divisible by two" % (c.type.tangent_c1,)
-        return CheckItem("interior-bundle-halves", R_HALVES,
-                         "PASS" if ok else "FAIL", detail)
+        return pass_fail("interior-bundle-halves", ok, detail)
     return None
 
 
@@ -285,27 +256,20 @@ def _bundle_halves(data):
 def verification_report(data):
     """Everything this package can check about one dataset, in one report."""
     rep = validate(data)
-    rep.append(CheckItem("betti-vector", "Betti numbers by localization", "INFO",
-                         "b = %s" % (betti_vector(data),)))
+    rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
     total = abbv_sum(data)
-    rep.append(CheckItem("abbv-vanishing", R_ABBV,
-                         "PASS" if total == 0 else "FAIL",
-                         "contributions %s sum to %s"
+    rep.append(pass_fail("abbv-vanishing", total == 0, "contributions %s sum to %s"
                          % ([str(t) for t in abbv_terms(data)], total)))
     rep.append(signature_check(data))
-    item = _lambda2_exclusion(data)
-    if item is not None:
-        rep.append(item)
-    item = _bundle_halves(data)
-    if item is not None:
-        rep.append(item)
+    for item in (_lambda2_exclusion(data), _bundle_halves(data)):
+        if item is not None:
+            rep.append(item)
     rep.extend(sphere_constraints(data))
     rep.extend(sphere_index_rules(data))
     rep.extend(positivity_check(dh_profile(data)))
     vol = total_volume(data)
-    rep.append(CheckItem("total-volume", "moment-interval volume by halves", "INFO",
-                         "c1^4 = %s" % vol if vol is not None
-                         else "not computable by halves"))
+    rep.append(CheckItem("total-volume", "INFO",
+                         "c1^4 = %s" % vol if vol is not None else "not computable by halves"))
     return rep
 
 
@@ -325,7 +289,7 @@ def _assess_shape(d1, d2):
     b2_floor = (1 if d1 >= 2 else 0) + (1 if d2 == 6 else 0)
     if b2_floor >= 2:
         items.append(CheckItem(
-            "betti-budget-b2", R_B2, "FAIL",
+            "betti-budget-b2", "FAIL",
             "a positive-dimensional minimum and a six-dimensional maximum each "
             "contribute a degree-2 class, so b2 >= %d" % b2_floor))
         return ShapeAssessment((d1, d2), False, tuple(items))
@@ -337,15 +301,12 @@ def _assess_shape(d1, d2):
         b6 = 1 + 1   # maximum's top class localizes in degree 6, plus the
                      # middle class of the interior 4-dim component
         items.append(CheckItem(
-            "b4-positive", "the middle Betti number is positive", "INFO",
+            "b4-positive", "INFO",
             "forces a component of dimension at least four (self-intersection "
             "argument), necessarily interior with one negative weight"))
-        items.append(CheckItem(
-            "betti-budget-b6", R_B6, "FAIL",
-            "with such a component b6 >= %d" % b6))
+        items.append(CheckItem("betti-budget-b6", "FAIL", "with such a component b6 >= %d" % b6))
         return ShapeAssessment((d1, d2), False, tuple(items))
-    items.append(CheckItem("betti-budget-b2", R_B2, "PASS",
-                           "budgets admit interior solutions"))
+    items.append(CheckItem("betti-budget-b2", "PASS", "budgets admit interior solutions"))
     return ShapeAssessment((d1, d2), True, tuple(items))
 
 
@@ -377,7 +338,6 @@ class Family:
     n2_max: int
     fixed: tuple                 # ((name, value), ...)
     free: tuple                  # human-readable leftover freedom
-    report: ConstraintReport = field(compare=False, repr=False)
     builder: object = field(compare=False, repr=False)
 
     def b4(self, n2=None):
@@ -395,8 +355,14 @@ class Family:
 class Rejection:
     candidate: str
     rule_id: str
-    rule: str
     detail: str
+
+    def __post_init__(self):
+        rule_statement(self.rule_id)
+
+    @property
+    def rule(self):
+        return RULES[self.rule_id]
 
 
 @dataclass(frozen=True)
@@ -408,27 +374,31 @@ class EnumerationResult:
 
 
 class _Tally:
-    """Aggregates sweep rejections per rule with a representative witness."""
+    """Aggregates sweep rejections per rule with a representative witness.
+
+    The witness is formatted (fmt % args) only when its rule first fires;
+    later rejections by the same rule just count."""
 
     def __init__(self, candidate):
         self.candidate = candidate
         self.bins = {}
 
-    def add(self, rule_id, rule, example):
-        if rule_id not in self.bins:
-            self.bins[rule_id] = [rule, example, 0]
-        self.bins[rule_id][2] += 1
+    def add(self, rule_id, fmt, *args):
+        hit = self.bins.get(rule_id)
+        if hit is None:
+            self.bins[rule_id] = [fmt % args, 1]
+        else:
+            hit[1] += 1
 
     def rows(self):
-        return [Rejection(self.candidate, rid, rule,
+        return [Rejection(self.candidate, rid,
                           "%s; %d parameter choices rejected" % (ex, n))
-                for rid, (rule, ex, n) in self.bins.items()]
+                for rid, (ex, n) in self.bins.items()]
 
 
-def _certify(family, n2_values=None):
-    """Re-run the full rule chain on instantiated members of a family."""
-    n2_values = range(family.n2_min, family.n2_max + 1) if n2_values is None else n2_values
-    for n2 in n2_values:
+def _certify(family):
+    """Re-run the full rule chain on every instantiated member of a family."""
+    for n2 in range(family.n2_min, family.n2_max + 1):
         rep = verification_report(family.instantiate(n2))
         if not rep.ok:
             raise ClassifyError("family %s fails its own certification at n2=%d:\n%s"
@@ -454,11 +424,6 @@ def _menu_level(ctype, lam):
     return 2 * lam - (4 - ctype.complex_dim)
 
 
-def _betti_contrib(ctype, lam, i):
-    j = i // 2 - lam
-    return ctype.betti[j] if 0 <= j < len(ctype.betti) else 0
-
-
 def _interior_skeletons(lo, hi):
     """Interior multisets over the menu meeting the b2 = b6 = 1 budgets.
 
@@ -471,8 +436,8 @@ def _interior_skeletons(lo, hi):
             if lo.level < _menu_level(t, lam) < hi.level]
     out = []
     for counts in product((0, 1), repeat=len(menu)):
-        got2 = sum(n * _betti_contrib(t, lam, 2) for n, (_, t, lam) in zip(counts, menu))
-        got6 = sum(n * _betti_contrib(t, lam, 6) for n, (_, t, lam) in zip(counts, menu))
+        got2 = sum(n * betti_contribution(t, lam, 2) for n, (_, t, lam) in zip(counts, menu))
+        got6 = sum(n * betti_contribution(t, lam, 6) for n, (_, t, lam) in zip(counts, menu))
         if (got2, got6) == need:
             out.append(tuple(item for n, item in zip(counts, menu) if n))
     return out
@@ -487,13 +452,6 @@ def _skeleton_label(shape, skel):
 # per-shape enumeration
 # ----------------------------------------------------------------------
 
-def _family_report(notes):
-    rep = ConstraintReport()
-    for check_id, rule, detail in notes:
-        rep.append(CheckItem(check_id, rule, "INFO", detail))
-    return rep
-
-
 def _enum_00(b4_max, box):
     lo = point_component((1, 1, 1, 1))
     hi = point_component((-1, -1, -1, -1))
@@ -503,21 +461,20 @@ def _enum_00(b4_max, box):
         kinds = tuple(t for _, t, _ in skel)
         # no 4-dim extreme anywhere in this shape
         rejections.append(Rejection(
-            label, "lambda2-needs-4dim-extremal", R_T31,
+            label, "lambda2-needs-4dim-extremal",
             "both extremes are points, so no Morse-index-4 points occur"))
         if ComponentType.CP2 in kinds:
             rejections.append(Rejection(
-                label, "interior-bundle-halves", R_HALVES,
+                label, "interior-bundle-halves",
                 "the plane's tangent class 3 is odd, no half-integral bundles"))
             continue
         if ComponentType.P1XP1 not in kinds:
             # no 4-dim component at all: self-intersection 0 can never
             # match the positive middle Betti number, degrees be what they may
-            b4 = sum(_betti_contrib(t, lam, 4) for _, t, lam in skel)
+            b4 = sum(betti_contribution(t, lam, 4) for _, t, lam in skel)
             rid = "b4-positive" if b4 == 0 else "signature-self-intersection"
-            rule = ("the middle Betti number is positive" if b4 == 0 else R_SIG)
             rejections.append(Rejection(
-                label, rid, rule,
+                label, rid,
                 "b4 = %d with fixed-set self-intersection 0, for every degree choice" % b4))
             continue
         # interior quadric surface: the halves rule pins both bundles to
@@ -537,15 +494,9 @@ def _enum_00(b4_max, box):
             iota=4, b4_base=2, n2_min=0, n2_max=0,
             fixed=(("bundle bidegrees", (1, 1)),),
             free=(),
-            report=_family_report((
-                ("interior-bundle-halves", R_HALVES,
-                 "tangent class (2, 2) halves to (1, 1) for both bundles"),
-                ("abbv-vanishing", R_ABBV, "1 + (-2) + 1 = 0"),
-                ("index-lower-oo", R_I1, "Fano index 4"),
-            )),
             builder=build)
         rejections.append(Rejection(
-            label, "interior-bundle-halves", R_HALVES,
+            label, "interior-bundle-halves",
             "every bundle pair other than (1,1), (1,1) violates the halving"))
         _certify(fam)
         families.append(fam)
@@ -560,17 +511,17 @@ def _enum_06(b4_max, box):
     assert skels == [()], "unexpected interior budget solutions for (0,6)"
     label = _skeleton_label((0, 6), ())
     rejections.append(Rejection(
-        label, "lambda2-needs-4dim-extremal", R_T31,
+        label, "lambda2-needs-4dim-extremal",
         "extremes have dimensions 0 and 6; without this rule the localization "
         "sum 1 + n2 - m^3 = 0 would even admit m = 2 with 7 interior points"))
     t = _Tally(label)
     survivors = []
     for m in range(-box, box + 1):
         if 4 + m < 1:
-            t.add("monotone-positive", R_MONO, "e.g. m = %d makes 4 + m <= 0" % m)
+            t.add("monotone-positive", "e.g. m = %d makes 4 + m <= 0", m)
             continue
         if 1 - m ** 3 != 0:
-            t.add("abbv-vanishing", R_ABBV, "e.g. m = %d gives 1 - m^3 = %d" % (m, 1 - m ** 3))
+            t.add("abbv-vanishing", "e.g. m = %d gives 1 - m^3 = %d", m, 1 - m ** 3)
             continue
         survivors.append(m)
     rejections.extend(t.rows())
@@ -588,10 +539,6 @@ def _enum_06(b4_max, box):
         iota=5, b4_base=1, n2_min=0, n2_max=0,
         fixed=(("six-dim normal c1", 1),),
         free=(),
-        report=_family_report((
-            ("abbv-vanishing", R_ABBV, "1 - 1^3 = 0"),
-            ("fano-index", "Fano index read off the extremes", "index |4 + 1| = 5"),
-        )),
         builder=build)
     _certify(fam)
     families.append(fam)
@@ -609,39 +556,36 @@ def _enum_24(b4_max, box):
         for kp in range(-box, box + 1):
             for s in range(-36, 37):
                 if -s + n2 + kp * kp - c2 != 0:
-                    t.add("abbv-vanishing", R_ABBV,
-                          "e.g. degrees summing to %d with k' = %d, n2 = %d" % (s, kp, n2))
+                    t.add("abbv-vanishing",
+                          "e.g. degrees summing to %d with k' = %d, n2 = %d", s, kp, n2)
                     continue
                 if 2 + s < 1 or 3 + kp < 1:
-                    t.add("monotone-positive", R_MONO,
-                          "e.g. s = %d, k' = %d" % (s, kp))
+                    t.add("monotone-positive", "e.g. s = %d, k' = %d", s, kp)
                     continue
                 if n2 > 0:
-                    if 2 % (3 + kp):
-                        t.add("sphere-area-max", R_A1,
-                              "e.g. k' = %d: 3 + k' does not divide 2" % kp)
+                    if not area_fits(3 + kp, 2):
+                        t.add("sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", kp)
                         continue
-                    if 3 % (2 + s):
-                        t.add("sphere-area-min", R_A2,
-                              "e.g. s = %d: 2 + s does not divide the depth 3" % s)
+                    if not area_fits(2 + s, 3):
+                        t.add("sphere-area-min",
+                              "e.g. s = %d: 2 + s does not divide the depth 3", s)
                         continue
-                    if 5 % (2 + s):
-                        t.add("sphere-span-min", R_B,
-                              "e.g. s = %d: 2 + s does not divide the span 5" % s)
+                    if not area_fits(2 + s, 5):
+                        t.add("sphere-span-min",
+                              "e.g. s = %d: 2 + s does not divide the span 5", s)
                         continue
                 else:
-                    if 5 % (2 + s):
-                        t.add("sphere-span-extremes", R_C,
-                              "e.g. s = %d: 2 + s does not divide the span 5" % s)
+                    if not area_fits(2 + s, 5):
+                        t.add("sphere-span-extremes",
+                              "e.g. s = %d: 2 + s does not divide the span 5", s)
                         continue
-                    if 5 % (3 + kp):
-                        t.add("sphere-span-extremes", R_C,
-                              "e.g. k' = %d: 3 + k' does not divide the span 5" % kp)
+                    if not area_fits(3 + kp, 5):
+                        t.add("sphere-span-extremes",
+                              "e.g. k' = %d: 3 + k' does not divide the span 5", kp)
                         continue
                 if abs(2 + s) != abs(3 + kp):
-                    t.add("index-consistency", R_CONS,
-                          "e.g. s = %d, k' = %d give indices %d vs %d"
-                          % (s, kp, abs(2 + s), abs(3 + kp)))
+                    t.add("index-consistency", "e.g. s = %d, k' = %d give indices %d vs %d",
+                          s, kp, abs(2 + s), abs(3 + kp))
                     continue
                 survivors.add((kp, s, n2))
     rejections.extend(t.rows())
@@ -664,11 +608,6 @@ def _enum_24(b4_max, box):
         iota=5, b4_base=1, n2_min=0, n2_max=0,
         fixed=(("max c1", 2), ("max c2", 1), ("min degree sum", 3)),
         free=("split of the degree sum 3 into three summands (default 1,1,1)",),
-        report=_family_report((
-            ("abbv-vanishing", R_ABBV, "-3 + (4 - 1) = 0"),
-            ("sphere-span-extremes", R_C, "span 5 realized at both extremes"),
-            ("index-consistency", R_CONS, "|2 + 3| = |3 + 2| = 5"),
-        )),
         builder=build)
     _certify(fam)
     families.append(fam)
@@ -690,25 +629,22 @@ def _enum_04(b4_max, box):
                 c2 = b4
                 for kp in range(-box, box + 1):
                     if 1 - 1 + n2 + kp * kp - c2 != 0:
-                        t.add("abbv-vanishing", R_ABBV,
-                              "e.g. k' = %d gives k'^2 - 1 = %d" % (kp, kp * kp - 1))
+                        t.add("abbv-vanishing", "e.g. k' = %d gives k'^2 - 1 = %d",
+                              kp, kp * kp - 1)
                         continue
                     if abs(3 + kp) > 2:
-                        t.add("index-cap-point", R_I3,
-                              "e.g. k' = %d gives index %d > 2" % (kp, abs(3 + kp)))
+                        t.add("index-cap-point", "e.g. k' = %d gives index %d > 2",
+                              kp, abs(3 + kp))
                         continue
-                    if n2 > 0 and 2 % (3 + kp):
-                        t.add("sphere-area-max", R_A1,
-                              "e.g. k' = %d: 3 + k' does not divide 2" % kp)
+                    if n2 > 0 and not area_fits(3 + kp, 2):
+                        t.add("sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", kp)
                         continue
-                    if c2 > 7:
-                        t.add("dh-k-bound",
-                              "density positivity bounds the middle Betti number",
-                              "c2 = b4 = %d exceeds 7" % c2)
+                    if c2 > K2_CAP:
+                        t.add("dh-k-bound", "c2 = b4 = %d exceeds %d", c2, K2_CAP)
                         continue
                     top_n2 = max(top_n2, n2)
             rejections.extend(t.rows())
-            assert top_n2 == min(6, b4_max - 1)
+            assert top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1)
 
             def build(n2, **choices):
                 if choices:
@@ -729,19 +665,6 @@ def _enum_04(b4_max, box):
                 iota=2, b4_base=1, n2_min=0, n2_max=top_n2,
                 fixed=(("max c1", -1),),
                 free=(),
-                report=_family_report((
-                    ("abbv-vanishing", R_ABBV, "1 - 1 + n2 + (1 - (1 + n2)) = 0"),
-                    ("index-cap-point", R_I3, "forces c1 = -1, index 2"),
-                    ("dh-k-bound",
-                     "density positivity bounds the middle Betti number",
-                     "c2 = b4 <= 7, so n2 <= 6"),
-                    ("dh-seam",
-                     "push-forward density is continuous across interior walls "
-                     "of isolated points",
-                     "the two local density formulas disagree at level 0 for "
-                     "every member (56 vs 56 - 8*b4); reported as WARN on "
-                     "verification, the family is admissible data only"),
-                )),
                 builder=build)
             _certify(fam)
             families.append(fam)
@@ -754,25 +677,24 @@ def _enum_04(b4_max, box):
                     for a1 in range(-12, 13):
                         for tail in range(-24, 25):
                             if kp * kp - c2 + (-a1 + tail) + n2 + 1 != 0:
-                                t.add("abbv-vanishing", R_ABBV,
-                                      "e.g. k' = %d, a1 = %d, a2 + a3 = %d" % (kp, a1, tail))
+                                t.add("abbv-vanishing",
+                                      "e.g. k' = %d, a1 = %d, a2 + a3 = %d", kp, a1, tail)
                                 continue
-                            if tail != 2 * a1 - 2:
-                                t.add("surface-degree-relation", R_D,
-                                      "e.g. a1 = %d needs a2 + a3 = %d, got %d"
-                                      % (a1, 2 * a1 - 2, tail))
+                            need = surface_tail(a1)
+                            if tail != need:
+                                t.add("surface-degree-relation",
+                                      "e.g. a1 = %d needs a2 + a3 = %d, got %d", a1, need, tail)
                                 continue
                             if 2 + a1 + tail < 1 or 3 + kp < 1:
-                                t.add("monotone-positive", R_MONO,
-                                      "e.g. a1 = %d, k' = %d" % (a1, kp))
+                                t.add("monotone-positive", "e.g. a1 = %d, k' = %d", a1, kp)
                                 continue
                             if abs(3 + kp) % 2 == 0:
-                                t.add("index-parity-surface", R_I2,
-                                      "e.g. k' = %d gives even index %d" % (kp, abs(3 + kp)))
+                                t.add("index-parity-surface", "e.g. k' = %d gives even index %d",
+                                      kp, abs(3 + kp))
                                 continue
-                            if n2 > 0 and 2 % (3 + kp):
-                                t.add("sphere-area-max", R_A1,
-                                      "e.g. k' = %d: 3 + k' does not divide 2" % kp)
+                            if n2 > 0 and not area_fits(3 + kp, 2):
+                                t.add("sphere-area-max",
+                                      "e.g. k' = %d: 3 + k' does not divide 2", kp)
                                 continue
                             survivors.add((kp, a1, tail, n2))
             rejections.extend(t.rows())
@@ -797,17 +719,12 @@ def _enum_04(b4_max, box):
                 iota=3, b4_base=2, n2_min=0, n2_max=0,
                 fixed=(("max c1", 0), ("max c2", 2), ("surface a1", 3)),
                 free=("split of a2 + a3 = 4 (default 2,2)",),
-                report=_family_report((
-                    ("surface-degree-relation", R_D, "3*3 = 2 + 3 + 4"),
-                    ("index-parity-surface", R_I2, "index |3 + 0| = 3 is odd"),
-                    ("abbv-vanishing", R_ABBV, "1 + 1 + (0 - 2) = 0"),
-                )),
                 builder=build)
             _certify(fam)
             families.append(fam)
         else:
             rejections.append(Rejection(
-                _skeleton_label((0, 4), skel), "betti-budget-b2", R_B2,
+                _skeleton_label((0, 4), skel), "betti-budget-b2",
                 "unexpected budget solution"))
     return families, rejections
 
@@ -818,36 +735,35 @@ def _enum_44(b4_max, box):
     t = _Tally(label)
     neg_top_n2 = -1
     pos_ok = False
+    cap = b4_cap((4, 4))
     for n2 in range(0, max(0, b4_max - 2) + 1):
         for k1 in range(-box, box + 1):
             for k2 in range(-box, box + 1):
                 # signature pins c2(min) + c2(max) = 2 + n2, so the
                 # localization sum reduces to k1^2 + k2^2 = 2
-                if k1 * k1 + k2 * k2 != 2:
-                    t.add("abbv-vanishing", R_ABBV,
-                          "e.g. k' = (%d, %d): squares sum to %d, not 2"
-                          % (k1, k2, k1 * k1 + k2 * k2))
+                squares = k1 * k1 + k2 * k2
+                if squares != 2:
+                    t.add("abbv-vanishing", "e.g. k' = (%d, %d): squares sum to %d, not 2",
+                          k1, k2, squares)
                     continue
                 if abs(3 + k1) != abs(3 + k2):
-                    t.add("index-consistency", R_CONS,
-                          "k' = (%d, %d) give indices %d vs %d"
-                          % (k1, k2, abs(3 + k1), abs(3 + k2)))
+                    t.add("index-consistency", "k' = (%d, %d) give indices %d vs %d",
+                          k1, k2, abs(3 + k1), abs(3 + k2))
                     continue
-                if n2 > 0 and (2 % (3 + k2) or 2 % (3 + k1)):
-                    t.add("sphere-area-max", R_A1,
-                          "k' = %d at an extreme does not divide the area 2" % k1)
+                if n2 > 0 and not (area_fits(3 + k1, 2) and area_fits(3 + k2, 2)):
+                    t.add("sphere-area-max",
+                          "k' = %d at an extreme does not divide the area 2", k1)
                     continue
                 if k1 == -1:
-                    if n2 > 12:
-                        t.add("dh-k-bound",
-                              "density positivity bounds the middle Betti number",
-                              "b4 = %d needs a c2 split with a part > 7" % (2 + n2))
+                    if 2 + n2 > cap:
+                        t.add("dh-k-bound", "b4 = %d needs a c2 split with a part > %d",
+                              2 + n2, K2_CAP)
                         continue
                     neg_top_n2 = max(neg_top_n2, n2)
                 else:
                     pos_ok = True
     rejections.extend(t.rows())
-    assert pos_ok and neg_top_n2 == min(12, max(0, b4_max - 2))
+    assert pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2))
 
     def build_neg(n2, split=None):
         b4 = 2 + n2
@@ -868,14 +784,7 @@ def _enum_44(b4_max, box):
                  "Morse-index-4 points, c2 values splitting b4 = 2 + n2"),
         iota=2, b4_base=2, n2_min=0, n2_max=neg_top_n2,
         fixed=(("both c1", -1),),
-        free=("c2 split of b4 into two parts, each at most 7 (default balanced)",),
-        report=_family_report((
-            ("abbv-vanishing", R_ABBV, "(1 - c2min) + n2 + (1 - c2max) = 0"),
-            ("sphere-area-max", R_A1, "for n2 > 0 both c1 must be -1"),
-            ("dh-k-bound",
-             "density positivity bounds the middle Betti number",
-             "each c2 <= 7, so b4 <= 14"),
-        )),
+        free=("c2 split of b4 into two parts, each at most %d (default balanced)" % K2_CAP,),
         builder=build_neg)
     _certify(fam_neg)
     families.append(fam_neg)
@@ -898,11 +807,6 @@ def _enum_44(b4_max, box):
         fixed=(("both c1", 1),),
         free=("c2 split of 2 into two parts, bounded only by the search box "
               "(default 1,1)",),
-        report=_family_report((
-            ("abbv-vanishing", R_ABBV, "(1 - c2min) + (1 - c2max) = 0"),
-            ("sphere-span-extremes", R_C, "span 4 realized at both extremes"),
-            ("index-consistency", R_CONS, "|3 + 1| = 4 at both extremes"),
-        )),
         builder=build_pos)
     _certify(fam_pos)
     families.append(fam_pos)
@@ -927,9 +831,9 @@ def enumerate_case(shape, b4_max=14):
     parameter well inside them.
     """
     shape = tuple(sorted(int(v) for v in shape))
-    if shape not in {s for s in admissible_dim_pairs()}:
+    assessment = admissible_dim_pairs().get(shape)
+    if assessment is None:
         raise ClassifyError("not a pair of extremal dimensions: %s" % (shape,))
-    assessment = admissible_dim_pairs()[shape]
     if not assessment.admissible:
         raise ClassifyError(
             "shape %s is not admissible (admissible: %s): %s"
@@ -1106,54 +1010,58 @@ def classify_fano(records=None):
             expect = 32 * (rec.genus - 1)
             if expect != rec.c1_fourth:
                 items.append(CheckItem(
-                    "degree-genus", R_GENUS, "WARN",
+                    "degree-genus", "WARN",
                     "genus %d predicts c1^4 = %d, record says %d"
                     % (rec.genus, expect, rec.c1_fourth)))
             else:
                 items.append(CheckItem(
-                    "degree-genus", R_GENUS, "PASS",
+                    "degree-genus", "PASS",
                     "32*(%d - 1) = %d" % (rec.genus, rec.c1_fourth)))
         if rec.fano_index not in (2, 3, 4, 5):
             items.append(CheckItem(
-                "index-range", R_IDX_RANGE, "FAIL",
-                "index %d is outside 2..5" % rec.fano_index))
+                "index-range", "FAIL", "index %d is outside 2..5" % rec.fano_index))
             alive = False
         if alive and rec.finite_automorphisms:
             items.append(CheckItem(
-                "finite-automorphisms", R_AUTOS, "FAIL",
+                "finite-automorphisms", "FAIL",
                 "the family has no positive-dimensional automorphisms"))
             alive = False
         if alive and rec.fano_index == 2:
-            vol_a = 416 - 16 * rec.b4
-            vol_b = 352 - 16 * rec.b4
-            hit_a = rec.c1_fourth == vol_a and rec.b4 <= 7
-            hit_b = rec.c1_fourth == vol_b and rec.b4 <= 14
+            # the isolated-minimum pattern (0,4) has plane coefficient b4;
+            # the two-plane pattern (4,4) splits b4 between its planes, and
+            # the half volume is affine in the coefficient, so any split
+            # gives the same total
+            vol_a = int(half_volume_isolated_pair() + half_volume_cp2(rec.b4))
+            vol_b = int(half_volume_cp2(rec.b4) + half_volume_cp2(0))
+            cap_a = b4_cap((0, 4))
+            hit_a = rec.c1_fourth == vol_a and rec.b4 <= cap_a
+            hit_b = rec.c1_fourth == vol_b and rec.b4 <= b4_cap((4, 4))
             note = ""
-            if rec.b4 > 7:
-                note = " (isolated-minimum pattern needs b4 <= 7, here %d)" % rec.b4
+            if rec.b4 > cap_a:
+                note = " (isolated-minimum pattern needs b4 <= %d, here %d)" % (cap_a, rec.b4)
             if hit_a or hit_b:
                 items.append(CheckItem(
-                    "volume-match", R_VOL, "PASS",
+                    "volume-match", "PASS",
                     "volume %d matches the %s pattern%s"
                     % (rec.c1_fourth,
                        "two-plane" if hit_b else "isolated-minimum", note)))
             else:
                 items.append(CheckItem(
-                    "volume-match", R_VOL, "FAIL",
+                    "volume-match", "FAIL",
                     "candidate volumes %d and %d, target %d%s"
                     % (vol_a, vol_b, rec.c1_fourth, note)))
                 alive = False
             items.append(CheckItem(
-                "index-parity-surface", R_I2, "INFO",
+                "index-parity-surface", "INFO",
                 "the odd-index surface pattern is excluded for index 2"))
         if alive and rec.fano_index >= 3:
             witness, b4_there = _INDEX_WITNESS[rec.fano_index]
             items.append(CheckItem(
-                "index-range", R_IDX_RANGE, "PASS",
+                "index-range", "PASS",
                 "index %d realized by %s" % (rec.fano_index, witness)))
             if rec.b4 != b4_there:
                 items.append(CheckItem(
-                    "index-range", R_IDX_RANGE, "WARN",
+                    "index-range", "WARN",
                     "that pattern pins b4 = %d, record has b4 = %d"
                     % (b4_there, rec.b4)))
         if alive:

@@ -37,8 +37,9 @@ from .dataio import DataError, dumps_data, load_data
 from .model import betti_vector, dim_pair
 
 
-def _header():
-    return "semifree8 %s (family table sha256 %s)" % (__version__, fano_table_hash())
+def _header(table_hash=None):
+    table_hash = table_hash or fano_table_hash()
+    return "semifree8 %s (family table sha256 %s)" % (__version__, table_hash)
 
 
 def _meta(command):
@@ -68,38 +69,42 @@ def _check_doc(item):
 # verify
 # ----------------------------------------------------------------------
 
-def _report_lines(data, rep):
-    lines = []
-    shape = _shape_of(data)
-    lines.append("shape %s, %d components, betti %s"
-                 % (tuple(shape) if shape else "undetermined", len(data),
-                    betti_vector(data)))
-    lines.extend(rep.lines())
-    fails = len(rep.failures)
-    warns = sum(1 for it in rep if it.verdict == "WARN")
-    lines.append("result: %s (%d checks, %d failed, %d warnings)"
-                 % ("PASS" if rep.ok else "FAIL", len(list(rep)), fails, warns))
-    return lines
-
-
-def _cmd_verify(args, out):
-    data = load_data(args.path)
+def _report(out, as_json, command, source, title, data):
+    """The verification report of one dataset, shared by verify and
+    catalog --name; source is the JSON key/value naming the dataset."""
     rep = verification_report(data)
-    if args.json:
-        doc = _meta("verify")
+    shape = _shape_of(data)
+    fp_class = match_fp_class(data)
+    if as_json:
+        doc = _meta(command)
+        doc.update(source)
         doc.update({
-            "path": args.path,
-            "shape": _shape_of(data),
+            "shape": shape,
             "betti": list(betti_vector(data)),
-            "fp_class": match_fp_class(data),
+            "fp_class": fp_class,
             "checks": [_check_doc(it) for it in rep],
             "ok": rep.ok,
         })
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(out, [_header(), "verify %s" % args.path] + _report_lines(data, rep)
-              + ["fixed point class: %s" % match_fp_class(data)])
+        lines = [_header(), title,
+                 "shape %s, %d components, betti %s"
+                 % (tuple(shape) if shape else "undetermined", len(data),
+                    betti_vector(data))]
+        lines.extend(rep.lines())
+        warns = sum(1 for it in rep if it.verdict == "WARN")
+        lines.append("result: %s (%d checks, %d failed, %d warnings)"
+                     % ("PASS" if rep.ok else "FAIL", len(rep.items), len(rep.failures),
+                        warns))
+        lines.append("fixed point class: %s" % fp_class)
+        _emit(out, lines)
     return 0 if rep.ok else 1
+
+
+def _cmd_verify(args, out):
+    data = load_data(args.path)
+    return _report(out, args.json, "verify", {"path": args.path},
+                   "verify %s" % args.path, data)
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +223,7 @@ def _cmd_classify_fano(args, out):
                          for name, items in result.traces]
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return 0
-    lines = ["semifree8 %s (family table sha256 %s)" % (__version__, result.table_hash),
+    lines = [_header(result.table_hash),
              "families carrying a semi-free circle action: %s"
              % ", ".join(result.survivors)]
     for name, items in result.traces:
@@ -259,23 +264,8 @@ def _cmd_catalog(args, out):
     if args.emit == "file":
         out.write(dumps_data(data))
         return 0
-    rep = verification_report(data)
-    if args.json:
-        doc = _meta("catalog")
-        doc.update({
-            "name": args.name,
-            "shape": _shape_of(data),
-            "betti": list(betti_vector(data)),
-            "fp_class": match_fp_class(data),
-            "checks": [_check_doc(it) for it in rep],
-            "ok": rep.ok,
-        })
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(out, [_header(), "catalog entry %s" % args.name]
-              + _report_lines(data, rep)
-              + ["fixed point class: %s" % match_fp_class(data)])
-    return 0 if rep.ok else 1
+    return _report(out, args.json, "catalog", {"name": args.name},
+                   "catalog entry %s" % args.name, data)
 
 
 # ----------------------------------------------------------------------
@@ -326,13 +316,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except DataError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ClassifyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, ClassifyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -35,14 +35,11 @@ from .model import (
     interior_components,
     max_component,
     min_component,
+    pass_fail,
     reverse_action,
 )
 from .polynomial import Poly, positive_on_open
 from .rings import ring_projectivized
-
-_RULE_POS = "push-forward density is positive on open regular intervals"
-_RULE_SEAM = "push-forward density is continuous across interior walls of isolated points"
-_RULE_KBND = "density positivity bounds the middle Betti number"
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +87,19 @@ def half_volume_isolated_pair():
     return 4 * (dh_isolated_min().integrate(0, 2) + dh_after_lam1_point().integrate(2, 4))
 
 
+# The ruled density x*(12 + 6x + (1-k2)x^2) stays positive on (0, 2)
+# exactly when its value 56 - 8*k2 at the far wall is >= 0, so density
+# positivity caps every plane coefficient k2 here.
+K2_CAP = 7
+
+
+def b4_cap(shape):
+    """The largest middle Betti number density positivity permits, or None
+    for a shape it does not constrain: in (0,4) the plane coefficient k2
+    equals b4, in (4,4) the two coefficients split b4."""
+    return {(0, 4): K2_CAP, (4, 4): 2 * K2_CAP}.get(shape)
+
+
 # ----------------------------------------------------------------------
 # density profiles assembled from fixed point data
 # ----------------------------------------------------------------------
@@ -106,9 +116,6 @@ class DHPiece:
 class DHProfile:
     pieces: tuple
     warnings: tuple   # WARN-level CheckItems about seams
-
-    def known_intervals(self):
-        return tuple((p.lo, p.hi) for p in self.pieces)
 
 
 def _min_side_pieces(data):
@@ -157,7 +164,7 @@ def _resolve(pieces):
             continue
         seam = (max(prev.lo, pc.lo) + min(prev.hi, pc.hi)) / 2
         warns.append(CheckItem(
-            "dh-seam", _RULE_SEAM, "WARN",
+            "dh-seam", "WARN",
             "the two extremal formulas disagree on a shared wall-free interval; "
             "truncating both at level %s" % seam))
         out[-1] = DHPiece(prev.lo, seam, prev.poly, prev.label)
@@ -167,7 +174,7 @@ def _resolve(pieces):
             va, vb = a.poly(a.hi), b.poly(b.lo)
             if va != vb:
                 warns.append(CheckItem(
-                    "dh-seam", _RULE_SEAM, "WARN",
+                    "dh-seam", "WARN",
                     "density value jumps at level %s: %s from below vs %s from above"
                     % (a.hi, va, vb)))
     return tuple(out), tuple(warns)
@@ -187,16 +194,14 @@ def positivity_check(profile):
     """PASS iff every known density piece is positive on its open interval."""
     rep = ConstraintReport()
     if not profile.pieces:
-        rep.append(CheckItem("dh-positivity", _RULE_POS, "INFO",
+        rep.append(CheckItem("dh-positivity", "INFO",
                              "no density piece is pinned for this configuration"))
         return rep
     for pc in profile.pieces:
         ok, detail = positive_on_open(pc.poly, pc.lo, pc.hi)
-        rep.append(CheckItem("dh-positivity", _RULE_POS,
-                             "PASS" if ok else "FAIL",
+        rep.append(pass_fail("dh-positivity", ok,
                              "%s on (%s, %s): %s" % (pc.poly.fmt("L"), pc.lo, pc.hi, detail)))
-    for w in profile.warnings:
-        rep.append(w)
+    rep.extend(profile.warnings)
     return rep
 
 
@@ -239,26 +244,24 @@ def total_volume(data):
 def b4_bound_check(b4, shape, split=None):
     """Does density positivity permit this middle Betti number?
 
-    For the (0,4) pattern the plane-side coefficient equals b4 and must
-    stay <= 7; for (4,4) the two coefficients split b4 and each must stay
-    <= 7, so b4 <= 14. Other shapes carry no density constraint.
+    Every plane coefficient must stay <= K2_CAP, which bounds b4 by
+    b4_cap(shape); a (4,4) split is checked part by part when given.
     """
     shape = tuple(sorted(int(v) for v in shape))
+    cap = b4_cap(shape)
+    if cap is None:
+        return CheckItem("dh-k-bound", "PASS",
+                         "no density constraint applies to shape %s" % (shape,))
+    ok = b4 <= cap
     if shape == (0, 4):
-        ok = b4 <= 7
-        return CheckItem("dh-k-bound", _RULE_KBND, "PASS" if ok else "FAIL",
-                         "plane coefficient k2 = b4 = %d %s 7" % (b4, "<=" if ok else ">"))
-    if shape == (4, 4):
-        if split is not None:
-            kmin, kmax = split
-            if kmin + kmax != b4:
-                return CheckItem("dh-k-bound", _RULE_KBND, "FAIL",
-                                 "split %s does not sum to b4 = %d" % ((kmin, kmax), b4))
-            ok = kmin <= 7 and kmax <= 7
-            return CheckItem("dh-k-bound", _RULE_KBND, "PASS" if ok else "FAIL",
-                             "split %s with both parts %s 7" % ((kmin, kmax), "<=" if ok else "not <="))
-        ok = b4 <= 14
-        return CheckItem("dh-k-bound", _RULE_KBND, "PASS" if ok else "FAIL",
-                         "a split of %d into two parts <= 7 %s" % (b4, "exists" if ok else "cannot exist"))
-    return CheckItem("dh-k-bound", _RULE_KBND, "PASS",
-                     "no density constraint applies to shape %s" % (shape,))
+        return pass_fail("dh-k-bound", ok, "plane coefficient k2 = b4 = %d %s %d"
+                         % (b4, "<=" if ok else ">", K2_CAP))
+    if split is None:
+        return pass_fail("dh-k-bound", ok, "a split of %d into two parts <= %d %s"
+                         % (b4, K2_CAP, "exists" if ok else "cannot exist"))
+    if sum(split) != b4:
+        return CheckItem("dh-k-bound", "FAIL",
+                         "split %s does not sum to b4 = %d" % (tuple(split), b4))
+    ok = max(split) <= K2_CAP
+    return pass_fail("dh-k-bound", ok, "split %s with both parts %s %d"
+                     % (tuple(split), "<=" if ok else "not <=", K2_CAP))

@@ -15,7 +15,7 @@ reversal and fixed-point-data equivalence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -135,12 +135,86 @@ def cp3_extremal(sign, c1):
 # check bookkeeping
 # ----------------------------------------------------------------------
 
+# The statement of every rule the package checks, keyed by check id. Call
+# sites name only the id; reports, rejections and the JSON output read
+# the statement from here.
+RULES = {
+    # structure and localization of homology
+    "semi-free": "every weight lies in {-1, 0, +1}",
+    "weight-zeros": "zero weights span the tangent directions",
+    "normal-variant": "normal bundle data matches the component species",
+    "unique-minimum": "exactly one component has no negative weight",
+    "unique-maximum": "the top Betti number localizes to 1",
+    "level-order": "moment map levels are strictly ordered",
+    "kirwan-b2": "the second Betti number localizes to 1",
+    "poincare": "Betti numbers are symmetric",
+    "b4-positive": "the middle Betti number is positive",
+    "monotone-positive": "the symplectic class restricts positively to components",
+    "betti-vector": "Betti numbers by localization",
+    "betti-budget-b2": "degree-2 classes localize to the fixed components",
+    "betti-budget-b6": "degree-6 classes localize to the fixed components",
+    "signature-self-intersection": "signature equals the self-intersection of the fixed set",
+    "abbv-vanishing": "localization contributions over the fixed set sum to zero",
+    # sphere areas
+    "sphere-area-max": ("with a four-dimensional maximum, an empty gap above level 0 and a "
+                        "Morse-index-4 point force a sphere of area 2 in the maximum"),
+    "sphere-area-min": ("with a four-dimensional maximum, an empty gap below level 0 and a "
+                        "Morse-index-4 point force a sphere of area |min level| in the minimum"),
+    "sphere-span-min": ("if every interior component is a Morse-index-4 point, the minimum "
+                        "carries a sphere of area equal to the moment interval length"),
+    "sphere-span-extremes": ("with no interior components and a maximum of dimension at most "
+                             "four, both extremes carry spheres of area equal to the moment "
+                             "interval length"),
+    "surface-degree-relation": ("a Morse-index-2 surface with nothing below it but an isolated "
+                                "minimum satisfies 3*a1 = 2 + a1 + a2 + a3 in its normal degrees"),
+    "sphere-rules": "sphere-area rules",
+    # Fano index and interior exclusions
+    "fano-index": "Fano index read off the extremes",
+    "index-consistency": "the Fano index computed at either extremum is the same",
+    "index-lower-oo": ("isolated extremes with a unique interior four-dimensional component "
+                       "force Fano index at least 4"),
+    "index-parity-surface": ("a lone Morse-index-2 surface between an isolated minimum and "
+                             "level 0 forces an odd Fano index"),
+    "index-cap-point": ("a lone Morse-index-2 point between an isolated minimum and level 0 "
+                        "caps the Fano index at 2"),
+    "lambda2-needs-4dim-extremal": ("isolated points with two negative weights require an "
+                                    "extremal component of dimension four"),
+    "interior-bundle-halves": ("between isolated extremes at depth four, each normal line "
+                               "bundle of an interior four-dimensional component is half its "
+                               "tangent class"),
+    # push-forward density and volumes
+    "dh-positivity": "push-forward density is positive on open regular intervals",
+    "dh-seam": "push-forward density is continuous across interior walls of isolated points",
+    "dh-k-bound": "density positivity bounds the middle Betti number",
+    "total-volume": "moment-interval volume by halves",
+    # the Fano table
+    "index-range": "the case analysis only realizes Fano indices 2 through 5",
+    "volume-match": "the moment-interval volume must equal the integral of c1^4",
+    "degree-genus": "degree and genus are linked: c1^4 = 32*(genus - 1) for index-2 families",
+    "finite-automorphisms": "a circle action generates a positive-dimensional symmetry group",
+}
+
+
+def rule_statement(check_id):
+    """The registered statement of a check id; unknown ids raise."""
+    try:
+        return RULES[check_id]
+    except KeyError:
+        raise ValueError("unknown check id %r" % (check_id,)) from None
+
+
 @dataclass(frozen=True)
 class CheckItem:
     id: str
-    rule: str
     verdict: str   # PASS / FAIL / WARN / INFO
     detail: str = ""
+
+    def __post_init__(self):
+        rule_statement(self.id)
+
+    @property
+    def rule(self):
+        return RULES[self.id]
 
     def line(self):
         tail = " (%s)" % self.detail if self.detail else ""
@@ -157,8 +231,7 @@ class ConstraintReport:
         self.items.append(item)
 
     def extend(self, items):
-        for it in items:
-            self.append(it if isinstance(it, CheckItem) else CheckItem(*it))
+        self.items.extend(items)
 
     @property
     def ok(self):
@@ -178,25 +251,29 @@ class ConstraintReport:
         return "<report %s, %d checks>" % ("PASS" if self.ok else "FAIL", len(self.items))
 
 
-def _item(id, rule, good, detail_pass, detail_fail):
-    return CheckItem(id, rule, "PASS" if good else "FAIL",
-                     detail_pass if good else detail_fail)
+def pass_fail(check_id, good, detail, fail_detail=None):
+    """A PASS or FAIL item; a FAIL takes fail_detail when one is given."""
+    if not good and fail_detail is not None:
+        detail = fail_detail
+    return CheckItem(check_id, "PASS" if good else "FAIL", detail)
 
 
 # ----------------------------------------------------------------------
 # Betti numbers by localization of homology
 # ----------------------------------------------------------------------
 
+def betti_contribution(ctype, lam, i):
+    """What a component of this type with lam negative weights adds to the
+    even Betti number b_i of the ambient manifold: b_{i-2*lam}(F)."""
+    betti, j = ctype.betti, i // 2 - lam
+    return betti[j] if 0 <= j < len(betti) else 0
+
+
 def kirwan_betti(data, i):
-    """b_i of the ambient manifold: each component F adds b_{i-2*lam}(F)."""
+    """b_i of the ambient manifold, summed over the fixed components."""
     if i % 2:
         return 0
-    total = 0
-    for c in data:
-        j = i // 2 - c.lam
-        if 0 <= j < len(c.type.betti):
-            total += c.type.betti[j]
-    return total
+    return sum(betti_contribution(c.type, c.lam, i) for c in data)
 
 
 def betti_vector(data):
@@ -254,6 +331,13 @@ def omega_coefficients(comp):
     raise ValueError("no symplectic restriction for %r" % (comp,))
 
 
+def area_fits(coeff, area):
+    """Does a sphere of the given area fit a single-coefficient restriction
+    of the symplectic class? Only a positive coefficient dividing the area
+    lets it; the sweeps test this same closed form on sweep parameters."""
+    return coeff > 0 and area % coeff == 0
+
+
 def area_realizable(comp, area):
     """Can a sphere of the given symplectic area map into the component?"""
     if area <= 0:
@@ -262,7 +346,7 @@ def area_realizable(comp, area):
     if coeffs is None:
         return False
     if len(coeffs) == 1:
-        return coeffs[0] > 0 and area % coeffs[0] == 0
+        return area_fits(coeffs[0], area)
     e1, e2 = coeffs
     for i in range(0, area // max(e1, 1) + 2):
         rem = area - i * e1
@@ -311,60 +395,46 @@ def validate(data):
     """Structural checks every dataset must pass before any classification."""
     rep = ConstraintReport()
     all_w = [w for c in data for w in c.weights]
-    rep.append(_item(
-        "semi-free", "every weight lies in {-1, 0, +1}",
-        all(w in (-1, 0, 1) for w in all_w),
+    rep.append(pass_fail(
+        "semi-free", all(w in (-1, 0, 1) for w in all_w),
         "%d weights checked" % len(all_w),
         "offending weights %s" % sorted({w for w in all_w if w not in (-1, 0, 1)})))
 
     ok = all(sum(1 for w in c.weights if w == 0) == c.complex_dim for c in data)
-    rep.append(_item(
-        "weight-zeros", "zero weights span the tangent directions",
-        ok, "zero count matches dim_C on all components",
+    rep.append(pass_fail(
+        "weight-zeros", ok, "zero count matches dim_C on all components",
         "some component has zero count != dim_C"))
 
     bad = [c for c in data if not _normal_matches(c)[0]]
-    rep.append(_item(
-        "normal-variant", "normal bundle data matches the component species",
-        not bad,
+    rep.append(pass_fail(
+        "normal-variant", not bad,
         "all %d normal bundles well-typed" % len(data),
         "; ".join("%s: %s" % (c.type.value, _normal_matches(c)[1]) for c in bad)))
 
     n_min = sum(1 for c in data if c.lam == 0)
-    rep.append(_item(
-        "unique-minimum", "exactly one component has no negative weight",
-        n_min == 1, "one minimum", "%d candidate minima" % n_min))
+    rep.append(pass_fail("unique-minimum", n_min == 1, "one minimum", "%d candidate minima" % n_min))
 
     b8 = kirwan_betti(data, 8)
-    rep.append(_item(
-        "unique-maximum", "the top Betti number localizes to 1",
-        b8 == 1, "b8 = 1", "b8 = %d" % b8))
+    rep.append(pass_fail("unique-maximum", b8 == 1, "b8 = 1", "b8 = %d" % b8))
 
     lo, hi = min_component(data), max_component(data)
     if lo is not None and hi is not None and lo is not hi:
         inner = interior_components(data)
         ok = all(lo.level < c.level < hi.level for c in inner) and lo.level < hi.level
-        rep.append(_item(
-            "level-order", "moment map levels are strictly ordered",
-            ok, "levels %s" % sorted(c.level for c in data),
+        rep.append(pass_fail(
+            "level-order", ok, "levels %s" % sorted(c.level for c in data),
             "levels %s violate min < interior < max" % sorted(c.level for c in data)))
     else:
-        rep.append(CheckItem("level-order", "moment map levels are strictly ordered",
-                             "FAIL", "no unique extrema to order against"))
+        rep.append(CheckItem("level-order", "FAIL", "no unique extrema to order against"))
 
     b2 = kirwan_betti(data, 2)
-    rep.append(_item(
-        "kirwan-b2", "the second Betti number localizes to 1",
-        b2 == 1, "b2 = 1", "b2 = %d" % b2))
+    rep.append(pass_fail("kirwan-b2", b2 == 1, "b2 = 1", "b2 = %d" % b2))
 
     bv = betti_vector(data)
-    rep.append(_item(
-        "poincare", "Betti numbers are symmetric",
-        bv == bv[::-1], "b = %s" % (bv,), "b = %s is not palindromic" % (bv,)))
+    rep.append(pass_fail(
+        "poincare", bv == bv[::-1], "b = %s" % (bv,), "b = %s is not palindromic" % (bv,)))
 
-    rep.append(_item(
-        "b4-positive", "the middle Betti number is positive",
-        bv[2] >= 1, "b4 = %d" % bv[2], "b4 = %d" % bv[2]))
+    rep.append(pass_fail("b4-positive", bv[2] >= 1, "b4 = %d" % bv[2]))
 
     bad = []
     for c in data:
@@ -374,9 +444,8 @@ def validate(data):
             continue  # the normal-variant check has already flagged this one
         if coeffs is not None and any(e < 1 for e in coeffs):
             bad.append((c.type.value, coeffs))
-    rep.append(_item(
-        "monotone-positive", "the symplectic class restricts positively to components",
-        not bad, "restrictions positive on all components",
+    rep.append(pass_fail(
+        "monotone-positive", not bad, "restrictions positive on all components",
         "nonpositive restriction on %s" % bad))
     return rep
 
@@ -407,16 +476,13 @@ def signature_check(data):
     six-dimensional component takes the dataset outside the scope of the
     self-intersection argument and the check reports PASS with a note.
     """
-    rule = "signature equals the self-intersection of the fixed set"
     if any(c.complex_dim == 3 for c in data):
-        return CheckItem("signature-self-intersection", rule, "PASS",
+        return CheckItem("signature-self-intersection", "PASS",
                          "six-dimensional component present, argument not applicable")
     si = self_intersection(data)
     b4 = kirwan_betti(data, 4)
-    if si == b4:
-        return CheckItem("signature-self-intersection", rule, "PASS",
-                         "self-intersection %s = b4" % si)
-    return CheckItem("signature-self-intersection", rule, "FAIL",
+    return pass_fail("signature-self-intersection", si == b4,
+                     "self-intersection %s = b4" % si,
                      "self-intersection %s but b4 = %d" % (si, b4))
 
 

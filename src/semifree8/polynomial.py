@@ -44,10 +44,6 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, v):
-        return cls((v,))
-
-    @classmethod
     def x(cls):
         return cls((0, 1))
 

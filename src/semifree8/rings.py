@@ -69,12 +69,6 @@ class GradedRing:
     def integral_mono(self, mono):
         raise NotImplementedError
 
-    def element(self, mapping):
-        out = {}
-        for mono, c in mapping.items():
-            _accumulate(out, self, tuple(mono), _coeff(c))
-        return RingClass(self, out)
-
     def __repr__(self):
         return "<ring %s>" % self.name
 
@@ -312,75 +306,3 @@ def ring_p1xp1():
 
 def ring_projectivized(k2):
     return _Projectivized(k2)
-
-
-def integrate(cls):
-    return cls.integrate()
-
-
-# ----------------------------------------------------------------------
-# total Chern classes
-# ----------------------------------------------------------------------
-
-class ChernTotal:
-    """A total characteristic class 1 + c1 + c2 + ... with graded access.
-
-    >>> R = ring_cpn(2)
-    >>> h = R.gen(0)
-    >>> c = ChernTotal((1 + h) ** 3)
-    >>> c.piece(1).fmt()
-    '3*h'
-    """
-
-    def __init__(self, cls):
-        if cls.graded_piece(0) != cls.ring.one():
-            raise ValueError("a total class must start with 1")
-        self.cls = cls
-
-    @property
-    def ring(self):
-        return self.cls.ring
-
-    def piece(self, k):
-        return self.cls.graded_piece(k)
-
-    def __eq__(self, other):
-        if isinstance(other, ChernTotal):
-            return self.cls == other.cls
-        return self.cls == other
-
-    def __repr__(self):
-        return "ChernTotal(%s)" % self.cls.fmt()
-
-
-def whitney_sum(a, b):
-    """Total class of a direct sum: the truncated product.
-
-    >>> R = ring_cpn(1)
-    >>> h = R.gen(0)
-    >>> whitney_sum(ChernTotal(1 + h), whitney_sum(ChernTotal(1 + h), ChernTotal(1 + h))).cls.fmt()
-    '1 + 3*h'
-    """
-    a = a if isinstance(a, ChernTotal) else ChernTotal(a)
-    b = b if isinstance(b, ChernTotal) else ChernTotal(b)
-    return ChernTotal(a.cls * b.cls)
-
-
-def whitney_quotient(a, b):
-    """Solve q * b = a for the total class q, degree by degree.
-
-    >>> R = ring_cpn(2)
-    >>> h = R.gen(0)
-    >>> whitney_quotient(ChernTotal((1 + h) ** 3), ChernTotal(1 + 2 * h)).cls.fmt()
-    '1 + h + h^2'
-    """
-    a = a if isinstance(a, ChernTotal) else ChernTotal(a)
-    b = b if isinstance(b, ChernTotal) else ChernTotal(b)
-    ring = a.ring
-    q = ring.one()
-    for k in range(1, ring.top + 1):
-        partial = (q * b.cls).graded_piece(k)
-        q = q + a.piece(k) - partial
-    if q * b.cls != a.cls:
-        raise ValueError("no total-class quotient exists")
-    return ChernTotal(q)

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 from semifree8.classify import enumerate_case
+from semifree8.classify import FanoFamilyRecord, classify_fano, default_fano_table
 from semifree8.dh import (
+    K2_CAP,
     b4_bound_check,
+    b4_cap,
     dh_after_lam1_point,
     dh_from_ring,
     dh_isolated_min,
@@ -34,6 +37,31 @@ def test_half_volumes_frozen():
     for k2 in range(-3, 9):
         assert half_volume_cp2(k2) == 176 - 16 * k2
     assert half_volume_isolated_pair() == 240
+
+
+def test_pattern_volumes_against_closed_forms():
+    # the two index-2 volumes the Fano filter compares against, in closed
+    # form: isolated minimum plus plane (416 - 16*b4) and two planes
+    # (352 - 16*b4, whatever the split)
+    for b4 in range(1, 15):
+        assert half_volume_isolated_pair() + half_volume_cp2(b4) == 416 - 16 * b4
+        for kmin in range(b4 + 1):
+            assert half_volume_cp2(kmin) + half_volume_cp2(b4 - kmin) == 352 - 16 * b4
+    for b4 in range(1, 20):
+        rec = FanoFamilyRecord("T", 2, b4, 0)
+        table = default_fano_table() + (rec,)
+        detail = [it.detail for name, items in classify_fano(table).traces if name == "T"
+                  for it in items if it.id == "volume-match"][0]
+        assert detail.startswith("candidate volumes %d and %d, target 0"
+                                 % (416 - 16 * b4, 352 - 16 * b4))
+        assert ("needs b4 <= 7" in detail) == (b4 > 7)
+
+
+def test_density_caps():
+    assert (K2_CAP, b4_cap((0, 4)), b4_cap((4, 4))) == (7, 7, 14)
+    assert b4_cap((0, 0)) is None and b4_cap((2, 4)) is None
+    assert positive_on_open(dh_near_cp2(K2_CAP), 0, 2)[0]
+    assert not positive_on_open(dh_near_cp2(K2_CAP + 1), 0, 2)[0]
 
 
 def test_total_volume_of_families():
