@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from .dh import (
@@ -54,7 +55,7 @@ from .model import (
     cp3_extremal,
     dim_pair,
     fourdim_interior,
-    fp_equivalent,
+    fingerprint,
     interior_components,
     kirwan_betti,
     max_component,
@@ -917,14 +918,20 @@ def _is_x8_family(data):
     return lo.normal.c2 + hi.normal.c2 == 8
 
 
+@cache
+def _catalog_fingerprints():
+    return tuple((name, fingerprint(entry)) for name, entry in catalog().items())
+
+
 def match_fp_class(data, entries=None):
     """Which catalog class the data belongs to: 'a' through 'd', or
     'unclassified'. Reversing the action is allowed; the case-d entry is
     matched modulo its undetermined c2 split."""
-    entries = catalog() if entries is None else entries
-    for candidate in (data, reverse_action(data)):
-        for name, entry in entries.items():
-            if fp_equivalent(candidate, entry):
+    known = (_catalog_fingerprints() if entries is None
+             else [(name, fingerprint(entry)) for name, entry in entries.items()])
+    for fp in map(fingerprint, (data, reverse_action(data))):
+        for name, entry_fp in known:
+            if fp == entry_fp:
                 return _CASE_OF.get(name, name)
     if _is_x8_family(data):
         return "d"

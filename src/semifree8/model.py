@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .localization import (
@@ -29,6 +30,11 @@ from .localization import (
 )
 
 
+_BETTI = {"point": (1,), "cp1": (1, 1), "cp2": (1, 1, 1), "p1xp1": (1, 2, 1),
+          "cp3": (1, 1, 1, 1)}
+_TANGENT_C1 = {"point": (), "cp1": (2,), "cp2": (3,), "p1xp1": (2, 2), "cp3": (4,)}
+
+
 class ComponentType(Enum):
     POINT = "point"
     CP1 = "cp1"
@@ -38,29 +44,17 @@ class ComponentType(Enum):
 
     @property
     def complex_dim(self):
-        return {"point": 0, "cp1": 1, "cp2": 2, "p1xp1": 2, "cp3": 3}[self.value]
+        return len(_BETTI[self._value_]) - 1
 
     @property
     def betti(self):
         """Even Betti numbers (b0, b2, ..) up to the top degree."""
-        return {
-            "point": (1,),
-            "cp1": (1, 1),
-            "cp2": (1, 1, 1),
-            "p1xp1": (1, 2, 1),
-            "cp3": (1, 1, 1, 1),
-        }[self.value]
+        return _BETTI[self._value_]
 
     @property
     def tangent_c1(self):
         """First Chern class of the component in its generator basis."""
-        return {
-            "point": (),
-            "cp1": (2,),
-            "cp2": (3,),
-            "p1xp1": (2, 2),
-            "cp3": (4,),
-        }[self.value]
+        return _TANGENT_C1[self._value_]
 
 
 @dataclass(frozen=True)
@@ -75,12 +69,13 @@ class FixedComponent:
             raise ValueError("a component of an 8-manifold carries exactly 4 weights")
         object.__setattr__(self, "weights", ws)
 
-    @property
+    # computed once; not dataclass fields, so __eq__, __hash__, repr are unchanged
+    @cached_property
     def lam(self):
         """Number of negative weights, i.e. half the Morse index."""
         return sum(1 for w in self.weights if w < 0)
 
-    @property
+    @cached_property
     def level(self):
         """Moment map value, normalized to minus the weight sum."""
         return -sum(self.weights)
@@ -525,9 +520,12 @@ def _fingerprint(comp):
     return (comp.type.value, comp.weights) + tail
 
 
+def fingerprint(data):
+    """Sorted component fingerprints; equal exactly when fp_equivalent."""
+    return tuple(sorted(_fingerprint(c) for c in data))
+
+
 def fp_equivalent(a, b):
     """Same fixed point data: component-wise match of type, weights and
     normal Chern data, allowing the factor swap on quadric surfaces."""
-    fa = sorted(_fingerprint(c) for c in a)
-    fb = sorted(_fingerprint(c) for c in b)
-    return fa == fb
+    return fingerprint(a) == fingerprint(b)

@@ -1,16 +1,21 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and exact positivity.
 
-Everything downstream (ring integrals, push-forward densities, positivity
-certificates) must be exact, so coefficients are fractions.Fraction and
-there is deliberately no float path anywhere. The positivity test at the
-bottom is a Sturm-sequence root count with endpoint deflation; it decides
-"p > 0 on the open interval (a, b)" exactly for the low-degree polynomials
-this package produces.
+`Poly` keeps fractions.Fraction coefficients; the Sturm root count behind
+`positive_on_open` runs on Python integers. No float is used and nothing is
+cached across calls. p is scaled by a positive integer to primitive integer
+coefficients; a primitive pseudo-remainder gcd with p' and an exact division
+give its square-free part q. The chain of q is built with sign-preserving
+pseudo-remainders (multiply by |lc|, negate, divide out the positive
+content), so each member is a positive multiple of the classical one. The
+sign at n/d is that of sum c_i n^i d^(deg - i). The variation count V is
+right-continuous at the roots of q, so V(a) - V(m) counts the roots in
+(a, m]: `isolate_root` builds the chain once per (p, a, b) and bisects on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _frac(v):
@@ -20,10 +25,6 @@ def _frac(v):
         return Fraction(v)
     raise TypeError("expected int or Fraction, got %r" % (v,))
 
-
-# ----------------------------------------------------------------------
-# the polynomial class
-# ----------------------------------------------------------------------
 
 class Poly:
     """Polynomial in one variable, coefficients listed lowest degree first.
@@ -130,43 +131,10 @@ class Poly:
     def derivative(self):
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
 
-    def antiderivative(self):
-        return Poly((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
-
     def integrate(self, a, b):
         """Definite integral over [a, b], exact."""
-        anti = self.antiderivative()
+        anti = Poly((0,) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
         return anti(b) - anti(a)
-
-    def shift_up(self, k):
-        """Multiply by x^k."""
-        if not self:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def divmod_by(self, other):
-        if not isinstance(other, Poly) or not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = Poly()
-        r = self
-        dlead = other.coeffs[-1]
-        while r and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.coeffs[-1] / dlead
-            q = q + Poly((c,)).shift_up(k)
-            r = r - other * Poly((c,)).shift_up(k)
-        return q, r
-
-    def __floordiv__(self, other):
-        return self.divmod_by(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod_by(other)[1]
-
-    def monic(self):
-        if not self:
-            return self
-        return self * (1 / self.coeffs[-1])
 
     def fmt(self, var="x"):
         if not self:
@@ -188,39 +156,69 @@ class Poly:
 
 
 # ----------------------------------------------------------------------
-# gcd / square-free part / Sturm sequences
+# Sturm root counting on integer coefficient lists (lowest degree first)
 # ----------------------------------------------------------------------
 
-def poly_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a.monic() if a else a
+def _primitive(cs):
+    """cs divided by its positive content."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def squarefree_part(p):
-    if not p or p.degree == 0:
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p // g
+def _prem(a, b):
+    """The remainder of a by b, times a positive integer."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        c, k = sign * a[-1], len(a) - len(b)
+        a = [scale * x for x in a[:-1]]     # the top term cancels
+        for i, bc in enumerate(b[:-1]):
+            a[k + i] -= c * bc
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
-def sturm_chain(p):
-    chain = [p, p.derivative()]
-    while chain[-1]:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+def _sturm_seq(q):
+    """Sturm chain of q if q is square-free; it ends in gcd(q, q')."""
+    seq = [q]
+    r = _primitive([i * c for i, c in enumerate(q)][1:])
+    while r:
+        seq.append(r)
+        r = _primitive([-c for c in _prem(seq[-2], r)])
+    return seq
 
 
-def _variations(chain, at):
-    signs = []
-    for q in chain:
-        v = q(at)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _sturm_chain(p):
+    """Sturm chain of the square-free part of p."""
+    if not p:
+        raise ValueError("zero polynomial has no isolated roots")
+    den = lcm(*(c.denominator for c in p.coeffs))
+    q = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    seq = _sturm_seq(q)
+    g, n = seq[-1], len(seq[-1]) - 1
+    if not n:
+        return seq
+    # exact division q / g; integral by Gauss's lemma, g being primitive
+    quo = [0] * (len(q) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = c = q[k + n] // g[-1]
+        q = q[:k] + [x - c * y for x, y in zip(q[k:], g)]
+    return _sturm_seq(quo)
+
+
+def _value_times_den(cs, n, d):
+    """d^deg * cs(n/d), which has the sign of cs(n/d) as d > 0."""
+    acc, dk = 0, 1
+    for c in reversed(cs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
+def _sign_changes(chain, x):
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for v in (_value_times_den(cs, n, d) for cs in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots_open(p, a, b):
@@ -228,28 +226,26 @@ def count_roots_open(p, a, b):
     a, b = _frac(a), _frac(b)
     if not a < b:
         raise ValueError("need a < b")
-    q = squarefree_part(p)
-    if not q:
-        raise ValueError("zero polynomial has no isolated roots")
-    # peel off roots sitting exactly on an endpoint
-    for r in (a, b):
-        while q.degree > 0 and q(r) == 0:
-            q = q // Poly((-r, 1))
-    if q.degree <= 0:
-        return 0
-    chain = sturm_chain(q)
-    return _variations(chain, a) - _variations(chain, b)
+    chain = _sturm_chain(p)
+    # V(a) - V(b) counts the roots in (a, b], so a root at b is taken off
+    at_b = not _value_times_den(chain[0], b.numerator, b.denominator)
+    return _sign_changes(chain, a) - _sign_changes(chain, b) - at_b
 
 
 def isolate_root(p, a, b, width=Fraction(1, 32)):
     """Shrink (a, b), known to contain a root of p, to width <= `width`."""
     a, b = _frac(a), _frac(b)
+    if b - a <= width:
+        return a, b
+    chain = _sturm_chain(p)
+    va = _sign_changes(chain, a)
     while b - a > width:
         m = (a + b) / 2
-        if count_roots_open(p, a, m) > 0 or squarefree_part(p)(m) == 0:
+        vm = _sign_changes(chain, m)
+        if va > vm:
             b = m
         else:
-            a = m
+            a, va = m, vm
     return a, b
 
 
@@ -266,8 +262,7 @@ def positive_on_open(p, a, b):
         raise ValueError("need a < b")
     if not p:
         return False, "identically zero"
-    n = count_roots_open(p, a, b)
-    if n:
+    if count_roots_open(p, a, b):
         lo, hi = isolate_root(p, a, b)
         return False, "vanishes in the interior, root inside [%s, %s]" % (lo, hi)
     mid = (a + b) / 2
