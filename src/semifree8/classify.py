@@ -7,12 +7,14 @@ exclusion rules for interior components, then runs the per-shape
 enumeration: for each admissible pair of extremal dimensions, exhaustively
 sweep the parameter boxes, apply the rules, and coalesce the survivors
 into parameterized families. Every check item and rejection names its
-rule by id; the statement lives once in ``model.RULES``. The sweeps
-pre-filter candidates with the closed forms the rule objects call
-(``model.area_fits``, ``surface_tail``, ``dh.K2_CAP`` and ``dh.b4_cap``),
-keeping only the localization sum inline as the first, hottest test, and
-every surviving family is re-certified on instantiated data through the
-full rule chain.
+rule by id; the statement lives once in ``model.RULES``. Each shape
+states its rule chain once, as one function over its sweep parameters
+built on the closed forms the rule objects call (``model.area_fits``,
+``surface_tail``, ``dh.K2_CAP`` and ``dh.b4_cap``), and one function,
+``_sweep``, runs it over the box. The chain opens with the localization
+sum, which fixes the innermost parameter, so ``_sweep`` solves for that
+parameter instead of looping over it. Every surviving family is
+re-certified on instantiated data through the full rule chain.
 
 The final consumers are at the bottom: the table of Fano families with
 large symmetry potential, the volume filter that picks out the realizable
@@ -53,7 +55,6 @@ from .model import (
     betti_vector,
     cp2_extremal,
     cp3_extremal,
-    dim_pair,
     fourdim_interior,
     fingerprint,
     interior_components,
@@ -61,6 +62,7 @@ from .model import (
     max_component,
     min_component,
     omega_coefficients,
+    oriented,
     pass_fail,
     point_component,
     reverse_action,
@@ -133,15 +135,10 @@ def sphere_constraints(data):
     bottom, so the action is reversed first when needed.
     """
     rep = ConstraintReport()
-    try:
-        (_, _), rev = dim_pair(data)
-    except ValueError:
+    o = oriented(data)
+    if o is None:
         return rep
-    if rev:
-        data = reverse_action(data)
-    lo, hi = min_component(data), max_component(data)
-    d1, d2 = 2 * lo.complex_dim, 2 * hi.complex_dim
-    inner = interior_components(data)
+    (d1, d2), data, lo, hi, inner = o
     lam2 = [c for c in inner if c.type is ComponentType.POINT and c.lam == 2]
 
     def gap_empty(a, b):
@@ -179,14 +176,10 @@ def sphere_constraints(data):
 
 def sphere_index_rules(data):
     rep = ConstraintReport()
-    try:
-        (_, _), rev = dim_pair(data)
-    except ValueError:
+    o = oriented(data)
+    if o is None:
         return rep
-    if rev:
-        data = reverse_action(data)
-    lo, hi = min_component(data), max_component(data)
-    inner = interior_components(data)
+    _, data, lo, hi, inner = o
     cands = index_candidates(data)
     iota = None
     if cands:
@@ -374,27 +367,42 @@ class EnumerationResult:
     rejections: tuple
 
 
-class _Tally:
-    """Aggregates sweep rejections per rule with a representative witness.
+def _sweep(label, axes, first_failure, solve=None):
+    """Run one rule chain over a parameter box: (rejection rows, survivors).
 
-    The witness is formatted (fmt % args) only when its rule first fires;
-    later rejections by the same rule just count."""
-
-    def __init__(self, candidate):
-        self.candidate = candidate
-        self.bins = {}
-
-    def add(self, rule_id, fmt, *args):
-        hit = self.bins.get(rule_id)
-        if hit is None:
-            self.bins[rule_id] = [fmt % args, 1]
-        else:
-            hit[1] += 1
-
-    def rows(self):
-        return [Rejection(self.candidate, rid,
-                          "%s; %d parameter choices rejected" % (ex, n))
-                for rid, (ex, n) in self.bins.items()]
+    axes are the swept ranges, outermost first. first_failure(*choice)
+    returns None for a survivor, else (rule_id, witness_format, args) for
+    the first rule the choice breaks. Rejections are tallied per rule, the
+    witness formatted only when its rule first fires, and rows come out in
+    first-fire order. solve(*outer), when given, yields the innermost
+    values the chain's first rule admits; every other innermost value
+    fails that rule, so they are tallied as one batch at the first of them,
+    which gives the rows of the full loop.
+    """
+    bins = {}
+    survivors = []
+    *outer_axes, inner = axes
+    for outer in product(*outer_axes):
+        admitted = inner if solve is None else {v for v in solve(*outer) if v in inner}
+        plan = [(v, 1) for v in admitted]
+        if len(admitted) < len(inner):
+            cut = next(v for v in inner if v not in admitted)
+            plan.append((cut, len(inner) - len(admitted)))
+        plan.sort(key=lambda step: inner.index(step[0]))
+        for v, n in plan:
+            choice = outer + (v,)
+            failure = first_failure(*choice)
+            if failure is None:
+                assert n == 1, "solve left out an admitted value at %s" % (choice,)
+                survivors.append(choice)
+                continue
+            rule_id, fmt, args = failure
+            if rule_id not in bins:
+                bins[rule_id] = [fmt % args, 0]
+            bins[rule_id][1] += n
+    rows = [Rejection(label, rid, "%s; %d parameter choices rejected" % (ex, n))
+            for rid, (ex, n) in bins.items()]
+    return rows, survivors
 
 
 def _certify(family):
@@ -515,18 +523,16 @@ def _enum_06(b4_max, box):
         label, "lambda2-needs-4dim-extremal",
         "extremes have dimensions 0 and 6; without this rule the localization "
         "sum 1 + n2 - m^3 = 0 would even admit m = 2 with 7 interior points"))
-    t = _Tally(label)
-    survivors = []
-    for m in range(-box, box + 1):
+
+    def first_failure(m):
         if 4 + m < 1:
-            t.add("monotone-positive", "e.g. m = %d makes 4 + m <= 0", m)
-            continue
+            return "monotone-positive", "e.g. m = %d makes 4 + m <= 0", (m,)
         if 1 - m ** 3 != 0:
-            t.add("abbv-vanishing", "e.g. m = %d gives 1 - m^3 = %d", m, 1 - m ** 3)
-            continue
-        survivors.append(m)
-    rejections.extend(t.rows())
-    assert survivors == [1]
+            return "abbv-vanishing", "e.g. m = %d gives 1 - m^3 = %d", (m, 1 - m ** 3)
+
+    rows, survivors = _sweep(label, (range(-box, box + 1),), first_failure)
+    rejections.extend(rows)
+    assert survivors == [(1,)]
 
     def build(n2, **choices):
         if n2 or choices:
@@ -549,48 +555,38 @@ def _enum_06(b4_max, box):
 def _enum_24(b4_max, box):
     families, rejections = [], []
     label = _skeleton_label((2, 4), ())
-    t = _Tally(label)
-    survivors = set()
-    for n2 in range(0, b4_max):
-        b4 = 1 + n2
-        c2 = b4          # signature pins c2 of the maximum
-        for kp in range(-box, box + 1):
-            for s in range(-36, 37):
-                if -s + n2 + kp * kp - c2 != 0:
-                    t.add("abbv-vanishing",
-                          "e.g. degrees summing to %d with k' = %d, n2 = %d", s, kp, n2)
-                    continue
-                if 2 + s < 1 or 3 + kp < 1:
-                    t.add("monotone-positive", "e.g. s = %d, k' = %d", s, kp)
-                    continue
-                if n2 > 0:
-                    if not area_fits(3 + kp, 2):
-                        t.add("sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", kp)
-                        continue
-                    if not area_fits(2 + s, 3):
-                        t.add("sphere-area-min",
-                              "e.g. s = %d: 2 + s does not divide the depth 3", s)
-                        continue
-                    if not area_fits(2 + s, 5):
-                        t.add("sphere-span-min",
-                              "e.g. s = %d: 2 + s does not divide the span 5", s)
-                        continue
-                else:
-                    if not area_fits(2 + s, 5):
-                        t.add("sphere-span-extremes",
-                              "e.g. s = %d: 2 + s does not divide the span 5", s)
-                        continue
-                    if not area_fits(3 + kp, 5):
-                        t.add("sphere-span-extremes",
-                              "e.g. k' = %d: 3 + k' does not divide the span 5", kp)
-                        continue
-                if abs(2 + s) != abs(3 + kp):
-                    t.add("index-consistency", "e.g. s = %d, k' = %d give indices %d vs %d",
-                          s, kp, abs(2 + s), abs(3 + kp))
-                    continue
-                survivors.add((kp, s, n2))
-    rejections.extend(t.rows())
-    assert survivors == {(2, 3, 0)}
+
+    def first_failure(n2, kp, s):
+        c2 = 1 + n2      # signature pins c2 of the maximum to b4
+        if -s + n2 + kp * kp - c2 != 0:
+            return ("abbv-vanishing",
+                    "e.g. degrees summing to %d with k' = %d, n2 = %d", (s, kp, n2))
+        if 2 + s < 1 or 3 + kp < 1:
+            return "monotone-positive", "e.g. s = %d, k' = %d", (s, kp)
+        if n2 > 0:
+            if not area_fits(3 + kp, 2):
+                return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
+            if not area_fits(2 + s, 3):
+                return "sphere-area-min", "e.g. s = %d: 2 + s does not divide the depth 3", (s,)
+            if not area_fits(2 + s, 5):
+                return "sphere-span-min", "e.g. s = %d: 2 + s does not divide the span 5", (s,)
+        else:
+            if not area_fits(2 + s, 5):
+                return ("sphere-span-extremes",
+                        "e.g. s = %d: 2 + s does not divide the span 5", (s,))
+            if not area_fits(3 + kp, 5):
+                return ("sphere-span-extremes",
+                        "e.g. k' = %d: 3 + k' does not divide the span 5", (kp,))
+        if abs(2 + s) != abs(3 + kp):
+            return ("index-consistency", "e.g. s = %d, k' = %d give indices %d vs %d",
+                    (s, kp, abs(2 + s), abs(3 + kp)))
+
+    # the localization sum fixes the degree sum: s = k'^2 - 1
+    rows, survivors = _sweep(
+        label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)),
+        first_failure, solve=lambda n2, kp: (kp * kp - 1,))
+    rejections.extend(rows)
+    assert survivors == [(0, 2, 3)]
 
     def build(n2, degrees=(1, 1, 1)):
         if n2:
@@ -623,28 +619,25 @@ def _enum_04(b4_max, box):
         kinds = tuple(t for _, t, _ in skel)
         label = _skeleton_label((0, 4), skel)
         if kinds == (ComponentType.POINT,):
-            t = _Tally(label)
-            top_n2 = -1
-            for n2 in range(0, b4_max):
-                b4 = 1 + n2
-                c2 = b4
-                for kp in range(-box, box + 1):
-                    if 1 - 1 + n2 + kp * kp - c2 != 0:
-                        t.add("abbv-vanishing", "e.g. k' = %d gives k'^2 - 1 = %d",
-                              kp, kp * kp - 1)
-                        continue
-                    if abs(3 + kp) > 2:
-                        t.add("index-cap-point", "e.g. k' = %d gives index %d > 2",
-                              kp, abs(3 + kp))
-                        continue
-                    if n2 > 0 and not area_fits(3 + kp, 2):
-                        t.add("sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", kp)
-                        continue
-                    if c2 > K2_CAP:
-                        t.add("dh-k-bound", "c2 = b4 = %d exceeds %d", c2, K2_CAP)
-                        continue
-                    top_n2 = max(top_n2, n2)
-            rejections.extend(t.rows())
+            def first_failure(n2, kp):
+                c2 = 1 + n2      # c2 = b4
+                if 1 - 1 + n2 + kp * kp - c2 != 0:
+                    return ("abbv-vanishing", "e.g. k' = %d gives k'^2 - 1 = %d",
+                            (kp, kp * kp - 1))
+                if abs(3 + kp) > 2:
+                    return ("index-cap-point", "e.g. k' = %d gives index %d > 2",
+                            (kp, abs(3 + kp)))
+                if n2 > 0 and not area_fits(3 + kp, 2):
+                    return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
+                if c2 > K2_CAP:
+                    return "dh-k-bound", "c2 = b4 = %d exceeds %d", (c2, K2_CAP)
+
+            # the localization sum reads k'^2 = 1
+            rows, survivors = _sweep(
+                label, (range(0, b4_max), range(-box, box + 1)),
+                first_failure, solve=lambda n2: (-1, 1))
+            rejections.extend(rows)
+            top_n2 = max((n2 for n2, _ in survivors), default=-1)
             assert top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1)
 
             def build(n2, **choices):
@@ -670,36 +663,30 @@ def _enum_04(b4_max, box):
             _certify(fam)
             families.append(fam)
         elif kinds == (ComponentType.CP1,):
-            t = _Tally(label)
-            survivors = set()
-            for n2 in range(0, b4_max - 1):
+            def first_failure(n2, kp, a1, tail):
                 c2 = 2 + n2
-                for kp in range(-box, box + 1):
-                    for a1 in range(-12, 13):
-                        for tail in range(-24, 25):
-                            if kp * kp - c2 + (-a1 + tail) + n2 + 1 != 0:
-                                t.add("abbv-vanishing",
-                                      "e.g. k' = %d, a1 = %d, a2 + a3 = %d", kp, a1, tail)
-                                continue
-                            need = surface_tail(a1)
-                            if tail != need:
-                                t.add("surface-degree-relation",
-                                      "e.g. a1 = %d needs a2 + a3 = %d, got %d", a1, need, tail)
-                                continue
-                            if 2 + a1 + tail < 1 or 3 + kp < 1:
-                                t.add("monotone-positive", "e.g. a1 = %d, k' = %d", a1, kp)
-                                continue
-                            if abs(3 + kp) % 2 == 0:
-                                t.add("index-parity-surface", "e.g. k' = %d gives even index %d",
-                                      kp, abs(3 + kp))
-                                continue
-                            if n2 > 0 and not area_fits(3 + kp, 2):
-                                t.add("sphere-area-max",
-                                      "e.g. k' = %d: 3 + k' does not divide 2", kp)
-                                continue
-                            survivors.add((kp, a1, tail, n2))
-            rejections.extend(t.rows())
-            assert survivors == {(0, 3, 4, 0)}
+                if kp * kp - c2 + (-a1 + tail) + n2 + 1 != 0:
+                    return ("abbv-vanishing",
+                            "e.g. k' = %d, a1 = %d, a2 + a3 = %d", (kp, a1, tail))
+                need = surface_tail(a1)
+                if tail != need:
+                    return ("surface-degree-relation",
+                            "e.g. a1 = %d needs a2 + a3 = %d, got %d", (a1, need, tail))
+                if 2 + a1 + tail < 1 or 3 + kp < 1:
+                    return "monotone-positive", "e.g. a1 = %d, k' = %d", (a1, kp)
+                if abs(3 + kp) % 2 == 0:
+                    return ("index-parity-surface", "e.g. k' = %d gives even index %d",
+                            (kp, abs(3 + kp)))
+                if n2 > 0 and not area_fits(3 + kp, 2):
+                    return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
+
+            # the localization sum fixes a2 + a3 = a1 + 1 - k'^2
+            rows, survivors = _sweep(
+                label, (range(0, b4_max - 1), range(-box, box + 1), range(-12, 13),
+                        range(-24, 25)),
+                first_failure, solve=lambda n2, kp, a1: (a1 + 1 - kp * kp,))
+            rejections.extend(rows)
+            assert survivors == [(0, 0, 3, 4)]
 
             def build(n2, tail=(2, 2)):
                 if n2:
@@ -733,37 +720,30 @@ def _enum_04(b4_max, box):
 def _enum_44(b4_max, box):
     families, rejections = [], []
     label = _skeleton_label((4, 4), ())
-    t = _Tally(label)
-    neg_top_n2 = -1
-    pos_ok = False
     cap = b4_cap((4, 4))
-    for n2 in range(0, max(0, b4_max - 2) + 1):
-        for k1 in range(-box, box + 1):
-            for k2 in range(-box, box + 1):
-                # signature pins c2(min) + c2(max) = 2 + n2, so the
-                # localization sum reduces to k1^2 + k2^2 = 2
-                squares = k1 * k1 + k2 * k2
-                if squares != 2:
-                    t.add("abbv-vanishing", "e.g. k' = (%d, %d): squares sum to %d, not 2",
-                          k1, k2, squares)
-                    continue
-                if abs(3 + k1) != abs(3 + k2):
-                    t.add("index-consistency", "k' = (%d, %d) give indices %d vs %d",
-                          k1, k2, abs(3 + k1), abs(3 + k2))
-                    continue
-                if n2 > 0 and not (area_fits(3 + k1, 2) and area_fits(3 + k2, 2)):
-                    t.add("sphere-area-max",
-                          "k' = %d at an extreme does not divide the area 2", k1)
-                    continue
-                if k1 == -1:
-                    if 2 + n2 > cap:
-                        t.add("dh-k-bound", "b4 = %d needs a c2 split with a part > %d",
-                              2 + n2, K2_CAP)
-                        continue
-                    neg_top_n2 = max(neg_top_n2, n2)
-                else:
-                    pos_ok = True
-    rejections.extend(t.rows())
+
+    def first_failure(n2, k1, k2):
+        # signature pins c2(min) + c2(max) = 2 + n2, so the
+        # localization sum reduces to k1^2 + k2^2 = 2
+        squares = k1 * k1 + k2 * k2
+        if squares != 2:
+            return ("abbv-vanishing", "e.g. k' = (%d, %d): squares sum to %d, not 2",
+                    (k1, k2, squares))
+        if abs(3 + k1) != abs(3 + k2):
+            return ("index-consistency", "k' = (%d, %d) give indices %d vs %d",
+                    (k1, k2, abs(3 + k1), abs(3 + k2)))
+        if n2 > 0 and not (area_fits(3 + k1, 2) and area_fits(3 + k2, 2)):
+            return "sphere-area-max", "k' = %d at an extreme does not divide the area 2", (k1,)
+        if k1 == -1 and 2 + n2 > cap:
+            return ("dh-k-bound", "b4 = %d needs a c2 split with a part > %d",
+                    (2 + n2, K2_CAP))
+
+    rows, survivors = _sweep(
+        label, (range(0, max(0, b4_max - 2) + 1), range(-box, box + 1), range(-box, box + 1)),
+        first_failure, solve=lambda n2, k1: (-1, 1) if k1 * k1 == 1 else ())
+    rejections.extend(rows)
+    neg_top_n2 = max((n2 for n2, k1, _ in survivors if k1 == -1), default=-1)
+    pos_ok = any(k1 != -1 for _, k1, _ in survivors)
     assert pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2))
 
     def build_neg(n2, split=None):
@@ -826,10 +806,13 @@ _ENUMERATORS = {
 def enumerate_case(shape, b4_max=14):
     """All admissible families for one extremal dimension pair.
 
-    The search boxes scale with b4_max (Chern coefficients up to
-    b4_max + 2 in absolute value, surface degrees up to 12, interior
-    point counts up to b4_max); the constraint chains pin every family
-    parameter well inside them.
+    The swept boxes: Chern coefficients k' (m for (0,6), k1 and k2 for
+    (4,4)) up to b4_max + 2 in absolute value; Morse-index-4 point counts
+    n2 in [0, b4_max - 1] for (2,4) and the (0,4) branch without a
+    surface, [0, b4_max - 2] for the one with a surface and for (4,4);
+    surface degrees a1 up to 12 and a2 + a3 up to 24, and the (2,4)
+    degree sum up to 36, in absolute value. Rejection counts are counts
+    over these boxes; the chains pin every family parameter well inside.
     """
     shape = tuple(sorted(int(v) for v in shape))
     assessment = admissible_dim_pairs().get(shape)
@@ -901,14 +884,10 @@ _CASE_OF = {
 
 def _is_x8_family(data):
     """The case-d family modulo its undetermined c2 split."""
-    try:
-        (d1, d2), rev = dim_pair(data)
-    except ValueError:
+    o = oriented(data)
+    if o is None or o[0] != (4, 4):
         return False
-    if (d1, d2) != (4, 4):
-        return False
-    lo, hi = min_component(data), max_component(data)
-    inner = interior_components(data)
+    _, _, lo, hi, inner = o
     if len(inner) != 6 or any(c.type is not ComponentType.POINT or c.lam != 2
                               for c in inner):
         return False

@@ -33,7 +33,7 @@ from .classify import (
     match_fp_class,
     verification_report,
 )
-from .dataio import DataError, dumps_data, load_data
+from .dataio import DataError, _expect_bool, _expect_int, dumps_data, load_data, read_text
 from .model import betti_vector, dim_pair
 
 
@@ -187,28 +187,28 @@ def _cmd_enumerate(args, out):
 
 def _load_table(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError("invalid JSON: %s" % exc, path)
     if not isinstance(doc, list):
         raise DataError("a family table is a JSON array of records", path)
     records = []
     for i, node in enumerate(doc):
+        where = "%s[%d]" % (path, i)
         if not isinstance(node, dict):
-            raise DataError("expected an object", "%s[%d]" % (path, i))
+            raise DataError("expected an object", where)
         try:
             records.append(FanoFamilyRecord(
                 name=str(node["name"]),
-                fano_index=int(node["fano_index"]),
-                b4=int(node["b4"]),
-                c1_fourth=int(node["c1_fourth"]),
-                genus=int(node.get("genus", 0)),
-                finite_automorphisms=bool(node.get("finite_automorphisms", False)),
+                fano_index=_expect_int(node["fano_index"], where + ".fano_index"),
+                b4=_expect_int(node["b4"], where + ".b4"),
+                c1_fourth=_expect_int(node["c1_fourth"], where + ".c1_fourth"),
+                genus=_expect_int(node.get("genus", 0), where + ".genus"),
+                finite_automorphisms=_expect_bool(node.get("finite_automorphisms", False),
+                                                  where + ".finite_automorphisms"),
             ))
         except KeyError as exc:
-            raise DataError("record is missing the %s field" % exc,
-                            "%s[%d]" % (path, i))
+            raise DataError("record is missing the %s field" % exc, where)
     return tuple(records)
 
 

@@ -62,6 +62,12 @@ def _expect_int(value, path):
     return value
 
 
+def _expect_bool(value, path):
+    if not isinstance(value, bool):
+        raise DataError("expected true or false, got %r" % (value,), path)
+    return value
+
+
 def _expect_int_list(value, path, length=None):
     if not isinstance(value, list):
         raise DataError("expected a list, got %r" % (value,), path)
@@ -145,9 +151,17 @@ def loads_data(text):
     return parse_document(doc)
 
 
-def load_data(path):
+def read_text(path):
+    """The contents of a UTF-8 text file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_data(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError("not UTF-8 text: %s" % exc, path)
+
+
+def load_data(path):
+    return loads_data(read_text(path))
 
 
 def _normal_document(normal):

@@ -31,10 +31,8 @@ from .model import (
     CheckItem,
     ComponentType,
     ConstraintReport,
-    dim_pair,
-    interior_components,
-    max_component,
     min_component,
+    oriented,
     pass_fail,
     reverse_action,
 )
@@ -213,14 +211,10 @@ def total_volume(data):
     """Integral of the fourth power of the symplectic class, when the
     configuration is one of the two patterns whose halves are both
     pinned; otherwise None (not computable by halves)."""
-    try:
-        (d1, d2), rev = dim_pair(data)
-    except ValueError:
+    o = oriented(data)
+    if o is None:
         return None
-    if rev:
-        data = reverse_action(data)
-    lo, hi = min_component(data), max_component(data)
-    inner = interior_components(data)
+    (d1, d2), _, lo, hi, inner = o
     if (d1, d2) == (4, 4):
         if not all(c.type is ComponentType.POINT and c.lam == 2 for c in inner):
             return None

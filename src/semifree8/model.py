@@ -302,6 +302,18 @@ def dim_pair(data):
     return (d2, d1), True
 
 
+def oriented(data):
+    """(shape, data, minimum, maximum, interior), the action reversed when
+    dim_pair says so; None when dim_pair finds no unique extremes."""
+    try:
+        shape, rev = dim_pair(data)
+    except ValueError:
+        return None
+    if rev:
+        data = reverse_action(data)
+    return shape, data, min_component(data), max_component(data), interior_components(data)
+
+
 # ----------------------------------------------------------------------
 # symplectic form restrictions (the manifold is monotone: [w] = c1)
 # ----------------------------------------------------------------------

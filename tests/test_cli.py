@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from semifree8.classify import default_fano_table
 from semifree8.cli import main
 
 
@@ -146,3 +147,35 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/file.json")
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": 8, "name": "caf\xe9"}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: not UTF-8 text") and str(path) in err
+
+
+_GOOD_RECORDS = [
+    {"name": r.name, "fano_index": r.fano_index, "b4": r.b4,
+     "c1_fourth": r.c1_fourth, "genus": r.genus,
+     "finite_automorphisms": r.finite_automorphisms}
+    for r in default_fano_table()
+]
+
+
+@pytest.mark.parametrize("field, value, expect", [
+    ("fano_index", "five", "expected an integer, got 'five'"),
+    ("b4", [5], "expected an integer, got [5]"),
+    ("c1_fourth", 5.7, "expected an integer, got 5.7"),
+    ("finite_automorphisms", "false", "expected true or false, got 'false'"),
+])
+def test_classify_fano_table_field_types(tmp_path, capsys, field, value, expect):
+    table = [dict(rec) for rec in _GOOD_RECORDS]
+    table[3][field] = value
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert code == 2 and not out
+    assert err == "error: %s (at %s[3].%s)\n" % (expect, path, field)
