@@ -36,19 +36,17 @@ from .dh import (
     half_volume_cp2,
     half_volume_isolated_pair,
     positivity_check,
+    ruled_plane_k2,
     total_volume,
 )
-from .localization import (
-    FourDimExtremalNormal,
-    abbv_sum,
-    abbv_terms,
-)
+from .localization import abbv_sum, abbv_terms
 from .model import (
     CheckItem,
     ComponentType,
     ConstraintReport,
     FixedPointData,
     RULES,
+    STRUCTURAL,
     area_fits,
     area_realizable,
     betti_contribution,
@@ -251,6 +249,10 @@ def verification_report(data):
     """Everything this package can check about one dataset, in one report."""
     rep = validate(data)
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
+    failed = [it.id for it in rep if it.id in STRUCTURAL and it.verdict != "PASS"]
+    if failed:
+        rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed" % ", ".join(failed)))
+        return rep
     total = abbv_sum(data)
     rep.append(pass_fail("abbv-vanishing", total == 0, "contributions %s sum to %s"
                          % ([str(t) for t in abbv_terms(data)], total)))
@@ -891,10 +893,8 @@ def _is_x8_family(data):
     if len(inner) != 6 or any(c.type is not ComponentType.POINT or c.lam != 2
                               for c in inner):
         return False
-    for c in (lo, hi):
-        if not (isinstance(c.normal, FourDimExtremalNormal) and c.normal.c1 == -1):
-            return False
-    return lo.normal.c2 + hi.normal.c2 == 8
+    k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
+    return None not in k2s and sum(k2s) == 8
 
 
 @cache

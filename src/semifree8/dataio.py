@@ -30,6 +30,7 @@ impossible action loads fine and then fails verification.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .localization import (
     FourDimExtremalNormal,
@@ -76,38 +77,33 @@ def _expect_int_list(value, path, length=None):
     return [_expect_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
+def _expect_summands(value, path):
+    if not isinstance(value, list) or len(value) != 3:
+        raise DataError("surface normals need exactly 3 summands", path)
+    return tuple(tuple(_expect_int_list(pair, "%s[%d]" % (path, i), 2))
+                 for i, pair in enumerate(value))
+
+
+# each normal class reads its JSON fields under its dataclass field names
+_FIELDS = {"summands": _expect_summands, "c1": _expect_int, "c2": _expect_int,
+           "minus": _expect_int_list, "plus": _expect_int_list}
+_NORMALS = {cls.kind: (cls, [(f.name, _FIELDS[f.name]) for f in fields(cls)])
+            for cls in (PointNormal, SurfaceNormal, FourDimExtremalNormal,
+                        FourDimSplitNormal, SixDimNormal)}
+
+
 def _parse_normal(node, path):
     if not isinstance(node, dict):
         raise DataError("expected an object, got %r" % (node,), path)
     kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in _NORMALS:
+        raise DataError("unknown normal kind %r" % (kind,), path + ".kind")
+    cls, readers = _NORMALS[kind]
+    args = [read(node.get(name), "%s.%s" % (path, name)) for name, read in readers]
     try:
-        if kind == "point":
-            return PointNormal()
-        if kind == "surface":
-            raw = node.get("summands")
-            if not isinstance(raw, list) or len(raw) != 3:
-                raise DataError("surface normals need exactly 3 summands",
-                                path + ".summands")
-            summands = []
-            for i, pair in enumerate(raw):
-                vals = _expect_int_list(pair, "%s.summands[%d]" % (path, i), 2)
-                summands.append((vals[0], vals[1]))
-            return SurfaceNormal(tuple(summands))
-        if kind == "fourdim_extremal":
-            return FourDimExtremalNormal(
-                _expect_int(node.get("c1"), path + ".c1"),
-                _expect_int(node.get("c2"), path + ".c2"))
-        if kind == "fourdim_split":
-            return FourDimSplitNormal(
-                tuple(_expect_int_list(node.get("minus"), path + ".minus")),
-                tuple(_expect_int_list(node.get("plus"), path + ".plus")))
-        if kind == "sixdim":
-            return SixDimNormal(_expect_int(node.get("c1"), path + ".c1"))
-    except DataError:
-        raise
+        return cls(*args)
     except ValueError as exc:
         raise DataError(str(exc), path)
-    raise DataError("unknown normal kind %r" % (kind,), path + ".kind")
 
 
 def _parse_component(node, path):
@@ -164,22 +160,6 @@ def load_data(path):
     return loads_data(read_text(path))
 
 
-def _normal_document(normal):
-    if isinstance(normal, PointNormal):
-        return {"kind": "point"}
-    if isinstance(normal, SurfaceNormal):
-        return {"kind": "surface",
-                "summands": [[d, w] for d, w in normal.summands]}
-    if isinstance(normal, FourDimExtremalNormal):
-        return {"kind": "fourdim_extremal", "c1": normal.c1, "c2": normal.c2}
-    if isinstance(normal, FourDimSplitNormal):
-        return {"kind": "fourdim_split",
-                "minus": list(normal.minus), "plus": list(normal.plus)}
-    if isinstance(normal, SixDimNormal):
-        return {"kind": "sixdim", "c1": normal.c1}
-    raise DataError("unknown normal variant %r" % (normal,))
-
-
 def document_for(data):
     """The JSON document describing the data; inverse of parse_document."""
     return {
@@ -188,7 +168,7 @@ def document_for(data):
         "components": [{
             "type": c.type.value,
             "weights": list(c.weights),
-            "normal": _normal_document(c.normal),
+            "normal": c.normal.document,
         } for c in data],
     }
 

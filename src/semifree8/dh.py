@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .localization import FourDimExtremalNormal
 from .model import (
     CheckItem,
     ComponentType,
@@ -98,6 +97,13 @@ def b4_cap(shape):
     return {(0, 4): K2_CAP, (4, 4): 2 * K2_CAP}.get(shape)
 
 
+def ruled_plane_k2(comp):
+    """k2 when the component is an extremal plane whose normal bundle has
+    total Chern class 1 - h + k2*h^2, the case dh_near_cp2 covers; None
+    for every other component."""
+    return comp.normal.ruled_k2 if comp.type is ComponentType.CP2 else None
+
+
 # ----------------------------------------------------------------------
 # density profiles assembled from fixed point data
 # ----------------------------------------------------------------------
@@ -134,11 +140,8 @@ def _min_side_pieces(data):
             out.append(DHPiece(nxt, Fraction(levels[2]),
                                dh_after_lam1_point().compose_linear(1, -base),
                                "blow-up past the single index-2 point"))
-    elif (lo.type is ComponentType.CP2
-          and isinstance(lo.normal, FourDimExtremalNormal)
-          and lo.normal.c1 == -1):
-        out.append(DHPiece(base, nxt,
-                           dh_near_cp2(lo.normal.c2).compose_linear(1, -base),
+    elif (k2 := ruled_plane_k2(lo)) is not None:
+        out.append(DHPiece(base, nxt, dh_near_cp2(k2).compose_linear(1, -base),
                            "ruled density above the extremal plane"))
     return out
 
@@ -216,12 +219,11 @@ def total_volume(data):
         return None
     (d1, d2), _, lo, hi, inner = o
     if (d1, d2) == (4, 4):
-        if not all(c.type is ComponentType.POINT and c.lam == 2 for c in inner):
+        k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
+        if None in k2s or not all(c.type is ComponentType.POINT and c.lam == 2
+                                  for c in inner):
             return None
-        for c in (lo, hi):
-            if not (isinstance(c.normal, FourDimExtremalNormal) and c.normal.c1 == -1):
-                return None
-        return half_volume_cp2(lo.normal.c2) + half_volume_cp2(hi.normal.c2)
+        return half_volume_cp2(k2s[0]) + half_volume_cp2(k2s[1])
     if (d1, d2) == (0, 4):
         lam1 = [c for c in inner if c.lam == 1]
         lam2 = [c for c in inner if c.lam == 2]
@@ -229,9 +231,10 @@ def total_volume(data):
             return None
         if any(c.type is not ComponentType.POINT for c in lam1 + lam2):
             return None
-        if not (isinstance(hi.normal, FourDimExtremalNormal) and hi.normal.c1 == -1):
+        k2 = ruled_plane_k2(hi)
+        if k2 is None:
             return None
-        return half_volume_isolated_pair() + half_volume_cp2(hi.normal.c2)
+        return half_volume_isolated_pair() + half_volume_cp2(k2)
     return None
 
 

@@ -8,8 +8,8 @@ bundle. Summed over all components this is zero. With weights in
 vanishing is a statement about plain integers and this module computes
 them two independent ways:
 
-* closed forms, one per normal-bundle variant (the functions named
-  ``contribution_*``), and
+* closed forms, one per normal-bundle variant (the ``contribution``
+  method of each normal class), and
 * a series oracle that builds the equivariant Euler class exactly as a
   Laurent polynomial with coefficients in the component's cohomology
   ring and inverts it. The inversion is exact, not truncated: after
@@ -32,15 +32,39 @@ from .rings import RingClass, ring_cpn, ring_p1xp1, ring_point
 # normal bundle data, one variant per fixed-component species
 # ----------------------------------------------------------------------
 
+class _Normal:
+    """Each variant states its own data: ``first_chern`` in the component's
+    generator basis, the closed-form ``contribution(lam)`` for lam negative
+    weights, ``reversed()`` for the circle running backwards, the
+    ``fingerprint`` tail and the JSON ``document``, all for a well-typed
+    component (the ``normal-variant`` rule). By default reversal keeps the
+    data, and only an extremal plane pins the ruled density."""
+
+    ruled_k2 = None
+
+    def reversed(self):
+        return self
+
+
 @dataclass(frozen=True)
-class PointNormal:
+class PointNormal(_Normal):
     """Normal bundle of an isolated fixed point: the weights say it all."""
 
     kind = "point"
+    first_chern = ()
+    fingerprint = ("pt",)
+
+    def contribution(self, lam):
+        """(-1)^lam: the sign of the product of the four nonzero weights."""
+        return Fraction((-1) ** lam)
+
+    @property
+    def document(self):
+        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
-class SurfaceNormal:
+class SurfaceNormal(_Normal):
     """Rank-3 split normal bundle of a fixed 2-sphere.
 
     ``summands`` holds (degree, weight) pairs, weight -1 entries first.
@@ -51,8 +75,8 @@ class SurfaceNormal:
     kind = "surface"
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(a), int(w)) for a, w in self.summands))
-        pairs = tuple(sorted(pairs, key=lambda p: (p[1], p[0])))
+        pairs = tuple(sorted(((int(a), int(w)) for a, w in self.summands),
+                             key=lambda p: (p[1], p[0])))
         if len(pairs) != 3:
             raise ValueError("a fixed surface has a rank-3 normal bundle")
         if any(w not in (-1, 1) for _, w in pairs):
@@ -60,15 +84,33 @@ class SurfaceNormal:
         object.__setattr__(self, "summands", pairs)
 
     @property
-    def degree_sum(self):
-        return sum(a for a, _ in self.summands)
+    def first_chern(self):
+        return (sum(a for a, _ in self.summands),)
 
     def degrees_with_weight(self, w):
         return tuple(a for a, wt in self.summands if wt == w)
 
+    def contribution(self, lam):
+        """-(-1)^lam (sum_pos a - sum_neg a)."""
+        neg = self.degrees_with_weight(-1)
+        if len(neg) != lam:
+            raise ValueError("surface normal data does not match lam = %d" % lam)
+        return Fraction(-((-1) ** lam) * (sum(self.degrees_with_weight(1)) - sum(neg)))
+
+    def reversed(self):
+        return SurfaceNormal(tuple((a, -w) for a, w in self.summands))
+
+    @property
+    def fingerprint(self):
+        return ("surf", self.summands)
+
+    @property
+    def document(self):
+        return {"kind": self.kind, "summands": [[d, w] for d, w in self.summands]}
+
 
 @dataclass(frozen=True)
-class FourDimExtremalNormal:
+class FourDimExtremalNormal(_Normal):
     """Rank-2 normal bundle of an extremal 4-dim component, both weights equal.
 
     c1 is the coefficient of the component's positive degree-2 generator,
@@ -80,9 +122,36 @@ class FourDimExtremalNormal:
 
     kind = "fourdim_extremal"
 
+    @property
+    def first_chern(self):
+        return (self.c1,)
+
+    @property
+    def ruled_k2(self):
+        """c2 when the total class is 1 - h + c2*h^2, else None."""
+        return self.c2 if self.c1 == -1 else None
+
+    def contribution(self, lam):
+        """c1^2 - c2; the sign of the two equal weights drops out."""
+        return Fraction(self.c1 ** 2 - self.c2)
+
+    @property
+    def fingerprint(self):
+        return ("ext", self.c1, self.c2)
+
+    @property
+    def document(self):
+        return {"kind": self.kind, "c1": self.c1, "c2": self.c2}
+
+
+def _pairing(a, b):
+    """Integral of the product of two degree-2 classes in generator
+    coordinates: h^2 = 1 on CP^2, xy = 1 and x^2 = y^2 = 0 on P1xP1."""
+    return a[0] * b[0] if len(a) == 1 else a[0] * b[1] + a[1] * b[0]
+
 
 @dataclass(frozen=True)
-class FourDimSplitNormal:
+class FourDimSplitNormal(_Normal):
     """L(-1) + L(+1) normal bundle of an interior 4-dim component.
 
     ``minus`` and ``plus`` are the first Chern classes of the two line
@@ -101,68 +170,61 @@ class FourDimSplitNormal:
         if len(self.minus) != len(self.plus) or len(self.minus) not in (1, 2):
             raise ValueError("split normal bundle needs two c1 vectors of length 1 or 2")
 
+    @property
+    def first_chern(self):
+        return tuple(u + v for u, v in zip(self.minus, self.plus))
+
+    @property
+    def c2(self):
+        """Integral of c2 = c1(L-) c1(L+) over the component."""
+        return _pairing(self.minus, self.plus)
+
+    def contribution(self, lam):
+        """-(u^2 - u v + v^2) integrated over the component, u = c1(L-), v = c1(L+)."""
+        u, v = self.minus, self.plus
+        return Fraction(-(_pairing(u, u) - _pairing(u, v) + _pairing(v, v)))
+
+    def reversed(self):
+        return FourDimSplitNormal(self.plus, self.minus)
+
+    @property
+    def fingerprint(self):
+        """Allows the factor swap on a quadric (a no-op on a plane)."""
+        return ("split",) + min((self.minus, self.plus), (self.minus[::-1], self.plus[::-1]))
+
+    @property
+    def document(self):
+        return {"kind": self.kind, "minus": list(self.minus), "plus": list(self.plus)}
+
 
 @dataclass(frozen=True)
-class SixDimNormal:
+class SixDimNormal(_Normal):
     """Line normal bundle of a 6-dim extremal component, c1 = c1 * generator."""
 
     c1: int
 
     kind = "sixdim"
 
+    @property
+    def first_chern(self):
+        return (self.c1,)
 
-def _lam(weights):
-    return sum(1 for w in weights if w < 0)
+    def contribution(self, lam):
+        """-c1^3; again independent of the weight sign."""
+        return Fraction(-self.c1 ** 3)
 
+    @property
+    def fingerprint(self):
+        return ("six", self.c1)
 
-# ----------------------------------------------------------------------
-# closed forms
-# ----------------------------------------------------------------------
-
-def contribution_isolated(lam):
-    """(-1)^lam: the sign of the product of the four nonzero weights."""
-    return Fraction((-1) ** lam)
-
-
-def contribution_surface(lam, normal):
-    """Closed form for a fixed surface: -(-1)^lam (sum_pos a - sum_neg a)."""
-    neg = normal.degrees_with_weight(-1)
-    if len(neg) != lam:
-        raise ValueError("surface normal data does not match lam = %d" % lam)
-    inner = sum(normal.degrees_with_weight(1)) - sum(neg)
-    return Fraction(-((-1) ** lam) * inner)
-
-
-def contribution_fourdim_extremal(normal):
-    """c1^2 - c2; the sign of the two equal weights drops out."""
-    return Fraction(normal.c1 ** 2 - normal.c2)
-
-
-def contribution_fourdim_split(normal):
-    """-(u^2 - u v + v^2) integrated over the component, u = c1(L-), v = c1(L+)."""
-    u, v = _split_classes(normal)
-    return -(u * u - u * v + v * v).integrate()
-
-
-def contribution_sixdim(normal):
-    """-c1^3; again independent of the weight sign."""
-    return Fraction(-normal.c1 ** 3)
+    @property
+    def document(self):
+        return {"kind": self.kind, "c1": self.c1}
 
 
 def contribution(weights, normal):
     """Closed-form localization contribution of one component."""
-    lam = _lam(weights)
-    if isinstance(normal, PointNormal):
-        return contribution_isolated(lam)
-    if isinstance(normal, SurfaceNormal):
-        return contribution_surface(lam, normal)
-    if isinstance(normal, FourDimExtremalNormal):
-        return contribution_fourdim_extremal(normal)
-    if isinstance(normal, FourDimSplitNormal):
-        return contribution_fourdim_split(normal)
-    if isinstance(normal, SixDimNormal):
-        return contribution_sixdim(normal)
-    raise TypeError("unknown normal bundle data: %r" % (normal,))
+    return normal.contribution(sum(1 for w in weights if w < 0))
 
 
 # ----------------------------------------------------------------------

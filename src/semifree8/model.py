@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
 
 from .localization import (
     FourDimExtremalNormal,
@@ -26,7 +25,6 @@ from .localization import (
     PointNormal,
     SixDimNormal,
     SurfaceNormal,
-    _split_classes,
 )
 
 
@@ -138,6 +136,7 @@ RULES = {
     "semi-free": "every weight lies in {-1, 0, +1}",
     "weight-zeros": "zero weights span the tangent directions",
     "normal-variant": "normal bundle data matches the component species",
+    "typed-rules": "rules that read normal bundle data run only on structurally valid data",
     "unique-minimum": "exactly one component has no negative weight",
     "unique-maximum": "the top Betti number localizes to 1",
     "level-order": "moment map levels are strictly ordered",
@@ -304,14 +303,17 @@ def dim_pair(data):
 
 def oriented(data):
     """(shape, data, minimum, maximum, interior), the action reversed when
-    dim_pair says so; None when dim_pair finds no unique extremes."""
+    dim_pair says so; None when the data, as given or reversed, has no
+    unique minimum and maximum (possible only when types contradict
+    weights)."""
     try:
         shape, rev = dim_pair(data)
     except ValueError:
         return None
-    if rev:
-        data = reverse_action(data)
-    return shape, data, min_component(data), max_component(data), interior_components(data)
+    data = reverse_action(data) if rev else data
+    lo, hi = min_component(data), max_component(data)
+    return None if lo is None or hi is None else (shape, data, lo, hi,
+                                                  interior_components(data))
 
 
 # ----------------------------------------------------------------------
@@ -319,23 +321,12 @@ def oriented(data):
 # ----------------------------------------------------------------------
 
 def omega_coefficients(comp):
-    """[w] restricted to the component, in its generator basis, or None
-    for a point. Tangent part plus normal first Chern classes."""
-    t = comp.type
-    n = comp.normal
-    if t is ComponentType.POINT:
+    """[w] restricted to a well-typed component, in its generator basis,
+    or None for a point: c1(TF) + c1(NF), since c1 of the ambient tangent
+    bundle splits as the Whitney sum of the two."""
+    if comp.type is ComponentType.POINT:
         return None
-    if t is ComponentType.CP1:
-        return (2 + n.degree_sum,)
-    if t is ComponentType.CP2 and isinstance(n, FourDimExtremalNormal):
-        return (3 + n.c1,)
-    if t is ComponentType.CP2 and isinstance(n, FourDimSplitNormal):
-        return (3 + n.minus[0] + n.plus[0],)
-    if t is ComponentType.P1XP1:
-        return (2 + n.minus[0] + n.plus[0], 2 + n.minus[1] + n.plus[1])
-    if t is ComponentType.CP3:
-        return (4 + n.c1,)
-    raise ValueError("no symplectic restriction for %r" % (comp,))
+    return tuple(t + n for t, n in zip(comp.type.tangent_c1, comp.normal.first_chern))
 
 
 def area_fits(coeff, area):
@@ -398,6 +389,11 @@ def _normal_matches(comp):
     return False, "unknown component type"
 
 
+# the checks that make normal bundle data well typed; every rule after
+# validate reads that data, so verification stops short when one fails
+STRUCTURAL = ("semi-free", "weight-zeros", "normal-variant")
+
+
 def validate(data):
     """Structural checks every dataset must pass before any classification."""
     rep = ConstraintReport()
@@ -412,11 +408,11 @@ def validate(data):
         "weight-zeros", ok, "zero count matches dim_C on all components",
         "some component has zero count != dim_C"))
 
-    bad = [c for c in data if not _normal_matches(c)[0]]
+    matches = [(c, _normal_matches(c)) for c in data]
     rep.append(pass_fail(
-        "normal-variant", not bad,
+        "normal-variant", all(good for _, (good, _) in matches),
         "all %d normal bundles well-typed" % len(data),
-        "; ".join("%s: %s" % (c.type.value, _normal_matches(c)[1]) for c in bad)))
+        "; ".join("%s: %s" % (c.type.value, why) for c, (good, why) in matches if not good)))
 
     n_min = sum(1 for c in data if c.lam == 0)
     rep.append(pass_fail("unique-minimum", n_min == 1, "one minimum", "%d candidate minima" % n_min))
@@ -444,11 +440,10 @@ def validate(data):
     rep.append(pass_fail("b4-positive", bv[2] >= 1, "b4 = %d" % bv[2]))
 
     bad = []
-    for c in data:
-        try:
-            coeffs = omega_coefficients(c)
-        except ValueError:
+    for c, (good, _) in matches:
+        if not good:
             continue  # the normal-variant check has already flagged this one
+        coeffs = omega_coefficients(c)
         if coeffs is not None and any(e < 1 for e in coeffs):
             bad.append((c.type.value, coeffs))
     rep.append(pass_fail(
@@ -461,21 +456,6 @@ def validate(data):
 # signature via self-intersection of the fixed set
 # ----------------------------------------------------------------------
 
-def self_intersection(data):
-    """Sum over 4-dim components of the integral of c2 of the normal bundle."""
-    total = Fraction(0)
-    for c in data:
-        if c.complex_dim != 2:
-            continue
-        n = c.normal
-        if isinstance(n, FourDimExtremalNormal):
-            total += n.c2
-        else:
-            u, v = _split_classes(n)
-            total += (u * v).integrate()
-    return total
-
-
 def signature_check(data):
     """Middle Betti number equals the fixed-set self-intersection.
 
@@ -486,7 +466,9 @@ def signature_check(data):
     if any(c.complex_dim == 3 for c in data):
         return CheckItem("signature-self-intersection", "PASS",
                          "six-dimensional component present, argument not applicable")
-    si = self_intersection(data)
+    # the self-intersection of the fixed set: the integrals of c2 of the
+    # normal bundles of the four-dimensional components
+    si = sum(c.normal.c2 for c in data if c.complex_dim == 2)
     b4 = kirwan_betti(data, 4)
     return pass_fail("signature-self-intersection", si == b4,
                      "self-intersection %s = b4" % si,
@@ -497,44 +479,16 @@ def signature_check(data):
 # action reversal and equivalence of fixed point data
 # ----------------------------------------------------------------------
 
-def _reverse_normal(normal):
-    if isinstance(normal, SurfaceNormal):
-        return SurfaceNormal(tuple((a, -w) for a, w in normal.summands))
-    if isinstance(normal, FourDimSplitNormal):
-        return FourDimSplitNormal(normal.plus, normal.minus)
-    return normal
-
-
 def reverse_action(data):
     """The same manifold with the circle running backwards."""
     return FixedPointData(tuple(
-        FixedComponent(c.type, tuple(-w for w in c.weights), _reverse_normal(c.normal))
+        FixedComponent(c.type, tuple(-w for w in c.weights), c.normal.reversed())
         for c in data))
-
-
-def _fingerprint(comp):
-    n = comp.normal
-    if isinstance(n, PointNormal):
-        tail = ("pt",)
-    elif isinstance(n, SurfaceNormal):
-        tail = ("surf", n.summands)
-    elif isinstance(n, FourDimExtremalNormal):
-        tail = ("ext", n.c1, n.c2)
-    elif isinstance(n, SixDimNormal):
-        tail = ("six", n.c1)
-    else:
-        if len(n.minus) == 2:
-            plain = (n.minus, n.plus)
-            swapped = ((n.minus[1], n.minus[0]), (n.plus[1], n.plus[0]))
-            tail = ("split",) + min(plain, swapped)
-        else:
-            tail = ("split", n.minus, n.plus)
-    return (comp.type.value, comp.weights) + tail
 
 
 def fingerprint(data):
     """Sorted component fingerprints; equal exactly when fp_equivalent."""
-    return tuple(sorted(_fingerprint(c) for c in data))
+    return tuple(sorted((c.type.value, c.weights) + c.normal.fingerprint for c in data))
 
 
 def fp_equivalent(a, b):

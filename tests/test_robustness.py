@@ -1,0 +1,136 @@
+"""No loadable document crashes verification.
+
+Random documents with mismatched types, weights and normal kinds either
+fail to load with a DataError or yield a report, a fixed point class and
+a `verify` exit code of 0, 1 or 2 with nothing on stderr but one `error:`
+line. A traceback is never an exit code.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import example, given, settings, strategies as st
+
+from semifree8 import cli
+from semifree8.classify import (
+    catalog,
+    match_fp_class,
+    sphere_constraints,
+    sphere_index_rules,
+    verification_report,
+)
+from semifree8.dataio import DataError, dumps_data, loads_data
+from semifree8.model import RULES, ConstraintReport
+
+TYPES = ("point", "cp1", "cp2", "p1xp1", "cp3")
+FP_CLASSES = {"a", "b", "c", "d", "unclassified"}
+
+small = st.integers(min_value=-3, max_value=3)
+weight = st.sampled_from((-1, 0, 1))
+
+
+def _int_list(min_size, max_size):
+    return st.lists(small, min_size=min_size, max_size=max_size)
+
+
+normals = st.one_of(
+    st.just({"kind": "point"}),
+    st.fixed_dictionaries({"kind": st.just("surface"),
+                           "summands": st.lists(st.tuples(small, weight).map(list),
+                                                min_size=3, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("fourdim_extremal"), "c1": small, "c2": small}),
+    st.fixed_dictionaries({"kind": st.just("fourdim_split"),
+                           "minus": _int_list(1, 2), "plus": _int_list(1, 2)}),
+    st.fixed_dictionaries({"kind": st.just("sixdim"), "c1": small}),
+)
+
+components = st.fixed_dictionaries({
+    "type": st.sampled_from(TYPES),
+    "weights": st.lists(weight, min_size=4, max_size=4),
+    "normal": normals,
+})
+
+documents = st.fixed_dictionaries({
+    "dimension": st.just(8),
+    "b2": st.just(1),
+    "components": st.lists(components, min_size=1, max_size=5),
+})
+
+# a plane carrying point normal data: once a traceback with exit code 1
+PLANE_WITH_POINT_NORMAL = {"dimension": 8, "b2": 1, "components": [
+    {"type": "cp2", "weights": [0, 0, 1, 1], "normal": {"kind": "point"}},
+    {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
+]}
+
+
+def _verify(text):
+    """Exit code, stdout and stderr of `semifree8 verify` on the text."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+@example(PLANE_WITH_POINT_NORMAL)
+def test_loadable_documents_never_crash(doc):
+    text = json.dumps(doc)
+    try:
+        data = loads_data(text)
+    except DataError:
+        return
+    assert isinstance(verification_report(data), ConstraintReport)
+    assert match_fp_class(data) in FP_CLASSES
+    code, _, err = _verify(text)
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+def test_plane_with_point_normal_exits_1():
+    code, out, err = _verify(json.dumps(PLANE_WITH_POINT_NORMAL))
+    assert (code, err) == (1, "")
+    assert "FAIL normal-variant" in out
+    assert ("INFO typed-rules: %s (not applied: normal-variant failed)"
+            % RULES["typed-rules"]) in out
+    assert "abbv-vanishing" not in out
+
+
+def test_sphere_rules_on_data_without_oriented_extremes():
+    # a plane typed component with four nonzero weights: as given the plane
+    # is the unique minimum, reversed nothing is a unique maximum
+    data = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
+        {"type": "cp2", "weights": [1, 1, 1, 1],
+         "normal": {"kind": "fourdim_extremal", "c1": -1, "c2": 4}},
+        {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
+    ]}))
+    assert sphere_constraints(data).items == []
+    assert sphere_index_rules(data).items == []
+    assert match_fp_class(data) == "unclassified"
+    assert verification_report(data).items[-1].id == "typed-rules"
+
+
+def test_mismatched_component_is_flagged_once():
+    # a plane carrying line-bundle data with c1 = -5 would read as a
+    # nonpositive symplectic restriction; normal-variant flags it, and
+    # monotone-positive skips it
+    data = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
+        {"type": "cp2", "weights": [0, 0, 1, 1], "normal": {"kind": "sixdim", "c1": -5}},
+        {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
+    ]}))
+    verdicts = {it.id: it.verdict for it in verification_report(data)}
+    assert verdicts["normal-variant"] == "FAIL"
+    assert verdicts["monotone-positive"] == "PASS"
+
+
+def test_quadric_with_plane_data_is_not_the_x8_family():
+    doc = json.loads(dumps_data(catalog()["x8-six-points"]))
+    doc["components"][0]["type"] = "p1xp1"
+    assert match_fp_class(loads_data(json.dumps(doc))) == "unclassified"

@@ -12,7 +12,15 @@ from semifree8.classify import (
     verification_report,
 )
 from semifree8.dh import b4_bound_check
-from semifree8.model import RULES, CheckItem
+from semifree8.localization import PointNormal
+from semifree8.model import (
+    RULES,
+    CheckItem,
+    ComponentType,
+    FixedComponent,
+    FixedPointData,
+    point_component,
+)
 
 
 def _emitted():
@@ -20,6 +28,11 @@ def _emitted():
     items = []
     for data in catalog().values():
         items.extend(verification_report(data))
+    # a plane carrying point normal data fails normal-variant, so the
+    # rules that read typed normal data are reported as not applied
+    items.extend(verification_report(FixedPointData((
+        FixedComponent(ComponentType.CP2, (0, 0, 1, 1), PointNormal()),
+        point_component((-1, -1, -1, -1))))))
     rejections = []
     for result in enumerate_all(14).values():
         rejections.extend(result.rejections)
