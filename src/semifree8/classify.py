@@ -752,8 +752,8 @@ def _enum_44(b4_max, box):
         b4 = 2 + n2
         if split is None:
             split = ((b4 + 1) // 2, b4 // 2)
-        if sum(split) != b4:
-            raise ClassifyError("c2 split must sum to b4 = %d" % b4)
+        if len(split) != 2 or sum(split) != b4:
+            raise ClassifyError("c2 split must be two integers summing to b4 = %d" % b4)
         pts = tuple(point_component((-1, -1, 1, 1)) for _ in range(n2))
         return FixedPointData((
             cp2_extremal(1, -1, split[0]),
@@ -775,8 +775,8 @@ def _enum_44(b4_max, box):
     def build_pos(n2, split=(1, 1)):
         if n2:
             raise ClassifyError("interior points force c1 = -1, not +1")
-        if sum(split) != 2:
-            raise ClassifyError("c2 split must sum to b4 = 2")
+        if len(split) != 2 or sum(split) != 2:
+            raise ClassifyError("c2 split must be two integers summing to b4 = 2")
         return FixedPointData((
             cp2_extremal(1, 1, split[0]),
             cp2_extremal(-1, 1, split[1]),
@@ -899,19 +899,22 @@ def _is_x8_family(data):
 
 @cache
 def _catalog_fingerprints():
-    return tuple((name, fingerprint(entry)) for name, entry in catalog().items())
+    # (class, fingerprint) of each entry, then of each reversed entry, in catalog
+    # order; fingerprints commute with reversal, an involution, so matching
+    # the data against both lists matches both orientations of the data
+    entries = catalog().items()
+    return tuple((_CASE_OF[name], fingerprint(d)) for name, d in entries) + tuple(
+        (_CASE_OF[name], fingerprint(reverse_action(d))) for name, d in entries)
 
 
-def match_fp_class(data, entries=None):
+def match_fp_class(data):
     """Which catalog class the data belongs to: 'a' through 'd', or
     'unclassified'. Reversing the action is allowed; the case-d entry is
     matched modulo its undetermined c2 split."""
-    known = (_catalog_fingerprints() if entries is None
-             else [(name, fingerprint(entry)) for name, entry in entries.items()])
-    for fp in map(fingerprint, (data, reverse_action(data))):
-        for name, entry_fp in known:
-            if fp == entry_fp:
-                return _CASE_OF.get(name, name)
+    fp = fingerprint(data)
+    for case, entry_fp in _catalog_fingerprints():
+        if fp == entry_fp:
+            return case
     if _is_x8_family(data):
         return "d"
     return "unclassified"

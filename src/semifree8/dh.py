@@ -2,16 +2,18 @@
 
 The density at a regular level c is the integral over the reduced space of
 the cube of the reduced symplectic class; it is a piecewise cubic in c.
-Two situations pin the density exactly near an extremum:
+Three formulas pin the density exactly next to an extremum, x being the
+distance from it, and each extreme is read in place (the maximum exactly
+as the reversed action reads its minimum):
 
-* above an isolated minimum the reduced space is CP^3 with class x*h,
-  giving x^3 (and after crossing a single interior index-2 point the
-  blow-up adds -(x-2)^3), where x is the distance above the minimum;
-* above a 4-dim extremum whose rank-2 normal bundle has total class
-  1 - h + k2*h^2 the reduced space is the projectivized bundle and the
-  density is 12x + 6x^2 + (1 - k2)*x^3 on the first two units.
+* x^3 next to an isolated extremum, whose reduced space is CP^3 with
+  class x*h, and x^3 - (x-2)^3 once a single index-2 point at distance 2
+  is crossed (the blow-up);
+* 12x + 6x^2 + (1 - k2)*x^3 on the first two units next to a 4-dim
+  extremum whose normal bundle has total class 1 - h + k2*h^2, whose
+  reduced space is the projectivized bundle (the ruled density).
 
-Both formulas are implemented twice: a stored closed form and an
+The ruled density is implemented twice: a stored closed form and an
 independent route through an exact reduced-space ring. Volumes are
 normalized so that the total moment-interval volume equals the integral
 of the fourth power of the symplectic class (a factor of 4 per unit of
@@ -30,17 +32,15 @@ from .model import (
     CheckItem,
     ComponentType,
     ConstraintReport,
-    min_component,
     oriented,
     pass_fail,
-    reverse_action,
 )
 from .polynomial import Poly, positive_on_open
 from .rings import ring_projectivized
 
 
 # ----------------------------------------------------------------------
-# the two local density formulas, each with an independent oracle
+# the three local density formulas, and a ring oracle for the ruled one
 # ----------------------------------------------------------------------
 
 def dh_near_cp2(k2):
@@ -113,7 +113,6 @@ class DHPiece:
     lo: Fraction
     hi: Fraction
     poly: Poly        # in the moment level variable
-    label: str
 
 
 @dataclass(frozen=True)
@@ -122,36 +121,36 @@ class DHProfile:
     warnings: tuple   # WARN-level CheckItems about seams
 
 
-def _min_side_pieces(data):
-    lo = min_component(data)
-    levels = sorted({c.level for c in data})
-    out = []
-    if lo is None or len(levels) < 2:
-        return out
-    base = Fraction(lo.level)
-    nxt = Fraction(levels[1])
-    if lo.type is ComponentType.POINT:
-        out.append(DHPiece(base, nxt,
-                           dh_isolated_min().compose_linear(1, -base),
-                           "cubic above the isolated minimum"))
-        wall = [c for c in data if c.level == levels[1]]
+def _end_pieces(data, end):
+    """The pieces pinned next to the minimum (end = 1) or the maximum
+    (end = -1), read exactly as the reversed action reads its minimum: the
+    extreme has no weight of sign -end, and levels read as end * level."""
+    ext = [c for c in data if all(end * w >= 0 for w in c.weights)]
+    levels = sorted({end * c.level for c in data})
+    if len(ext) != 1 or len(levels) < 2:
+        return []
+    ext, base = ext[0], Fraction(end * ext[0].level)
+
+    def piece(a, b, density):   # (a, b) read from this end, mapped back to levels
+        lo, hi = (a, b) if end == 1 else (-b, -a)
+        return DHPiece(Fraction(lo), Fraction(hi), density.compose_linear(end, -base))
+
+    if ext.type is ComponentType.POINT:
+        out = [piece(base, levels[1], dh_isolated_min())]
+        wall = [c for c in data if end * c.level == levels[1]]
+        # the wall point's index counts its weights of sign -end
         if (len(wall) == 1 and wall[0].type is ComponentType.POINT
-                and wall[0].lam == 1 and nxt - base == 2 and len(levels) >= 3):
-            out.append(DHPiece(nxt, Fraction(levels[2]),
-                               dh_after_lam1_point().compose_linear(1, -base),
-                               "blow-up past the single index-2 point"))
-    elif (k2 := ruled_plane_k2(lo)) is not None:
-        out.append(DHPiece(base, nxt, dh_near_cp2(k2).compose_linear(1, -base),
-                           "ruled density above the extremal plane"))
-    return out
-
-
-def _mirror(piece):
-    return DHPiece(-piece.hi, -piece.lo, piece.poly.compose_linear(-1, 0),
-                   piece.label + " (from above)")
+                and sum(1 for w in wall[0].weights if end * w < 0) == 1
+                and levels[1] - base == 2 and len(levels) >= 3):
+            out.append(piece(levels[1], levels[2], dh_after_lam1_point()))
+        return out
+    k2 = ruled_plane_k2(ext)    # reversal keeps an extremal plane's normal data
+    return [] if k2 is None else [piece(base, levels[1], dh_near_cp2(k2))]
 
 
 def _resolve(pieces):
+    # only opposite ends overlap, and never with one polynomial (leading
+    # terms, degrees or interval lengths differ): every overlap is a seam
     pieces = sorted(pieces, key=lambda p: (p.lo, p.hi))
     out = []
     warns = []
@@ -160,16 +159,13 @@ def _resolve(pieces):
             out.append(pc)
             continue
         prev = out[-1]
-        if pc.poly == prev.poly:
-            out[-1] = DHPiece(prev.lo, max(prev.hi, pc.hi), prev.poly, prev.label)
-            continue
         seam = (max(prev.lo, pc.lo) + min(prev.hi, pc.hi)) / 2
         warns.append(CheckItem(
             "dh-seam", "WARN",
             "the two extremal formulas disagree on a shared wall-free interval; "
             "truncating both at level %s" % seam))
-        out[-1] = DHPiece(prev.lo, seam, prev.poly, prev.label)
-        out.append(DHPiece(seam, pc.hi, pc.poly, pc.label))
+        out[-1] = DHPiece(prev.lo, seam, prev.poly)
+        out.append(DHPiece(seam, pc.hi, pc.poly))
     for a, b in zip(out, out[1:]):
         if a.hi == b.lo:
             va, vb = a.poly(a.hi), b.poly(b.lo)
@@ -182,12 +178,11 @@ def _resolve(pieces):
 
 
 def dh_profile(data):
-    """All density pieces the two local formulas pin down, with seam
-    diagnostics. Configurations the formulas do not cover simply get
-    fewer (possibly zero) pieces; nothing is extrapolated."""
-    below = _min_side_pieces(data)
-    above = [_mirror(p) for p in _min_side_pieces(reverse_action(data))]
-    pieces, warns = _resolve(list(below) + above)
+    """All density pieces the three local formulas (cubic, blow-up, ruled)
+    pin next to each extreme, read in place, with seam diagnostics. Data
+    they do not cover gets fewer (possibly zero) pieces; nothing is
+    extrapolated."""
+    pieces, warns = _resolve(_end_pieces(data, 1) + _end_pieces(data, -1))
     return DHProfile(pieces, warns)
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+ISOLATION_WIDTH = Fraction(1, 32)     # isolate_root's target width
+
 
 def _frac(v):
     if isinstance(v, Fraction):
@@ -232,14 +234,14 @@ def count_roots_open(p, a, b):
     return _sign_changes(chain, a) - _sign_changes(chain, b) - at_b
 
 
-def isolate_root(p, a, b, width=Fraction(1, 32)):
-    """Shrink (a, b), known to contain a root of p, to width <= `width`."""
+def isolate_root(p, a, b):
+    """Shrink (a, b), known to contain a root of p, to width <= ISOLATION_WIDTH."""
     a, b = _frac(a), _frac(b)
-    if b - a <= width:
+    if b - a <= ISOLATION_WIDTH:
         return a, b
     chain = _sturm_chain(p)
     va = _sign_changes(chain, a)
-    while b - a > width:
+    while b - a > ISOLATION_WIDTH:
         m = (a + b) / 2
         vm = _sign_changes(chain, m)
         if va > vm:

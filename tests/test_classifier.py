@@ -136,6 +136,13 @@ def test_family_instantiation_guards():
         neg.instantiate(13)
     with pytest.raises(ClassifyError):
         neg.instantiate(4, split=(1, 1))
+    # the split must have two parts, not just the right sum
+    with pytest.raises(ClassifyError):
+        neg.instantiate(6, split=(8,))
+    with pytest.raises(ClassifyError):
+        neg.instantiate(6, split=(3, 3, 2))
+    with pytest.raises(ClassifyError):
+        _family((4, 4), "4,4/positive").instantiate(split=(2,))
     f24 = _family((2, 4), "2,4")
     with pytest.raises(ClassifyError):
         f24.instantiate(degrees=(1, 1, 2))
