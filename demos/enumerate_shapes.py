@@ -34,7 +34,8 @@ for shape, result in enumerate_all().items():
 # each family instantiates to concrete data; members re-verify cleanly
 from semifree8 import enumerate_case, verification_report
 
+# at n2 = 6 the balanced c2 split (4, 4) is the catalog entry x8-six-points
 fam = enumerate_case((4, 4)).families[0]
-data = fam.instantiate(6, split=(3, 5))
+data = fam.instantiate(6, split=(4, 4))
 print("a member of %s with b4 = %d verifies: %s"
       % (fam.key, fam.b4(6), verification_report(data).ok))

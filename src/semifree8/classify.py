@@ -13,19 +13,26 @@ built on the closed forms the rule objects call (``model.area_fits``,
 ``surface_tail``, ``dh.K2_CAP`` and ``dh.b4_cap``), and one function,
 ``_sweep``, runs it over the box. The chain opens with the localization
 sum, which fixes the innermost parameter, so ``_sweep`` solves for that
-parameter instead of looping over it. Every surviving family is
-re-certified on instantiated data through the full rule chain.
+parameter instead of looping over it.
 
-The final consumers are at the bottom: the table of Fano families with
-large symmetry potential, the volume filter that picks out the realizable
-ones, the catalog of known actions, and the fixed-point-data matcher.
+The seven families the sweeps can produce are stated once, in the table
+``_FAMILIES``: key, shape, texts, Fano index and b4 at n2 = 0, next to a
+module-level builder of its members. A sweep returns the table's family
+with the n2 range its survivors give, re-certified on every instantiated
+member through the full rule chain.
+
+The final consumers are at the bottom: the catalog of known actions, each
+entry a member of a family in the table with its default free choices,
+the fixed-point-data matcher, the table of Fano families with large
+symmetry potential, and the volume filter that picks out the realizable
+ones, whose index witnesses read their b4 from the family table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
 
@@ -84,9 +91,7 @@ def index_candidates(data):
     out = []
     lo, hi = min_component(data), max_component(data)
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
-        if comp is None or comp.type is ComponentType.P1XP1:
-            continue
-        if comp.complex_dim >= 1:
+        if comp is not None and comp.complex_dim >= 1:
             out.append((label, abs(omega_coefficients(comp)[0])))
     if lo is not None and hi is not None and lo.complex_dim == hi.complex_dim == 0:
         four = [c for c in interior_components(data) if c.complex_dim == 2]
@@ -316,9 +321,6 @@ def admissible_dim_pairs():
     return out
 
 
-ADMISSIBLE_SHAPES = ((0, 0), (0, 4), (0, 6), (2, 4), (4, 4))
-
-
 # ----------------------------------------------------------------------
 # enumeration output types
 # ----------------------------------------------------------------------
@@ -330,11 +332,12 @@ class Family:
     summary: str
     iota: int
     b4_base: int                 # b4 = b4_base + n2
-    n2_min: int
-    n2_max: int
     fixed: tuple                 # ((name, value), ...)
     free: tuple                  # human-readable leftover freedom
     builder: object = field(compare=False, repr=False)
+    n2_max: int = 0
+
+    n2_min = 0                   # every family has a member without Morse-index-4 points
 
     def b4(self, n2=None):
         return self.b4_base + (self.n2_min if n2 is None else n2)
@@ -367,6 +370,152 @@ class EnumerationResult:
     b4_max: int
     families: tuple
     rejections: tuple
+
+
+# ----------------------------------------------------------------------
+# the family table: every family a sweep can produce, and its members
+# ----------------------------------------------------------------------
+
+def _rigid(n2, choices):
+    if n2 or choices:
+        raise ClassifyError("this family has no free parameters")
+
+
+def _build_00(n2, **choices):
+    _rigid(n2, choices)
+    return FixedPointData((
+        point_component((1, 1, 1, 1)),
+        fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1)),
+        point_component((-1, -1, -1, -1)),
+    ))
+
+
+def _build_06(n2, **choices):
+    _rigid(n2, choices)
+    return FixedPointData((point_component((1, 1, 1, 1)), cp3_extremal(-1, 1)))
+
+
+def _build_24(n2, degrees=(1, 1, 1)):
+    if n2:
+        raise ClassifyError("no interior points in this family")
+    if sum(degrees) != 3 or len(degrees) != 3:
+        raise ClassifyError("minimum degrees must be three integers summing to 3")
+    return FixedPointData((
+        surface_component(tuple((d, 1) for d in degrees)),
+        cp2_extremal(-1, 2, 1),
+    ))
+
+
+def _build_04_point(n2, **choices):
+    if choices:
+        raise ClassifyError("no free choices in this family")
+    pts = tuple(point_component((-1, -1, 1, 1)) for _ in range(n2))
+    return FixedPointData((
+        point_component((1, 1, 1, 1)),
+        point_component((-1, 1, 1, 1)),
+        *pts,
+        cp2_extremal(-1, -1, 1 + n2),
+    ))
+
+
+def _build_04_surface(n2, tail=(2, 2)):
+    if n2:
+        raise ClassifyError("no interior points in this family")
+    if len(tail) != 2 or sum(tail) != 4:
+        raise ClassifyError("positive-weight degrees must sum to 4")
+    return FixedPointData((
+        point_component((1, 1, 1, 1)),
+        surface_component(((3, -1), (tail[0], 1), (tail[1], 1))),
+        cp2_extremal(-1, 0, 2),
+    ))
+
+
+def _build_44_neg(n2, split=None):
+    b4 = 2 + n2
+    if split is None:
+        split = ((b4 + 1) // 2, b4 // 2)
+    if len(split) != 2 or sum(split) != b4:
+        raise ClassifyError("c2 split must be two integers summing to b4 = %d" % b4)
+    pts = tuple(point_component((-1, -1, 1, 1)) for _ in range(n2))
+    return FixedPointData((
+        cp2_extremal(1, -1, split[0]),
+        *pts,
+        cp2_extremal(-1, -1, split[1]),
+    ))
+
+
+def _build_44_pos(n2, split=(1, 1)):
+    if n2:
+        raise ClassifyError("interior points force c1 = -1, not +1")
+    if len(split) != 2 or sum(split) != 2:
+        raise ClassifyError("c2 split must be two integers summing to b4 = 2")
+    return FixedPointData((
+        cp2_extremal(1, 1, split[0]),
+        cp2_extremal(-1, 1, split[1]),
+    ))
+
+
+_FAMILIES = {f.key: f for f in (
+    Family(
+        key="0,0", shape=(0, 0),
+        summary=("isolated extremes with an interior quadric surface at "
+                 "level 0 carrying two bundles of bidegree (1,1)"),
+        iota=4, b4_base=2,
+        fixed=(("bundle bidegrees", (1, 1)),),
+        free=(),
+        builder=_build_00),
+    Family(
+        key="0,6", shape=(0, 6),
+        summary=("an isolated minimum and a six-dimensional maximum whose "
+                 "normal line bundle has first Chern coefficient 1"),
+        iota=5, b4_base=1,
+        fixed=(("six-dim normal c1", 1),),
+        free=(),
+        builder=_build_06),
+    Family(
+        key="2,4", shape=(2, 4),
+        summary=("a minimal sphere with normal degrees summing to 3 and a "
+                 "four-dimensional maximum with c1 coefficient 2, c2 = 1"),
+        iota=5, b4_base=1,
+        fixed=(("max c1", 2), ("max c2", 1), ("min degree sum", 3)),
+        free=("split of the degree sum 3 into three summands (default 1,1,1)",),
+        builder=_build_24),
+    Family(
+        key="0,4/no-surface", shape=(0, 4),
+        summary=("an isolated minimum, one Morse-index-2 point, n2 "
+                 "Morse-index-4 points and a four-dimensional maximum "
+                 "with c1 coefficient -1, c2 = b4 = 1 + n2"),
+        iota=2, b4_base=1,
+        fixed=(("max c1", -1),),
+        free=(),
+        builder=_build_04_point),
+    Family(
+        key="0,4/with-surface", shape=(0, 4),
+        summary=("an isolated minimum, a Morse-index-2 sphere with "
+                 "degrees (3 | a2 + a3 = 4) and a four-dimensional "
+                 "maximum with c1 coefficient 0, c2 = 2"),
+        iota=3, b4_base=2,
+        fixed=(("max c1", 0), ("max c2", 2), ("surface a1", 3)),
+        free=("split of a2 + a3 = 4 (default 2,2)",),
+        builder=_build_04_surface),
+    Family(
+        key="4,4/negative", shape=(4, 4),
+        summary=("two four-dimensional extremes with c1 coefficient -1, n2 "
+                 "Morse-index-4 points, c2 values splitting b4 = 2 + n2"),
+        iota=2, b4_base=2,
+        fixed=(("both c1", -1),),
+        free=("c2 split of b4 into two parts, each at most %d (default balanced)" % K2_CAP,),
+        builder=_build_44_neg),
+    Family(
+        key="4,4/positive", shape=(4, 4),
+        summary=("two four-dimensional extremes with c1 coefficient +1 and "
+                 "no interior points, c2 values splitting b4 = 2"),
+        iota=4, b4_base=2,
+        fixed=(("both c1", 1),),
+        free=("c2 split of 2 into two parts, bounded only by the search box "
+              "(default 1,1)",),
+        builder=_build_44_pos),
+)}
 
 
 def _sweep(label, axes, first_failure, solve=None):
@@ -407,14 +556,17 @@ def _sweep(label, axes, first_failure, solve=None):
     return rows, survivors
 
 
-def _certify(family):
-    """Re-run the full rule chain on every instantiated member of a family."""
-    for n2 in range(family.n2_min, family.n2_max + 1):
+def _certified(key, n2_max=0):
+    """The table's family with the n2 range its sweep's survivors give,
+    after re-running the full rule chain on every instantiated member."""
+    family = replace(_FAMILIES[key], n2_max=n2_max)
+    for n2 in range(family.n2_min, n2_max + 1):
         rep = verification_report(family.instantiate(n2))
         if not rep.ok:
             raise ClassifyError("family %s fails its own certification at n2=%d:\n%s"
-                                % (family.key, n2, "\n".join(l for l in rep.lines()
-                                                             if l.startswith("FAIL"))))
+                                % (key, n2, "\n".join(l for l in rep.lines()
+                                                      if l.startswith("FAIL"))))
+    return family
 
 
 # ----------------------------------------------------------------------
@@ -490,41 +642,23 @@ def _enum_00(b4_max, box):
             continue
         # interior quadric surface: the halves rule pins both bundles to
         # (1,1); everything else about the candidate is then determined
-        def build(n2, **choices):
-            if n2 or choices:
-                raise ClassifyError("this family has no free parameters")
-            return FixedPointData((
-                point_component((1, 1, 1, 1)),
-                fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1)),
-                point_component((-1, -1, -1, -1)),
-            ))
-        fam = Family(
-            key="0,0", shape=(0, 0),
-            summary=("isolated extremes with an interior quadric surface at "
-                     "level 0 carrying two bundles of bidegree (1,1)"),
-            iota=4, b4_base=2, n2_min=0, n2_max=0,
-            fixed=(("bundle bidegrees", (1, 1)),),
-            free=(),
-            builder=build)
         rejections.append(Rejection(
             label, "interior-bundle-halves",
             "every bundle pair other than (1,1), (1,1) violates the halving"))
-        _certify(fam)
-        families.append(fam)
+        families.append(_certified("0,0"))
     return families, rejections
 
 
 def _enum_06(b4_max, box):
     lo = point_component((1, 1, 1, 1))
     hi_probe = cp3_extremal(-1, 0)
-    families, rejections = [], []
     skels = _interior_skeletons(lo, hi_probe)
     assert skels == [()], "unexpected interior budget solutions for (0,6)"
     label = _skeleton_label((0, 6), ())
-    rejections.append(Rejection(
+    rejections = [Rejection(
         label, "lambda2-needs-4dim-extremal",
         "extremes have dimensions 0 and 6; without this rule the localization "
-        "sum 1 + n2 - m^3 = 0 would even admit m = 2 with 7 interior points"))
+        "sum 1 + n2 - m^3 = 0 would even admit m = 2 with 7 interior points")]
 
     def first_failure(m):
         if 4 + m < 1:
@@ -535,27 +669,10 @@ def _enum_06(b4_max, box):
     rows, survivors = _sweep(label, (range(-box, box + 1),), first_failure)
     rejections.extend(rows)
     assert survivors == [(1,)]
-
-    def build(n2, **choices):
-        if n2 or choices:
-            raise ClassifyError("this family has no free parameters")
-        return FixedPointData((point_component((1, 1, 1, 1)), cp3_extremal(-1, 1)))
-
-    fam = Family(
-        key="0,6", shape=(0, 6),
-        summary=("an isolated minimum and a six-dimensional maximum whose "
-                 "normal line bundle has first Chern coefficient 1"),
-        iota=5, b4_base=1, n2_min=0, n2_max=0,
-        fixed=(("six-dim normal c1", 1),),
-        free=(),
-        builder=build)
-    _certify(fam)
-    families.append(fam)
-    return families, rejections
+    return [_certified("0,6")], rejections
 
 
 def _enum_24(b4_max, box):
-    families, rejections = [], []
     label = _skeleton_label((2, 4), ())
 
     def first_failure(n2, kp, s):
@@ -587,30 +704,8 @@ def _enum_24(b4_max, box):
     rows, survivors = _sweep(
         label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)),
         first_failure, solve=lambda n2, kp: (kp * kp - 1,))
-    rejections.extend(rows)
     assert survivors == [(0, 2, 3)]
-
-    def build(n2, degrees=(1, 1, 1)):
-        if n2:
-            raise ClassifyError("no interior points in this family")
-        if sum(degrees) != 3 or len(degrees) != 3:
-            raise ClassifyError("minimum degrees must be three integers summing to 3")
-        return FixedPointData((
-            surface_component(tuple((d, 1) for d in degrees)),
-            cp2_extremal(-1, 2, 1),
-        ))
-
-    fam = Family(
-        key="2,4", shape=(2, 4),
-        summary=("a minimal sphere with normal degrees summing to 3 and a "
-                 "four-dimensional maximum with c1 coefficient 2, c2 = 1"),
-        iota=5, b4_base=1, n2_min=0, n2_max=0,
-        fixed=(("max c1", 2), ("max c2", 1), ("min degree sum", 3)),
-        free=("split of the degree sum 3 into three summands (default 1,1,1)",),
-        builder=build)
-    _certify(fam)
-    families.append(fam)
-    return families, rejections
+    return [_certified("2,4")], rows
 
 
 def _enum_04(b4_max, box):
@@ -641,30 +736,10 @@ def _enum_04(b4_max, box):
             rejections.extend(rows)
             top_n2 = max((n2 for n2, _ in survivors), default=-1)
             assert top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1)
+            families.append(_certified("0,4/no-surface", top_n2))
+        else:
+            assert kinds == (ComponentType.CP1,), "unexpected budget solution %s" % (skel,)
 
-            def build(n2, **choices):
-                if choices:
-                    raise ClassifyError("no free choices in this family")
-                pts = tuple(point_component((-1, -1, 1, 1)) for _ in range(n2))
-                return FixedPointData((
-                    point_component((1, 1, 1, 1)),
-                    point_component((-1, 1, 1, 1)),
-                    *pts,
-                    cp2_extremal(-1, -1, 1 + n2),
-                ))
-
-            fam = Family(
-                key="0,4/no-surface", shape=(0, 4),
-                summary=("an isolated minimum, one Morse-index-2 point, n2 "
-                         "Morse-index-4 points and a four-dimensional maximum "
-                         "with c1 coefficient -1, c2 = b4 = 1 + n2"),
-                iota=2, b4_base=1, n2_min=0, n2_max=top_n2,
-                fixed=(("max c1", -1),),
-                free=(),
-                builder=build)
-            _certify(fam)
-            families.append(fam)
-        elif kinds == (ComponentType.CP1,):
             def first_failure(n2, kp, a1, tail):
                 c2 = 2 + n2
                 if kp * kp - c2 + (-a1 + tail) + n2 + 1 != 0:
@@ -689,38 +764,11 @@ def _enum_04(b4_max, box):
                 first_failure, solve=lambda n2, kp, a1: (a1 + 1 - kp * kp,))
             rejections.extend(rows)
             assert survivors == [(0, 0, 3, 4)]
-
-            def build(n2, tail=(2, 2)):
-                if n2:
-                    raise ClassifyError("no interior points in this family")
-                if len(tail) != 2 or sum(tail) != 4:
-                    raise ClassifyError("positive-weight degrees must sum to 4")
-                return FixedPointData((
-                    point_component((1, 1, 1, 1)),
-                    surface_component(((3, -1), (tail[0], 1), (tail[1], 1))),
-                    cp2_extremal(-1, 0, 2),
-                ))
-
-            fam = Family(
-                key="0,4/with-surface", shape=(0, 4),
-                summary=("an isolated minimum, a Morse-index-2 sphere with "
-                         "degrees (3 | a2 + a3 = 4) and a four-dimensional "
-                         "maximum with c1 coefficient 0, c2 = 2"),
-                iota=3, b4_base=2, n2_min=0, n2_max=0,
-                fixed=(("max c1", 0), ("max c2", 2), ("surface a1", 3)),
-                free=("split of a2 + a3 = 4 (default 2,2)",),
-                builder=build)
-            _certify(fam)
-            families.append(fam)
-        else:
-            rejections.append(Rejection(
-                _skeleton_label((0, 4), skel), "betti-budget-b2",
-                "unexpected budget solution"))
+            families.append(_certified("0,4/with-surface"))
     return families, rejections
 
 
 def _enum_44(b4_max, box):
-    families, rejections = [], []
     label = _skeleton_label((4, 4), ())
     cap = b4_cap((4, 4))
 
@@ -743,57 +791,10 @@ def _enum_44(b4_max, box):
     rows, survivors = _sweep(
         label, (range(0, max(0, b4_max - 2) + 1), range(-box, box + 1), range(-box, box + 1)),
         first_failure, solve=lambda n2, k1: (-1, 1) if k1 * k1 == 1 else ())
-    rejections.extend(rows)
     neg_top_n2 = max((n2 for n2, k1, _ in survivors if k1 == -1), default=-1)
     pos_ok = any(k1 != -1 for _, k1, _ in survivors)
     assert pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2))
-
-    def build_neg(n2, split=None):
-        b4 = 2 + n2
-        if split is None:
-            split = ((b4 + 1) // 2, b4 // 2)
-        if len(split) != 2 or sum(split) != b4:
-            raise ClassifyError("c2 split must be two integers summing to b4 = %d" % b4)
-        pts = tuple(point_component((-1, -1, 1, 1)) for _ in range(n2))
-        return FixedPointData((
-            cp2_extremal(1, -1, split[0]),
-            *pts,
-            cp2_extremal(-1, -1, split[1]),
-        ))
-
-    fam_neg = Family(
-        key="4,4/negative", shape=(4, 4),
-        summary=("two four-dimensional extremes with c1 coefficient -1, n2 "
-                 "Morse-index-4 points, c2 values splitting b4 = 2 + n2"),
-        iota=2, b4_base=2, n2_min=0, n2_max=neg_top_n2,
-        fixed=(("both c1", -1),),
-        free=("c2 split of b4 into two parts, each at most %d (default balanced)" % K2_CAP,),
-        builder=build_neg)
-    _certify(fam_neg)
-    families.append(fam_neg)
-
-    def build_pos(n2, split=(1, 1)):
-        if n2:
-            raise ClassifyError("interior points force c1 = -1, not +1")
-        if len(split) != 2 or sum(split) != 2:
-            raise ClassifyError("c2 split must be two integers summing to b4 = 2")
-        return FixedPointData((
-            cp2_extremal(1, 1, split[0]),
-            cp2_extremal(-1, 1, split[1]),
-        ))
-
-    fam_pos = Family(
-        key="4,4/positive", shape=(4, 4),
-        summary=("two four-dimensional extremes with c1 coefficient +1 and "
-                 "no interior points, c2 values splitting b4 = 2"),
-        iota=4, b4_base=2, n2_min=0, n2_max=0,
-        fixed=(("both c1", 1),),
-        free=("c2 split of 2 into two parts, bounded only by the search box "
-              "(default 1,1)",),
-        builder=build_pos)
-    _certify(fam_pos)
-    families.append(fam_pos)
-    return families, rejections
+    return [_certified("4,4/negative", neg_top_n2), _certified("4,4/positive")], rows
 
 
 _ENUMERATORS = {
@@ -803,6 +804,8 @@ _ENUMERATORS = {
     (2, 4): _enum_24,
     (4, 4): _enum_44,
 }
+
+ADMISSIBLE_SHAPES = tuple(_ENUMERATORS)
 
 
 def enumerate_case(shape, b4_max=14):
@@ -841,47 +844,21 @@ def enumerate_all(b4_max=14):
 # the catalog of known actions
 # ----------------------------------------------------------------------
 
+# (name, fixed-point class, family key, n2): each known action's fixed point
+# data is the member of an enumerated family with its default free choices
+_CATALOG = (
+    ("p4-isolated-min", "a", "0,6", 0),
+    ("p4-sphere-min", "a", "2,4", 0),
+    ("q4-interior-quadric", "b", "0,0", 0),
+    ("q4-two-planes", "b", "4,4/positive", 0),
+    ("w5-surface-and-plane", "c", "0,4/with-surface", 0),
+    ("x8-six-points", "d", "4,4/negative", 6),
+)
+
+
 def catalog():
     """Fixed point data of the known actions, keyed by structure."""
-    return {
-        "p4-isolated-min": FixedPointData((
-            point_component((1, 1, 1, 1)),
-            cp3_extremal(-1, 1),
-        )),
-        "p4-sphere-min": FixedPointData((
-            surface_component(((1, 1), (1, 1), (1, 1))),
-            cp2_extremal(-1, 2, 1),
-        )),
-        "q4-interior-quadric": FixedPointData((
-            point_component((1, 1, 1, 1)),
-            fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1)),
-            point_component((-1, -1, -1, -1)),
-        )),
-        "q4-two-planes": FixedPointData((
-            cp2_extremal(1, 1, 1),
-            cp2_extremal(-1, 1, 1),
-        )),
-        "w5-surface-and-plane": FixedPointData((
-            point_component((1, 1, 1, 1)),
-            surface_component(((3, -1), (2, 1), (2, 1))),
-            cp2_extremal(-1, 0, 2),
-        )),
-        "x8-six-points": FixedPointData((
-            cp2_extremal(1, -1, 4),
-            *[point_component((-1, -1, 1, 1)) for _ in range(6)],
-            cp2_extremal(-1, -1, 4),
-        )),
-    }
-
-
-_CASE_OF = {
-    "p4-isolated-min": "a",
-    "p4-sphere-min": "a",
-    "q4-interior-quadric": "b",
-    "q4-two-planes": "b",
-    "w5-surface-and-plane": "c",
-    "x8-six-points": "d",
-}
+    return {name: _FAMILIES[key].builder(n2) for name, _, key, n2 in _CATALOG}
 
 
 def _is_x8_family(data):
@@ -902,9 +879,9 @@ def _catalog_fingerprints():
     # (class, fingerprint) of each entry, then of each reversed entry, in catalog
     # order; fingerprints commute with reversal, an involution, so matching
     # the data against both lists matches both orientations of the data
-    entries = catalog().items()
-    return tuple((_CASE_OF[name], fingerprint(d)) for name, d in entries) + tuple(
-        (_CASE_OF[name], fingerprint(reverse_action(d))) for name, d in entries)
+    entries = [(case, d) for (_, case, _, _), d in zip(_CATALOG, catalog().values())]
+    return tuple((case, fingerprint(d)) for case, d in entries) + tuple(
+        (case, fingerprint(reverse_action(d))) for case, d in entries)
 
 
 def match_fp_class(data):
@@ -963,10 +940,11 @@ def fano_table_hash(records=None):
     return hashlib.sha256(blob).hexdigest()
 
 
+# the enumerated families of each index >= 3; all of them have one b4
 _INDEX_WITNESS = {
-    3: ("the (0,4) shape with an interior Morse-index-2 sphere", 2),
-    4: ("the (0,0) shape and the positive (4,4) branch", 2),
-    5: ("the (0,6) and (2,4) shapes", 1),
+    3: "the (0,4) shape with an interior Morse-index-2 sphere",
+    4: "the (0,0) shape and the positive (4,4) branch",
+    5: "the (0,6) and (2,4) shapes",
 }
 
 
@@ -1044,7 +1022,8 @@ def classify_fano(records=None):
                 "index-parity-surface", "INFO",
                 "the odd-index surface pattern is excluded for index 2"))
         if alive and rec.fano_index >= 3:
-            witness, b4_there = _INDEX_WITNESS[rec.fano_index]
+            witness = _INDEX_WITNESS[rec.fano_index]
+            (b4_there,) = {f.b4_base for f in _FAMILIES.values() if f.iota == rec.fano_index}
             items.append(CheckItem(
                 "index-range", "PASS",
                 "index %d realized by %s" % (rec.fano_index, witness)))

@@ -33,7 +33,8 @@ from .classify import (
     match_fp_class,
     verification_report,
 )
-from .dataio import DataError, _expect_bool, _expect_int, dumps_data, load_data, read_text
+from .dataio import (DataError, _expect_bool, _expect_int, _expect_str, dumps_data, load_data,
+                     read_text)
 from .model import betti_vector, dim_pair
 
 
@@ -199,7 +200,7 @@ def _load_table(path):
             raise DataError("expected an object", where)
         try:
             records.append(FanoFamilyRecord(
-                name=str(node["name"]),
+                name=_expect_str(node["name"], where + ".name"),
                 fano_index=_expect_int(node["fano_index"], where + ".fano_index"),
                 b4=_expect_int(node["b4"], where + ".b4"),
                 c1_fourth=_expect_int(node["c1_fourth"], where + ".c1_fourth"),

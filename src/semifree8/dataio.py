@@ -63,6 +63,12 @@ def _expect_int(value, path):
     return value
 
 
+def _expect_str(value, path):
+    if not isinstance(value, str):
+        raise DataError("expected a string, got %r" % (value,), path)
+    return value
+
+
 def _expect_bool(value, path):
     if not isinstance(value, bool):
         raise DataError("expected true or false, got %r" % (value,), path)

@@ -187,7 +187,12 @@ def dh_profile(data):
 
 
 def positivity_check(profile):
-    """PASS iff every known density piece is positive on its open interval."""
+    """PASS iff every known density piece is positive on its open interval.
+
+    Like every typed rule (``signature_check``, ``abbv_sum``,
+    ``sphere_constraints``), it expects data past the structural gate
+    (``model.STRUCTURAL``) and may raise on data that fails it;
+    ``verification_report`` never calls it there."""
     rep = ConstraintReport()
     if not profile.pieces:
         rep.append(CheckItem("dh-positivity", "INFO",

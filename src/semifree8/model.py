@@ -337,24 +337,16 @@ def area_fits(coeff, area):
 
 
 def area_realizable(comp, area):
-    """Can a sphere of the given symplectic area map into the component?"""
-    if area <= 0:
-        return False
+    """Can a sphere of the given symplectic area map into the component?
+
+    Past the structural gate every extreme with a restriction has one
+    coefficient: a four-dimensional split (P1xP1) component has weights
+    -1 and +1, so it is never an extreme."""
     coeffs = omega_coefficients(comp)
-    if coeffs is None:
+    if area <= 0 or coeffs is None:
         return False
-    if len(coeffs) == 1:
-        return area_fits(coeffs[0], area)
-    e1, e2 = coeffs
-    for i in range(0, area // max(e1, 1) + 2):
-        rem = area - i * e1
-        if rem == 0 and i > 0:
-            return True
-        if rem > 0 and e2 > 0 and rem % e2 == 0:
-            return True
-        if rem < 0:
-            break
-    return False
+    (coeff,) = coeffs
+    return area_fits(coeff, area)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Case analysis: rules, per-shape enumeration, catalog, Fano filter."""
 
+from dataclasses import replace
+
 import pytest
 
+from semifree8 import classify
 from semifree8.classify import (
     ADMISSIBLE_SHAPES,
     ClassifyError,
@@ -19,6 +22,7 @@ from semifree8.classify import (
     sphere_index_rules,
     verification_report,
 )
+from semifree8.dataio import dumps_data
 from semifree8.model import (
     ComponentType,
     FixedPointData,
@@ -237,19 +241,72 @@ def test_index_cap_rule_rejects_positive_c1():
 # catalog and FP matching
 # ----------------------------------------------------------------------
 
-def test_catalog_verifies_and_matches():
-    expected = {
-        "p4-isolated-min": "a",
-        "p4-sphere-min": "a",
-        "q4-interior-quadric": "b",
-        "q4-two-planes": "b",
-        "w5-surface-and-plane": "c",
-        "x8-six-points": "d",
+# the catalog as literal datasets, and the class of each entry: the oracle
+# for the catalog, whose entries are built by the enumerated families
+def _catalog_oracle():
+    return {
+        "p4-isolated-min": FixedPointData((
+            point_component((1, 1, 1, 1)),
+            cp3_extremal(-1, 1),
+        )),
+        "p4-sphere-min": FixedPointData((
+            surface_component(((1, 1), (1, 1), (1, 1))),
+            cp2_extremal(-1, 2, 1),
+        )),
+        "q4-interior-quadric": FixedPointData((
+            point_component((1, 1, 1, 1)),
+            fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1)),
+            point_component((-1, -1, -1, -1)),
+        )),
+        "q4-two-planes": FixedPointData((
+            cp2_extremal(1, 1, 1),
+            cp2_extremal(-1, 1, 1),
+        )),
+        "w5-surface-and-plane": FixedPointData((
+            point_component((1, 1, 1, 1)),
+            surface_component(((3, -1), (2, 1), (2, 1))),
+            cp2_extremal(-1, 0, 2),
+        )),
+        "x8-six-points": FixedPointData((
+            cp2_extremal(1, -1, 4),
+            *[point_component((-1, -1, 1, 1)) for _ in range(6)],
+            cp2_extremal(-1, -1, 4),
+        )),
     }
+
+
+_CASE_OF = {
+    "p4-isolated-min": "a",
+    "p4-sphere-min": "a",
+    "q4-interior-quadric": "b",
+    "q4-two-planes": "b",
+    "w5-surface-and-plane": "c",
+    "x8-six-points": "d",
+}
+
+
+def test_catalog_is_the_literal_oracle():
+    got, want = catalog(), _catalog_oracle()
+    assert list(got) == list(want)
+    for name, data in want.items():
+        assert dumps_data(got[name]) == dumps_data(data), name
+        assert match_fp_class(data) == _CASE_OF[name], name
+        assert match_fp_class(reverse_action(data)) == _CASE_OF[name], name
+
+
+def test_catalog_runs_no_sweep(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog ran the enumeration")
+    for name in ("enumerate_case", "_sweep", "_certified", "_interior_skeletons"):
+        monkeypatch.setattr(classify, name, refuse)
+    assert list(catalog()) == list(_CASE_OF)
+
+
+def test_catalog_verifies_and_matches():
     for name, data in catalog().items():
         assert verification_report(data).ok, name
-        assert match_fp_class(data) == expected[name]
-        assert match_fp_class(reverse_action(data)) == expected[name]
+        assert match_fp_class(data) == _CASE_OF[name]
+        assert match_fp_class(reverse_action(data)) == _CASE_OF[name]
 
 
 def test_catalog_pairwise_inequivalent():
@@ -334,6 +391,24 @@ def test_fano_index_out_of_range_rejected():
     traces = dict(result.traces)
     assert any(it.id == "index-range" and it.verdict == "FAIL"
                for it in traces["HYPO"])
+
+
+@pytest.mark.parametrize("name, index, b4, pinned", [
+    ("W5", 3, 5, 2),
+    ("Q4", 4, 7, 2),
+    ("P4", 5, 3, 1),
+])
+def test_index_witness_pins_b4(name, index, b4, pinned):
+    # the b4 each witnessing pattern pins for index 3, 4 and 5
+    assert not [it for _, items in classify_fano().traces for it in items
+                if it.verdict == "WARN"]
+    records = [replace(r, b4=b4) if r.name == name else r for r in default_fano_table()]
+    assert [r.fano_index for r in records if r.name == name] == [index]
+    result = classify_fano(records)
+    warns = [it.detail for it in dict(result.traces)[name]
+             if it.id == "index-range" and it.verdict == "WARN"]
+    assert warns == ["that pattern pins b4 = %d, record has b4 = %d" % (pinned, b4)]
+    assert name in result.survivors
 
 
 def test_table_hash_is_frozen():

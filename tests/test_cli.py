@@ -166,6 +166,7 @@ _GOOD_RECORDS = [
 
 
 @pytest.mark.parametrize("field, value, expect", [
+    ("name", 5, "expected a string, got 5"),
     ("fano_index", "five", "expected an integer, got 'five'"),
     ("b4", [5], "expected an integer, got [5]"),
     ("c1_fourth", 5.7, "expected an integer, got 5.7"),
