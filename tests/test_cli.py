@@ -166,11 +166,11 @@ _GOOD_RECORDS = [
 
 
 @pytest.mark.parametrize("field, value, expect", [
-    ("name", 5, "expected a string, got 5"),
     ("fano_index", "five", "expected an integer, got 'five'"),
     ("b4", [5], "expected an integer, got [5]"),
     ("c1_fourth", 5.7, "expected an integer, got 5.7"),
     ("finite_automorphisms", "false", "expected true or false, got 'false'"),
+    ("name", 5, "expected a string, got 5"),
 ])
 def test_classify_fano_table_field_types(tmp_path, capsys, field, value, expect):
     table = [dict(rec) for rec in _GOOD_RECORDS]
