@@ -3,7 +3,8 @@ Hamiltonian circle actions on closed symplectic 8-manifolds with second
 Betti number one.
 
 All arithmetic is exact (integers, rationals, polynomials over the
-rationals); nothing here floats.
+rationals); nothing here floats, and the constructors refuse a float,
+string or Fraction where an integer belongs rather than truncate it.
 """
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .dh import (
     ruled_plane_k2,
     total_volume,
 )
-from .localization import abbv_sum, abbv_terms
+from .localization import abbv_terms
 from .model import (
     CheckItem,
     ComponentType,
@@ -258,9 +258,10 @@ def verification_report(data):
     if failed:
         rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed" % ", ".join(failed)))
         return rep
-    total = abbv_sum(data)
+    terms = abbv_terms(data)
+    total = sum(terms)
     rep.append(pass_fail("abbv-vanishing", total == 0, "contributions %s sum to %s"
-                         % ([str(t) for t in abbv_terms(data)], total)))
+                         % ([str(t) for t in terms], total)))
     rep.append(signature_check(data))
     for item in (_lambda2_exclusion(data), _bundle_halves(data)):
         if item is not None:
@@ -998,8 +999,8 @@ def classify_fano(records=None):
             # the two-plane pattern (4,4) splits b4 between its planes, and
             # the half volume is affine in the coefficient, so any split
             # gives the same total
-            vol_a = int(half_volume_isolated_pair() + half_volume_cp2(rec.b4))
-            vol_b = int(half_volume_cp2(rec.b4) + half_volume_cp2(0))
+            vol_a = half_volume_isolated_pair() + half_volume_cp2(rec.b4)
+            vol_b = half_volume_cp2(rec.b4) + half_volume_cp2(0)
             cap_a = b4_cap((0, 4))
             hit_a = rec.c1_fourth == vol_a and rec.b4 <= cap_a
             hit_b = rec.c1_fourth == vol_b and rec.b4 <= b4_cap((4, 4))

@@ -75,19 +75,29 @@ def _expect_bool(value, path):
     return value
 
 
+# The element paths below are formatted only for a node that fails the
+# exact-type fast test; the general check then decides, so valid input
+# builds no path and an int or list subclass still passes.
+
 def _expect_int_list(value, path, length=None):
     if not isinstance(value, list):
         raise DataError("expected a list, got %r" % (value,), path)
     if length is not None and len(value) != length:
         raise DataError("expected %d entries, got %d" % (length, len(value)), path)
-    return [_expect_int(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    for i, v in enumerate(value):
+        if type(v) is not int:
+            _expect_int(v, "%s[%d]" % (path, i))
+    return value
 
 
 def _expect_summands(value, path):
     if not isinstance(value, list) or len(value) != 3:
         raise DataError("surface normals need exactly 3 summands", path)
-    return tuple(tuple(_expect_int_list(pair, "%s[%d]" % (path, i), 2))
-                 for i, pair in enumerate(value))
+    for i, pair in enumerate(value):
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            _expect_int_list(pair, "%s[%d]" % (path, i), 2)
+    return tuple(tuple(pair) for pair in value)
 
 
 # each normal class reads its JSON fields under its dataclass field names
@@ -116,7 +126,7 @@ def _parse_component(node, path):
     if not isinstance(node, dict):
         raise DataError("expected an object, got %r" % (node,), path)
     tname = node.get("type")
-    if tname not in _TYPES:
+    if not isinstance(tname, str) or tname not in _TYPES:
         raise DataError("unknown component type %r (expected one of %s)"
                         % (tname, ", ".join(sorted(_TYPES))), path + ".type")
     weights = _expect_int_list(node.get("weights"), path + ".weights", 4)

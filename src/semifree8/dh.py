@@ -73,15 +73,17 @@ def dh_after_lam1_point():
 
 def half_volume_cp2(k2):
     """Volume of the half-interval bounded by a 4-dim extremum with
-    k' = -1 and c2 = k2: four times the density integral, equals
-    176 - 16*k2."""
-    return 4 * dh_near_cp2(k2).integrate(0, 2)
+    k' = -1 and c2 = k2: 176 - 16*k2, four times the integral of
+    dh_near_cp2(k2) over (0, 2) (the tests integrate it as the oracle)."""
+    return 176 - 16 * k2
 
 
 def half_volume_isolated_pair():
     """Volume of the half-interval containing an isolated extremum and a
-    single adjacent index-2 point: 240."""
-    return 4 * (dh_isolated_min().integrate(0, 2) + dh_after_lam1_point().integrate(2, 4))
+    single adjacent index-2 point: 240, four times the integrals of
+    dh_isolated_min over (0, 2) and dh_after_lam1_point over (2, 4) (the
+    tests integrate them as the oracle)."""
+    return 240
 
 
 # The ruled density x*(12 + 6x + (1-k2)x^2) stays positive on (0, 2)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .rings import RingClass, ring_cpn, ring_p1xp1, ring_point
 
@@ -75,7 +76,7 @@ class SurfaceNormal(_Normal):
     kind = "surface"
 
     def __post_init__(self):
-        pairs = tuple(sorted(((int(a), int(w)) for a, w in self.summands),
+        pairs = tuple(sorted(((index(a), index(w)) for a, w in self.summands),
                              key=lambda p: (p[1], p[0])))
         if len(pairs) != 3:
             raise ValueError("a fixed surface has a rank-3 normal bundle")
@@ -122,6 +123,10 @@ class FourDimExtremalNormal(_Normal):
 
     kind = "fourdim_extremal"
 
+    def __post_init__(self):
+        object.__setattr__(self, "c1", index(self.c1))
+        object.__setattr__(self, "c2", index(self.c2))
+
     @property
     def first_chern(self):
         return (self.c1,)
@@ -165,8 +170,8 @@ class FourDimSplitNormal(_Normal):
     kind = "fourdim_split"
 
     def __post_init__(self):
-        object.__setattr__(self, "minus", tuple(int(v) for v in self.minus))
-        object.__setattr__(self, "plus", tuple(int(v) for v in self.plus))
+        object.__setattr__(self, "minus", tuple(index(v) for v in self.minus))
+        object.__setattr__(self, "plus", tuple(index(v) for v in self.plus))
         if len(self.minus) != len(self.plus) or len(self.minus) not in (1, 2):
             raise ValueError("split normal bundle needs two c1 vectors of length 1 or 2")
 
@@ -204,6 +209,9 @@ class SixDimNormal(_Normal):
     c1: int
 
     kind = "sixdim"
+
+    def __post_init__(self):
+        object.__setattr__(self, "c1", index(self.c1))
 
     @property
     def first_chern(self):

@@ -11,6 +11,17 @@ This module knows nothing about the case analysis; it provides the shared
 vocabulary (components, Betti numbers via localization of homology,
 structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
+
+A dataset computes what every rule reads of it once, on first use: its
+unique minimum and maximum, its interior components, its Betti vector and
+its oriented view (``FixedPointData.extremes``, ``interior``, ``betti`` and
+``orientation``). These are not dataclass fields, so equality, hashing and
+repr see the components only. ``min_component``, ``max_component``,
+``interior_components``, ``betti_vector`` and ``oriented`` read them.
+
+The public constructors take integers only: weights and Chern data go
+through ``operator.index``, so a float, string or Fraction raises
+TypeError instead of being truncated.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import index
 
 from .localization import (
     FourDimExtremalNormal,
@@ -62,7 +74,7 @@ class FixedComponent:
     normal: object
 
     def __post_init__(self):
-        ws = tuple(sorted(int(w) for w in self.weights))
+        ws = tuple(sorted(index(w) for w in self.weights))
         if len(ws) != 4:
             raise ValueError("a component of an 8-manifold carries exactly 4 weights")
         object.__setattr__(self, "weights", ws)
@@ -100,6 +112,44 @@ class FixedPointData:
     def __len__(self):
         return len(self.components)
 
+    # computed once; not dataclass fields, so __eq__, __hash__, repr are unchanged
+    @cached_property
+    def extremes(self):
+        """(minimum, maximum): the one component with no negative weight and
+        the one with lam = 4 - dim_C, each None when not unique."""
+        mins = [c for c in self.components if c.lam == 0]
+        maxs = [c for c in self.components if c.lam == 4 - c.complex_dim]
+        return (mins[0] if len(mins) == 1 else None,
+                maxs[0] if len(maxs) == 1 else None)
+
+    @cached_property
+    def interior(self):
+        """The components other than the unique minimum and maximum."""
+        lo, hi = self.extremes
+        return tuple(c for c in self.components if c is not lo and c is not hi)
+
+    @cached_property
+    def betti(self):
+        """Even Betti numbers (b0, b2, b4, b6, b8) by localization."""
+        return tuple(kirwan_betti(self, i) for i in (0, 2, 4, 6, 8))
+
+    @cached_property
+    def orientation(self):
+        """``oriented``'s view with None in place of the data when it is
+        read as given: a dataset that held itself would sit in a reference
+        cycle, and wait for the cyclic garbage collector instead of being
+        freed on its last use (the collector's full passes grew several
+        times longer)."""
+        try:
+            shape, rev = dim_pair(self)
+        except ValueError:
+            return None
+        data = reverse_action(self) if rev else self
+        lo, hi = data.extremes
+        if lo is None or hi is None:
+            return None
+        return shape, data if rev else None, lo, hi, data.interior
+
 
 # ----------------------------------------------------------------------
 # component constructors used all over the classifier and the catalog
@@ -109,19 +159,18 @@ def point_component(weights):
     return FixedComponent(ComponentType.POINT, tuple(weights), PointNormal())
 
 def surface_component(summands):
-    summands = tuple((int(a), int(w)) for a, w in summands)
-    weights = (0,) + tuple(w for _, w in summands)
-    return FixedComponent(ComponentType.CP1, weights, SurfaceNormal(summands))
+    normal = SurfaceNormal(summands)
+    weights = (0,) + tuple(w for _, w in normal.summands)
+    return FixedComponent(ComponentType.CP1, weights, normal)
 
 def cp2_extremal(sign, c1, c2):
-    return FixedComponent(ComponentType.CP2, (0, 0, sign, sign),
-                          FourDimExtremalNormal(int(c1), int(c2)))
+    return FixedComponent(ComponentType.CP2, (0, 0, sign, sign), FourDimExtremalNormal(c1, c2))
 
 def fourdim_interior(ctype, minus, plus):
     return FixedComponent(ctype, (0, 0, -1, 1), FourDimSplitNormal(tuple(minus), tuple(plus)))
 
 def cp3_extremal(sign, c1):
-    return FixedComponent(ComponentType.CP3, (0, 0, 0, sign), SixDimNormal(int(c1)))
+    return FixedComponent(ComponentType.CP3, (0, 0, 0, sign), SixDimNormal(c1))
 
 
 # ----------------------------------------------------------------------
@@ -271,28 +320,25 @@ def kirwan_betti(data, i):
 
 
 def betti_vector(data):
-    return tuple(kirwan_betti(data, i) for i in (0, 2, 4, 6, 8))
+    return data.betti
 
 
 def min_component(data):
-    mins = [c for c in data if c.lam == 0]
-    return mins[0] if len(mins) == 1 else None
+    return data.extremes[0]
 
 
 def max_component(data):
-    maxs = [c for c in data if c.lam == 4 - c.complex_dim]
-    return maxs[0] if len(maxs) == 1 else None
+    return data.extremes[1]
 
 
 def interior_components(data):
-    lo, hi = min_component(data), max_component(data)
-    return tuple(c for c in data if c is not lo and c is not hi)
+    return data.interior
 
 
 def dim_pair(data):
     """Real dimensions (d1, d2) of (minimum, maximum), sorted, plus a flag
     saying whether the action had to be reversed to sort them."""
-    lo, hi = min_component(data), max_component(data)
+    lo, hi = data.extremes
     if lo is None or hi is None:
         raise ValueError("need a unique minimum and a unique maximum")
     d1, d2 = 2 * lo.complex_dim, 2 * hi.complex_dim
@@ -305,15 +351,11 @@ def oriented(data):
     """(shape, data, minimum, maximum, interior), the action reversed when
     dim_pair says so; None when the data, as given or reversed, has no
     unique minimum and maximum (possible only when types contradict
-    weights)."""
-    try:
-        shape, rev = dim_pair(data)
-    except ValueError:
-        return None
-    data = reverse_action(data) if rev else data
-    lo, hi = min_component(data), max_component(data)
-    return None if lo is None or hi is None else (shape, data, lo, hi,
-                                                  interior_components(data))
+    weights). Read from ``FixedPointData.orientation``."""
+    o = data.orientation
+    if o is None or o[1] is not None:
+        return o
+    return (o[0], data) + o[2:]
 
 
 # ----------------------------------------------------------------------
@@ -412,9 +454,9 @@ def validate(data):
     bv = betti_vector(data)
     rep.append(pass_fail("unique-maximum", bv[4] == 1, "b8 = 1", "b8 = %d" % bv[4]))
 
-    lo, hi = min_component(data), max_component(data)
+    lo, hi = data.extremes
     if lo is not None and hi is not None and lo is not hi:
-        inner = interior_components(data)
+        inner = data.interior
         ok = all(lo.level < c.level < hi.level for c in inner) and lo.level < hi.level
         rep.append(pass_fail(
             "level-order", ok, "levels %s" % sorted(c.level for c in data),
@@ -458,7 +500,7 @@ def signature_check(data):
     # the self-intersection of the fixed set: the integrals of c2 of the
     # normal bundles of the four-dimensional components
     si = sum(c.normal.c2 for c in data if c.complex_dim == 2)
-    b4 = kirwan_betti(data, 4)
+    b4 = data.betti[2]
     return pass_fail("signature-self-intersection", si == b4,
                      "self-intersection %s = b4" % si,
                      "self-intersection %s but b4 = %d" % (si, b4))

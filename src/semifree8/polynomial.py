@@ -1,8 +1,16 @@
 """Dense univariate polynomials over the rationals, and exact positivity.
 
-`Poly` keeps fractions.Fraction coefficients; the Sturm root count behind
-`positive_on_open` runs on Python integers. No float is used and nothing is
-cached across calls. p is scaled by a positive integer to primitive integer
+`Poly` keeps fractions.Fraction coefficients; evaluation, linear
+composition and the Sturm root count behind `positive_on_open` run on
+Python integers. No float is used and nothing is cached across calls.
+
+Evaluation and composition scale p by the least common denominator den of
+its coefficients to integer numerators q = den * p, and work over that one
+denominator: p(n/d) = d^deg * q(n/d) / (den * d^deg), and with
+a*x + b = (A*x + B)/D, p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i /
+(den * D^deg), by Horner's rule on integer coefficient lists.
+
+For the root count p is scaled by a positive integer to primitive integer
 coefficients; a primitive pseudo-remainder gcd with p' and an exact division
 give its square-free part q. The chain of q is built with sign-preserving
 pseudo-remainders (multiply by |lc|, negate, divide out the positive
@@ -115,20 +123,35 @@ class Poly:
             r = r * self
         return r
 
+    def _numerators(self):
+        """(q, den): the integer numerators over the least common
+        denominator, so that den * p = q."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     def __call__(self, at):
         at = _frac(at)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
+        q, den = self._numerators()
+        n, d = at.numerator, at.denominator
+        return Fraction(_value_times_den(q, n, d), den * d ** max(self.degree, 0))
 
     def compose_linear(self, a, b):
-        """Return p(a*x + b)."""
-        lin = Poly((_frac(b), _frac(a)))
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        """Return p(a*x + b), over one common denominator (module docstring)."""
+        a, b = _frac(a), _frac(b)
+        if not self:
+            return Poly()
+        q, den = self._numerators()
+        d = lcm(a.denominator, b.denominator)
+        lin_a, lin_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+        acc, dk = [q[-1]], 1
+        for c in reversed(q[:-1]):      # acc * (A*x + B) + c * D^k
+            dk *= d
+            nxt = [lin_b * v for v in acc] + [0]
+            for i, v in enumerate(acc, 1):
+                nxt[i] += lin_a * v
+            nxt[0] += c * dk
+            acc = nxt
+        return Poly(tuple(Fraction(v, den * dk) for v in acc))
 
     def derivative(self):
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
@@ -194,8 +217,7 @@ def _sturm_chain(p):
     """Sturm chain of the square-free part of p."""
     if not p:
         raise ValueError("zero polynomial has no isolated roots")
-    den = lcm(*(c.denominator for c in p.coeffs))
-    q = _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    q = _primitive(p._numerators()[0])
     seq = _sturm_seq(q)
     g, n = seq[-1], len(seq[-1]) - 1
     if not n:

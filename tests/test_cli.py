@@ -95,6 +95,44 @@ def test_data_error_paths_point_at_nodes(tmp_path, capsys):
     assert "components[1].normal.c1" in err
 
 
+_SURFACE = {"type": "cp1", "weights": [0, -1, 1, 1],
+            "normal": {"kind": "surface", "summands": [[1, -1], [1, 1], [0, 1]]}}
+
+
+@pytest.mark.parametrize("node, value, message", [
+    ("weights", [1, 1, 1.5, 1], "expected an integer, got 1.5 (at components[0].weights[2])"),
+    ("weights", [1, True, 1, 1], "expected an integer, got True (at components[0].weights[1])"),
+    ("weights", [1, 1, 1], "expected 4 entries, got 3 (at components[0].weights)"),
+    ("summands", [[1, -1], [1, "1"], [0, 1]],
+     "expected an integer, got '1' (at components[0].normal.summands[1][1])"),
+    ("summands", [[1, -1], [1, 1], [0]],
+     "expected 2 entries, got 1 (at components[0].normal.summands[2])"),
+    ("summands", [[1, -1], 7, [0, 1]],
+     "expected a list, got 7 (at components[0].normal.summands[1])"),
+    ("summands", [[1, -1], [1, 1]],
+     "surface normals need exactly 3 summands (at components[0].normal.summands)"),
+])
+def test_data_error_paths_inside_lists(tmp_path, capsys, node, value, message):
+    comp = json.loads(json.dumps(_SURFACE))
+    (comp["normal"] if node == "summands" else comp)[node] = value
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps({"dimension": 8, "b2": 1, "components": [comp]}))
+    code, _, err = run(capsys, "verify", str(path))
+    assert (code, err) == (2, "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("tname", [[], ["point"], {}, None, 3])
+def test_component_type_that_is_not_a_string(tmp_path, capsys, tname):
+    doc = {"dimension": 8, "b2": 1, "components": [
+        {"type": tname, "weights": [1, 1, 1, 1], "normal": {"kind": "point"}}]}
+    path = tmp_path / "type.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err == ("error: unknown component type %r (expected one of cp1, cp2, cp3, "
+                   "p1xp1, point) (at components[0].type)\n" % (tname,))
+
+
 def test_enumerate_inadmissible_shape(capsys):
     code, _, err = run(capsys, "enumerate", "--shape", "2,6")
     assert code == 2

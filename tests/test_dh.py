@@ -39,6 +39,24 @@ def test_half_volumes_frozen():
     assert half_volume_isolated_pair() == 240
 
 
+def oracle_half_volume_cp2(k2):
+    """Four times the ruled density integrated over the first two units."""
+    return 4 * dh_near_cp2(k2).integrate(0, 2)
+
+
+def oracle_half_volume_isolated_pair():
+    """Four times the cubic density up to the index-2 point at distance 2,
+    plus the blow-up density on the next two units."""
+    return 4 * (dh_isolated_min().integrate(0, 2) + dh_after_lam1_point().integrate(2, 4))
+
+
+def test_half_volumes_against_density_integrals():
+    for k2 in range(-20, 21):
+        assert half_volume_cp2(k2) == oracle_half_volume_cp2(k2)
+        assert half_volume_cp2(k2) == 4 * dh_from_ring(k2).integrate(0, 2)
+    assert half_volume_isolated_pair() == oracle_half_volume_isolated_pair()
+
+
 def test_pattern_volumes_against_closed_forms():
     # the two index-2 volumes the Fano filter compares against, in closed
     # form: isolated minimum plus plane (416 - 16*b4) and two planes

@@ -1,9 +1,18 @@
 """Structural validation, Betti numbers, reversal, FP equivalence."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
 from semifree8.classify import catalog
-from semifree8.localization import FourDimExtremalNormal, PointNormal
+from semifree8.localization import (
+    FourDimExtremalNormal,
+    FourDimSplitNormal,
+    PointNormal,
+    SixDimNormal,
+    SurfaceNormal,
+)
 from semifree8.model import (
     ComponentType,
     FixedComponent,
@@ -158,3 +167,39 @@ def test_surface_levels_track_weights(degrees, lam):
     assert comp.level == -sum(signs)
     assert comp.lam == lam
     assert comp.complex_dim == 1
+
+
+# every public constructor with one integer replaced by a non-integer, which
+# must raise rather than be truncated or parsed
+NON_INTEGERS = (0.9, 2.7, "3", Fraction(1, 2))
+BUILDS = {
+    "FixedComponent": lambda x: FixedComponent(ComponentType.POINT, (x, 1, 1, 1), PointNormal()),
+    "point_component": lambda x: point_component((x, 1, 1, 1)),
+    "surface_component": lambda x: surface_component(((x, -1), (1, 1), (1, 1))),
+    "cp2_extremal": lambda x: cp2_extremal(1, x, 3),
+    "cp2_extremal-c2": lambda x: cp2_extremal(1, 2, x),
+    "cp3_extremal": lambda x: cp3_extremal(1, x),
+    "fourdim_interior": lambda x: fourdim_interior(ComponentType.CP2, (x,), (1,)),
+    "SurfaceNormal": lambda x: SurfaceNormal(((1, x), (1, 1), (1, 1))),
+    "FourDimExtremalNormal": lambda x: FourDimExtremalNormal(-1, x),
+    "FourDimSplitNormal": lambda x: FourDimSplitNormal((1,), (x,)),
+    "SixDimNormal": lambda x: SixDimNormal(x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_constructors_take_integers_only(name):
+    build = BUILDS[name]
+    assert build(1) == build(True)      # bool is an integer; it stays 1
+    for value in NON_INTEGERS:
+        with pytest.raises(TypeError):
+            build(value)
+
+
+def test_constructors_keep_integer_data():
+    assert point_component((0, 1, 1, 1)).weights == (0, 1, 1, 1)
+    assert cp2_extremal(1, 2, 3).normal == FourDimExtremalNormal(2, 3)
+    assert cp3_extremal(-1, 4).normal.c1 == 4
+    comp = surface_component(((2, 1), (0, -1), (1, 1)))
+    assert comp.normal.summands == ((0, -1), (1, 1), (2, 1))
+    assert comp.weights == (-1, 0, 1, 1)
