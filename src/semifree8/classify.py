@@ -35,6 +35,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
+from operator import index
 
 from .dh import (
     K2_CAP,
@@ -43,7 +44,6 @@ from .dh import (
     half_volume_cp2,
     half_volume_isolated_pair,
     positivity_check,
-    ruled_plane_k2,
     total_volume,
 )
 from .localization import abbv_terms
@@ -62,10 +62,6 @@ from .model import (
     cp3_extremal,
     fourdim_interior,
     fingerprint,
-    interior_components,
-    kirwan_betti,
-    max_component,
-    min_component,
     omega_coefficients,
     oriented,
     pass_fail,
@@ -89,12 +85,12 @@ class ClassifyError(ValueError):
 def index_candidates(data):
     """(source, value) pairs for the Fano index read off the extremes."""
     out = []
-    lo, hi = min_component(data), max_component(data)
+    lo, hi = data.extremes
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
         if comp is not None and comp.complex_dim >= 1:
             out.append((label, abs(omega_coefficients(comp)[0])))
     if lo is not None and hi is not None and lo.complex_dim == hi.complex_dim == 0:
-        four = [c for c in interior_components(data) if c.complex_dim == 2]
+        four = [c for c in data.interior if c.complex_dim == 2]
         if len(four) == 1:
             out.append(("interior four-dimensional component", 4))
     return out
@@ -214,8 +210,8 @@ def sphere_index_rules(data):
 
 def _lambda2_exclusion(data):
     """Interior two-negative-weight points need a 4-dim extreme."""
-    lo, hi = min_component(data), max_component(data)
-    lam2 = [c for c in interior_components(data)
+    lo, hi = data.extremes
+    lam2 = [c for c in data.interior
             if c.type is ComponentType.POINT and c.lam == 2]
     if not lam2:
         return None
@@ -226,10 +222,10 @@ def _lambda2_exclusion(data):
 
 def _bundle_halves(data):
     """The (0,0) pin: interior 4-dim bundles are halves of the tangent class."""
-    lo, hi = min_component(data), max_component(data)
+    lo, hi = data.extremes
     if lo is None or hi is None or lo.complex_dim or hi.complex_dim:
         return None
-    for c in interior_components(data):
+    for c in data.interior:
         if c.complex_dim != 2:
             continue
         half, rem = [], 0
@@ -593,9 +589,8 @@ def _interior_skeletons(lo, hi):
 
     Morse-index-4 points contribute to neither budget and stay symbolic.
     """
-    base2 = kirwan_betti(FixedPointData((lo, hi)), 2)
-    base6 = kirwan_betti(FixedPointData((lo, hi)), 6)
-    need = (1 - base2, 1 - base6)
+    base = FixedPointData((lo, hi)).betti
+    need = (1 - base[1], 1 - base[3])
     menu = [(label, t, lam) for label, t, lam in _MENU
             if lo.level < _menu_level(t, lam) < hi.level]
     out = []
@@ -820,7 +815,8 @@ def enumerate_case(shape, b4_max=14):
     degree sum up to 36, in absolute value. Rejection counts are counts
     over these boxes; the chains pin every family parameter well inside.
     """
-    shape = tuple(sorted(int(v) for v in shape))
+    shape = tuple(sorted(index(v) for v in shape))
+    b4_max = index(b4_max)
     assessment = admissible_dim_pairs().get(shape)
     if assessment is None:
         raise ClassifyError("not a pair of extremal dimensions: %s" % (shape,))
@@ -863,16 +859,14 @@ def catalog():
 
 
 def _is_x8_family(data):
-    """The case-d family modulo its undetermined c2 split."""
+    """The case-d family modulo its undetermined c2 split: a (4,4) shape
+    with six interior components and X8m's volume by halves. The (4,4)
+    branch of total_volume already asks for two ruled planes and only
+    index-4 interior points, and its halves sum to X8m's c1^4 exactly when
+    the split sums to 8."""
     o = oriented(data)
-    if o is None or o[0] != (4, 4):
-        return False
-    _, _, lo, hi, inner = o
-    if len(inner) != 6 or any(c.type is not ComponentType.POINT or c.lam != 2
-                              for c in inner):
-        return False
-    k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
-    return None not in k2s and sum(k2s) == 8
+    return (o is not None and o[0] == (4, 4) and len(o[4]) == 6
+            and total_volume(data) == _X8M_VOLUME)
 
 
 @cache
@@ -928,6 +922,7 @@ def default_fano_table():
 
 
 REQUIRED_FAMILY_NAMES = tuple(r.name for r in default_fano_table())
+_X8M_VOLUME = next(r.c1_fourth for r in default_fano_table() if r.name == "X8m")
 
 
 def fano_table_hash(records=None):

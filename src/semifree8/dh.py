@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .model import (
     CheckItem,
@@ -246,7 +247,8 @@ def b4_bound_check(b4, shape, split=None):
     Every plane coefficient must stay <= K2_CAP, which bounds b4 by
     b4_cap(shape); a (4,4) split is checked part by part when given.
     """
-    shape = tuple(sorted(int(v) for v in shape))
+    shape = tuple(sorted(index(v) for v in shape))
+    b4 = index(b4)
     cap = b4_cap(shape)
     if cap is None:
         return CheckItem("dh-k-bound", "PASS",
@@ -258,9 +260,10 @@ def b4_bound_check(b4, shape, split=None):
     if split is None:
         return pass_fail("dh-k-bound", ok, "a split of %d into two parts <= %d %s"
                          % (b4, K2_CAP, "exists" if ok else "cannot exist"))
+    split = tuple(index(v) for v in split)
     if sum(split) != b4:
         return CheckItem("dh-k-bound", "FAIL",
-                         "split %s does not sum to b4 = %d" % (tuple(split), b4))
+                         "split %s does not sum to b4 = %d" % (split, b4))
     ok = max(split) <= K2_CAP
     return pass_fail("dh-k-bound", ok, "split %s with both parts %s %d"
-                     % (tuple(split), "<=" if ok else "not <=", K2_CAP))
+                     % (split, "<=" if ok else "not <=", K2_CAP))

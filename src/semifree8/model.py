@@ -13,11 +13,12 @@ structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
 
 A dataset computes what every rule reads of it once, on first use: its
-unique minimum and maximum, its interior components, its Betti vector and
-its oriented view (``FixedPointData.extremes``, ``interior``, ``betti`` and
-``orientation``). These are not dataclass fields, so equality, hashing and
-repr see the components only. ``min_component``, ``max_component``,
-``interior_components``, ``betti_vector`` and ``oriented`` read them.
+unique minimum and maximum, its interior components and its Betti vector
+(``FixedPointData.extremes``, ``interior`` and ``betti``). These are the
+only per-dataset copies; they are not dataclass fields, so equality,
+hashing and repr see the components only. ``oriented`` is computed on each
+call from them: it reverses the action only when ``dim_pair`` says so, which
+few inputs need.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -132,23 +133,6 @@ class FixedPointData:
     def betti(self):
         """Even Betti numbers (b0, b2, b4, b6, b8) by localization."""
         return tuple(kirwan_betti(self, i) for i in (0, 2, 4, 6, 8))
-
-    @cached_property
-    def orientation(self):
-        """``oriented``'s view with None in place of the data when it is
-        read as given: a dataset that held itself would sit in a reference
-        cycle, and wait for the cyclic garbage collector instead of being
-        freed on its last use (the collector's full passes grew several
-        times longer)."""
-        try:
-            shape, rev = dim_pair(self)
-        except ValueError:
-            return None
-        data = reverse_action(self) if rev else self
-        lo, hi = data.extremes
-        if lo is None or hi is None:
-            return None
-        return shape, data if rev else None, lo, hi, data.interior
 
 
 # ----------------------------------------------------------------------
@@ -323,18 +307,6 @@ def betti_vector(data):
     return data.betti
 
 
-def min_component(data):
-    return data.extremes[0]
-
-
-def max_component(data):
-    return data.extremes[1]
-
-
-def interior_components(data):
-    return data.interior
-
-
 def dim_pair(data):
     """Real dimensions (d1, d2) of (minimum, maximum), sorted, plus a flag
     saying whether the action had to be reversed to sort them."""
@@ -351,11 +323,17 @@ def oriented(data):
     """(shape, data, minimum, maximum, interior), the action reversed when
     dim_pair says so; None when the data, as given or reversed, has no
     unique minimum and maximum (possible only when types contradict
-    weights). Read from ``FixedPointData.orientation``."""
-    o = data.orientation
-    if o is None or o[1] is not None:
-        return o
-    return (o[0], data) + o[2:]
+    weights)."""
+    try:
+        shape, rev = dim_pair(data)
+    except ValueError:
+        return None
+    if rev:
+        data = reverse_action(data)
+    lo, hi = data.extremes
+    if lo is None or hi is None:
+        return None
+    return shape, data, lo, hi, data.interior
 
 
 # ----------------------------------------------------------------------

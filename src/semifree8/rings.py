@@ -22,6 +22,7 @@ push-forward densities can be computed symbolically, e.g.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .polynomial import Poly
 
@@ -258,7 +259,7 @@ class _Projectivized(GradedRing):
     top = 3
 
     def __init__(self, k2):
-        self.k2 = int(k2)
+        self.k2 = index(k2)
         self.name = "P(E)/CP2[k2=%d]" % self.k2
 
     def reduce_mono(self, mono):

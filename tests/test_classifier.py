@@ -73,6 +73,12 @@ def test_enumerate_rejects_inadmissible_shape():
         enumerate_case((3, 4))
 
 
+def test_enumerate_refuses_non_integers():
+    for shape, b4_max in (((0.9, 4.2), 14), (("0", 4), 14), ((0, 4), 14.5)):
+        with pytest.raises(TypeError):
+            enumerate_case(shape, b4_max)
+
+
 # ----------------------------------------------------------------------
 # per-shape enumeration
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The per-dataset values, computed once, against the scans they replaced.
 
 `FixedPointData` computes its unique minimum and maximum, its interior
-components, its Betti vector and its oriented view once, as cached
-properties that are not dataclass fields. The oracle is the earlier route:
-scan the components on every call, and rebuild the reversed dataset for
-every orientation. Equality, hashing, repr and the dataclass fields must
-not see the cached values.
+components and its Betti vector once, as cached properties that are not
+dataclass fields; `oriented` reads them on each call, reversing the action
+only when `dim_pair` says so. The oracle is the earlier route: scan the
+components on every call, and rebuild the reversed dataset for every
+orientation. Equality, hashing, repr and the dataclass fields must not see
+the cached values.
 """
 
 import dataclasses
@@ -22,9 +23,6 @@ from semifree8.model import (
     betti_contribution,
     betti_vector,
     dim_pair,
-    interior_components,
-    max_component,
-    min_component,
     oriented,
     point_component,
     reverse_action,
@@ -76,10 +74,10 @@ def oracle_oriented(data):
 def check_against_oracle(data):
     fresh = FixedPointData(data.components)
     for _ in range(2):      # the second round reads the cached values
-        assert min_component(data) is oracle_min(data)
-        assert max_component(data) is oracle_max(data)
-        assert interior_components(data) == oracle_interior(data)
-        assert all(a is b for a, b in zip(interior_components(data), oracle_interior(data)))
+        lo, hi = data.extremes
+        assert lo is oracle_min(data) and hi is oracle_max(data)
+        assert data.interior == oracle_interior(data)
+        assert all(a is b for a, b in zip(data.interior, oracle_interior(data)))
         assert betti_vector(data) == oracle_betti(data)
         got, want = oriented(data), oracle_oriented(data)
         assert (got is None) == (want is None)
@@ -131,10 +129,10 @@ def test_structurally_invalid_data_against_oracle():
     for data in (plane_inside, TWO_MINIMA, NO_MINIMUM):
         check_against_oracle(data)
         check_against_oracle(reverse_action(data))
-    assert min_component(TWO_MINIMA) is None and oriented(TWO_MINIMA) is None
-    assert max_component(TWO_MINIMA) is TWO_MINIMA.components[-1]
-    assert min_component(NO_MINIMUM) is None and oriented(NO_MINIMUM) is None
-    assert max_component(plane_inside) is None and oriented(plane_inside) is None
+    assert TWO_MINIMA.extremes == (None, TWO_MINIMA.components[-1])
+    assert oriented(TWO_MINIMA) is None
+    assert NO_MINIMUM.extremes[0] is None and oriented(NO_MINIMUM) is None
+    assert plane_inside.extremes[1] is None and oriented(plane_inside) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,8 +148,8 @@ def test_loadable_documents_against_oracle(doc):
 
 
 def test_verified_data_is_freed_by_reference_counting():
-    # a cached value that refers back to its dataset would keep every
-    # verified dataset alive until the cyclic collector runs
+    # nothing cached may refer back to its dataset: a value that did would
+    # keep every verified dataset alive until the cyclic collector runs
     gc.disable()
     try:
         for entry in catalog().values():

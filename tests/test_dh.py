@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from semifree8.classify import enumerate_case
 from semifree8.classify import FanoFamilyRecord, classify_fano, default_fano_table
 from semifree8.dh import (
@@ -153,6 +155,13 @@ def test_b4_bound_lines():
     assert b4_bound_check(15, (4, 4), split=(7, 8)).verdict == "FAIL"
     assert b4_bound_check(7, (0, 4)).verdict == "PASS"
     assert b4_bound_check(8, (0, 4)).verdict == "FAIL"
+
+
+def test_b4_bound_refuses_non_integers():
+    # each of these passed, or failed as "b4 = 7 > 7", as its truncation
+    for args in ((3, (0.5, 4.9)), (7.5, (0, 4)), (8, (4, 4), (4.5, 3.5)), (3, ("0", 4))):
+        with pytest.raises(TypeError):
+            b4_bound_check(*args)
 
 
 def test_sturm_chain_root_counting():

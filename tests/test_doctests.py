@@ -1,7 +1,9 @@
-"""The examples in the package docstrings, run as part of the suite."""
+"""The examples in the package docstrings and the README's library code,
+run as part of the suite."""
 
 import doctest
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -22,3 +24,10 @@ def test_doctests_are_found():
     found = {name for name in MODULES
              if any(t.examples for t in finder.find(importlib.import_module(name)))}
     assert {"semifree8.polynomial", "semifree8.rings"} <= found
+
+
+def test_readme_library_code_runs():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Library)", "exec"), {})

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings
 
-from semifree8.classify import _is_x8_family, catalog, enumerate_all, match_fp_class
+from semifree8.classify import catalog, enumerate_all, match_fp_class
 from semifree8.dataio import DataError, loads_data
 from semifree8.dh import (
     DHPiece,
@@ -22,9 +22,10 @@ from semifree8.dh import (
     dh_profile,
     ruled_plane_k2,
 )
-from semifree8.model import CheckItem, ComponentType, fingerprint, min_component, reverse_action
+from semifree8.model import CheckItem, ComponentType, fingerprint, reverse_action
 
 from test_robustness import documents
+from test_x8_matcher import oracle_is_x8_family
 
 # ----------------------------------------------------------------------
 # the replaced route
@@ -41,7 +42,8 @@ CASE_OF = {
 
 
 def oracle_min_side_pieces(data):
-    lo = min_component(data)
+    mins = [c for c in data if c.lam == 0]
+    lo = mins[0] if len(mins) == 1 else None
     levels = sorted({c.level for c in data})
     out = []
     if lo is None or len(levels) < 2:
@@ -100,7 +102,7 @@ def oracle_match_fp_class(data):
         for name, entry_fp in known:
             if fp == entry_fp:
                 return CASE_OF[name]
-    if _is_x8_family(data):
+    if oracle_is_x8_family(data):
         return "d"
     return "unclassified"
 
@@ -148,7 +150,8 @@ def test_family_members_against_oracle():
 
 
 # an isolated point with no positive weight but a zero one: the sign rule
-# takes it as the maximum, max_component (which wants lam = 4 - dim) does not
+# takes it as the maximum, FixedPointData.extremes (which wants lam = 4 - dim)
+# does not
 POINT_WITH_ZERO_ON_TOP = {"dimension": 8, "b2": 1, "components": [
     {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
     {"type": "point", "weights": [-1, -1, -1, 0], "normal": {"kind": "point"}},

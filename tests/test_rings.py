@@ -3,6 +3,7 @@
 import doctest
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from semifree8 import polynomial, rings
@@ -37,6 +38,13 @@ def test_projectivized_integrals():
         assert (eta * eta * xi).integrate() == 1
         assert (eta * xi * xi).integrate() == 1
         assert (xi ** 3).integrate() == 1 - k2
+
+
+def test_projectivized_refuses_non_integers():
+    assert ring_projectivized(True).k2 == 1     # bool is an integer; it stays 1
+    for k2 in (2.7, "3", Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            ring_projectivized(k2)
 
 
 def test_point_ring():
