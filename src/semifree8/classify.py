@@ -802,6 +802,7 @@ _ENUMERATORS = {
 }
 
 ADMISSIBLE_SHAPES = tuple(_ENUMERATORS)
+B4_MAX_LIMIT = 1000     # sweeps grow as about b4_max^2.5: enumerate_all takes ~15 min here
 
 
 def enumerate_case(shape, b4_max=14):
@@ -827,6 +828,8 @@ def enumerate_case(shape, b4_max=14):
                 it.line() for it in assessment.trace if it.verdict == "FAIL")))
     if b4_max < 2:
         raise ClassifyError("b4_max must be at least 2")
+    if b4_max > B4_MAX_LIMIT:
+        raise ClassifyError("b4_max must be at most %d" % B4_MAX_LIMIT)
     box = b4_max + 2
     families, rejections = _ENUMERATORS[shape](b4_max, box)
     return EnumerationResult(shape, b4_max, tuple(families), tuple(rejections))

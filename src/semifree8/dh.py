@@ -125,14 +125,14 @@ class DHProfile:
 
 
 def _end_pieces(data, end):
-    """The pieces pinned next to the minimum (end = 1) or the maximum
-    (end = -1), read exactly as the reversed action reads its minimum: the
-    extreme has no weight of sign -end, and levels read as end * level."""
-    ext = [c for c in data if all(end * w >= 0 for w in c.weights)]
+    """Pieces pinned next to the minimum (end = 1) or maximum (end = -1), read
+    as the reversed action reads its minimum: levels read as end * level, and
+    the extreme's first (or last) sorted weight has sign end or is zero."""
+    ext = [c for c in data if end * c.weights[0 if end == 1 else -1] >= 0]
     levels = sorted({end * c.level for c in data})
     if len(ext) != 1 or len(levels) < 2:
         return []
-    ext, base = ext[0], Fraction(end * ext[0].level)
+    ext, base = ext[0], end * ext[0].level
 
     def piece(a, b, density):   # (a, b) read from this end, mapped back to levels
         lo, hi = (a, b) if end == 1 else (-b, -a)
@@ -155,8 +155,7 @@ def _resolve(pieces):
     # only opposite ends overlap, and never with one polynomial (leading
     # terms, degrees or interval lengths differ): every overlap is a seam
     pieces = sorted(pieces, key=lambda p: (p.lo, p.hi))
-    out = []
-    warns = []
+    out, warns = [], []
     for pc in pieces:
         if not out or pc.lo >= out[-1].hi:
             out.append(pc)

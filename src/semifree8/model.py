@@ -96,7 +96,7 @@ class FixedComponent:
         return self.type.complex_dim
 
     def sort_key(self):
-        return (self.level, self.type.value, self.weights, repr(self.normal))
+        return (self.level, self.type.value, self.weights)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,11 @@ class FixedPointData:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(sorted(self.components, key=lambda c: c.sort_key()))
-        object.__setattr__(self, "components", comps)
+        comps = sorted(self.components, key=FixedComponent.sort_key)
+        if any(a.weights == b.weights and a.type is b.type and a.normal != b.normal
+               for a, b in zip(comps, comps[1:])):     # ties only repr(normal) orders
+            comps.sort(key=lambda c: (c.sort_key(), repr(c.normal)))
+        object.__setattr__(self, "components", tuple(comps))
 
     def __iter__(self):
         return iter(self.components)

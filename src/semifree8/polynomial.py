@@ -1,38 +1,35 @@
 """Dense univariate polynomials over the rationals, and exact positivity.
 
-`Poly` keeps fractions.Fraction coefficients; evaluation, linear
-composition and the Sturm root count behind `positive_on_open` run on
-Python integers. No float is used and nothing is cached across calls.
-
-Evaluation and composition scale p by the least common denominator den of
-its coefficients to integer numerators q = den * p, and work over that one
-denominator: p(n/d) = d^deg * q(n/d) / (den * d^deg), and with
-a*x + b = (A*x + B)/D, p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i /
+A `Poly` is integer numerators q over one positive denominator den, in
+lowest terms; its Fraction `coeffs` are built only when read. Everything
+below runs on Python integers, no float is used, and each `Poly` builds
+its Sturm chain once, on first use: one chain per polynomial, nothing
+shared across polynomials. p(n/d) = d^deg * q(n/d) / (den * d^deg), and
+with a*x + b = (A*x + B)/D, p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i /
 (den * D^deg), by Horner's rule on integer coefficient lists.
 
-For the root count p is scaled by a positive integer to primitive integer
-coefficients; a primitive pseudo-remainder gcd with p' and an exact division
-give its square-free part q. The chain of q is built with sign-preserving
-pseudo-remainders (multiply by |lc|, negate, divide out the positive
-content), so each member is a positive multiple of the classical one. The
-sign at n/d is that of sum c_i n^i d^(deg - i). The variation count V is
-right-continuous at the roots of q, so V(a) - V(m) counts the roots in
-(a, m]: `isolate_root` builds the chain once per (p, a, b) and bisects on it.
+For the root count q is divided by its content; a primitive
+pseudo-remainder gcd with q' and an exact division give its square-free
+part. Its chain is built with sign-preserving pseudo-remainders (multiply
+by |lc|, negate, divide out the positive content), so each member is a
+positive multiple of the classical one. The sign at n/d (d > 0) is that of
+sum c_i n^i d^(deg - i). The variation count V is right-continuous at the
+roots, so V(a) - V(m) counts the roots in (a, m]: `isolate_root` bisects
+on integer numerators over a doubling denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 
 ISOLATION_WIDTH = Fraction(1, 32)     # isolate_root's target width
 
 
-def _frac(v):
-    if isinstance(v, Fraction):
+def _rational(v):
+    if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
     raise TypeError("expected int or Fraction, got %r" % (v,))
 
 
@@ -46,13 +43,24 @@ class Poly:
     3
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den", "_sturm")
 
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs=(), den=1):
+        """sum_i coeffs[i] x^i / den; ints or Fractions over a positive int."""
+        if den < 1:
+            raise ValueError("den must be a positive integer")
+        cs = [_rational(c) for c in coeffs]
+        lc = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (lc // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den * lc, *num)
+        self._num, self._den, self._sturm = tuple(v // g for v in num), den * lc // g, None
+
+    @property
+    def coeffs(self):
+        """The Fraction coefficients, lowest degree first, built on each read."""
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     @classmethod
     def x(cls):
@@ -61,34 +69,31 @@ class Poly:
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-v for v in self._num], self._den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(a)
+        pairs = zip_longest(self._num, other._num, fillvalue=0)
+        return Poly([x * other._den + y * self._den for x, y in pairs], self._den * other._den)
 
     __radd__ = __add__
 
@@ -100,18 +105,14 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly([v * other.numerator for v in self._num], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self or not other:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self._num) + len(other._num) - 1)
+        for i, a in enumerate(self._num):
+            for j, b in enumerate(other._num):
                 out[i + j] += a * b
-        return Poly(out)
+        return Poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -123,27 +124,16 @@ class Poly:
             r = r * self
         return r
 
-    def _numerators(self):
-        """(q, den): the integer numerators over the least common
-        denominator, so that den * p = q."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
     def __call__(self, at):
-        at = _frac(at)
-        q, den = self._numerators()
-        n, d = at.numerator, at.denominator
-        return Fraction(_value_times_den(q, n, d), den * d ** max(self.degree, 0))
+        n, d = _rational(at).numerator, at.denominator
+        return Fraction(_value_times_den(self._num, n, d), self._den * d ** max(self.degree, 0))
 
     def compose_linear(self, a, b):
         """Return p(a*x + b), over one common denominator (module docstring)."""
-        a, b = _frac(a), _frac(b)
-        if not self:
-            return Poly()
-        q, den = self._numerators()
+        a, b, q = _rational(a), _rational(b), self._num
         d = lcm(a.denominator, b.denominator)
         lin_a, lin_b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-        acc, dk = [q[-1]], 1
+        acc, dk = list(q[-1:]), 1
         for c in reversed(q[:-1]):      # acc * (A*x + B) + c * D^k
             dk *= d
             nxt = [lin_b * v for v in acc] + [0]
@@ -151,10 +141,10 @@ class Poly:
                 nxt[i] += lin_a * v
             nxt[0] += c * dk
             acc = nxt
-        return Poly(tuple(Fraction(v, den * dk) for v in acc))
+        return Poly(acc, self._den * dk)
 
     def derivative(self):
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return Poly([i * v for i, v in enumerate(self._num)][1:], self._den)
 
     def integrate(self, a, b):
         """Definite integral over [a, b], exact."""
@@ -162,19 +152,15 @@ class Poly:
         return anti(b) - anti(a)
 
     def fmt(self, var="x"):
-        if not self:
-            return "0"
         bits = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                bits.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-                bits.append("%s%s" % (head, var if i == 1 else "%s^%d" % (var, i)))
-        out = " + ".join(bits)
-        return out.replace("+ -", "- ")
+        for i, v in enumerate(self._num):
+            if v:
+                g = gcd(v, self._den)     # v / den as str(Fraction) writes it
+                c = "%d" % (v // g) if g == self._den else "%d/%d" % (v // g, self._den // g)
+                mono = "" if i == 0 else (var if i == 1 else "%s^%d" % (var, i))
+                head = {"1": "", "-1": "-"}.get(c, c + "*") if mono else c
+                bits.append(head + mono)
+        return " + ".join(bits).replace("+ -", "- ") or "0"
 
     def __repr__(self):
         return "Poly(%s)" % self.fmt()
@@ -217,7 +203,7 @@ def _sturm_chain(p):
     """Sturm chain of the square-free part of p."""
     if not p:
         raise ValueError("zero polynomial has no isolated roots")
-    q = _primitive(p._numerators()[0])
+    q = _primitive(list(p._num))
     seq = _sturm_seq(q)
     g, n = seq[-1], len(seq[-1]) - 1
     if not n:
@@ -239,38 +225,46 @@ def _value_times_den(cs, n, d):
     return acc
 
 
-def _sign_changes(chain, x):
-    n, d = x.numerator, x.denominator
-    signs = [v > 0 for v in (_value_times_den(cs, n, d) for cs in chain) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+def _sign_changes(chain, n, d):
+    changes, last = 0, 0        # last: the latest nonzero value
+    for cs in chain:
+        v = _value_times_den(cs, n, d)
+        if v:
+            changes += v * last < 0
+            last = v
+    return changes
 
 
 def count_roots_open(p, a, b):
     """Number of distinct real roots of p strictly inside (a, b)."""
-    a, b = _frac(a), _frac(b)
+    a, b = _rational(a), _rational(b)
     if not a < b:
         raise ValueError("need a < b")
-    chain = _sturm_chain(p)
+    chain = p._sturm = p._sturm or _sturm_chain(p)     # built once per polynomial
     # V(a) - V(b) counts the roots in (a, b], so a root at b is taken off
     at_b = not _value_times_den(chain[0], b.numerator, b.denominator)
-    return _sign_changes(chain, a) - _sign_changes(chain, b) - at_b
+    return (_sign_changes(chain, a.numerator, a.denominator)
+            - _sign_changes(chain, b.numerator, b.denominator) - at_b)
 
 
 def isolate_root(p, a, b):
     """Shrink (a, b), known to contain a root of p, to width <= ISOLATION_WIDTH."""
-    a, b = _frac(a), _frac(b)
-    if b - a <= ISOLATION_WIDTH:
-        return a, b
-    chain = _sturm_chain(p)
-    va = _sign_changes(chain, a)
-    while b - a > ISOLATION_WIDTH:
-        m = (a + b) / 2
-        vm = _sign_changes(chain, m)
-        if va > vm:
-            b = m
-        else:
-            a, va = m, vm
-    return a, b
+    a, b = _rational(a), _rational(b)
+    d = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    w, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
+    if (hi - lo) * w_den > w * d:
+        chain = p._sturm = p._sturm or _sturm_chain(p)
+        v_lo = _sign_changes(chain, lo, d)
+        while (hi - lo) * w_den > w * d:
+            lo, hi, d = 2 * lo, 2 * hi, 2 * d
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid, d)
+            if v_lo > v_mid:
+                hi = mid
+            else:
+                lo, v_lo = mid, v_mid
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def positive_on_open(p, a, b):
@@ -281,7 +275,7 @@ def positive_on_open(p, a, b):
     witness: either the sample value at the midpoint or an isolating
     interval for an interior root.
     """
-    a, b = _frac(a), _frac(b)
+    a, b = _rational(a), _rational(b)
     if not a < b:
         raise ValueError("need a < b")
     if not p:
@@ -289,7 +283,8 @@ def positive_on_open(p, a, b):
     if count_roots_open(p, a, b):
         lo, hi = isolate_root(p, a, b)
         return False, "vanishes in the interior, root inside [%s, %s]" % (lo, hi)
-    mid = (a + b) / 2
+    mid = Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
+                   2 * a.denominator * b.denominator)
     v = p(mid)
     if v > 0:
         return True, "no interior roots and value %s at %s" % (v, mid)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from semifree8.classify import default_fano_table
+from semifree8 import classify
+from semifree8.classify import B4_MAX_LIMIT, default_fano_table
 from semifree8.cli import main
 
 
@@ -179,6 +180,17 @@ def test_output_byte_stable(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second, argv
+
+
+@pytest.mark.parametrize("b4_max", ["100000000000000000000", str(B4_MAX_LIMIT + 1)])
+def test_enumerate_rejects_a_huge_cutoff_before_sweeping(monkeypatch, capsys, b4_max):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+    monkeypatch.setattr(classify, "_sweep", no_sweep)
+    for shape in ("all", "4,4"):
+        code, out, err = run(capsys, "enumerate", "--shape", shape, "--max-b4", b4_max)
+        assert code == 2 and not out
+        assert err == "error: b4_max must be at most %d\n" % B4_MAX_LIMIT
 
 
 def test_missing_file(capsys):

@@ -7,10 +7,16 @@ only when `dim_pair` says so. The oracle is the earlier route: scan the
 components on every call, and rebuild the reversed dataset for every
 orientation. Equality, hashing, repr and the dataclass fields must not see
 the cached values.
+
+The components of a dataset are sorted by (level, type, weights) and, only
+where that key ties and the normal data differ, by the normal's repr. The
+oracle for that order is the old sort key, which formatted the repr for
+every component.
 """
 
 import dataclasses
 import gc
+import itertools
 import json
 import weakref
 
@@ -19,10 +25,12 @@ from hypothesis import example, given, settings
 from semifree8.classify import catalog, enumerate_all, match_fp_class, verification_report
 from semifree8.dataio import DataError, dumps_data, loads_data
 from semifree8.model import (
+    ComponentType,
     FixedPointData,
     betti_contribution,
     betti_vector,
     dim_pair,
+    fourdim_interior,
     oriented,
     point_component,
     reverse_action,
@@ -67,11 +75,25 @@ def oracle_oriented(data):
         (min(d1, d2), max(d1, d2)), data, lo, hi, oracle_interior(data))
 
 
+def oracle_sort_key(c):
+    return (c.level, c.type.value, c.weights, repr(c.normal))
+
+
+def check_order(components):
+    """FixedPointData sorts `components`, given in any order, as the old
+    key sorts them, down to which equal component lands where."""
+    for given in (components, components[::-1], components[1::2] + components[::2]):
+        got = FixedPointData(given).components
+        want = sorted(given, key=oracle_sort_key)
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 # ----------------------------------------------------------------------
 # the comparison
 # ----------------------------------------------------------------------
 
 def check_against_oracle(data):
+    check_order(data.components)
     fresh = FixedPointData(data.components)
     for _ in range(2):      # the second round reads the cached values
         lo, hi = data.extremes
@@ -104,6 +126,27 @@ NO_MINIMUM = FixedPointData((
     point_component((-1, 1, 1, 1)),
     point_component((-1, -1, -1, -1)),
 ))
+
+
+# interior planes with equal weights whose split normals differ: only the
+# repr orders them, and "(10,)" sorts before "(9,)" as text
+TIED_PLANES = (
+    fourdim_interior(ComponentType.CP2, (9,), (-1,)),
+    fourdim_interior(ComponentType.CP2, (10,), (-2,)),
+    fourdim_interior(ComponentType.CP2, (9,), (-1,)),
+    fourdim_interior(ComponentType.CP2, (1,), (2,)),
+    fourdim_interior(ComponentType.P1XP1, (1, 0), (0, 1)),
+    point_component((-1, -1, 1, 1)),
+    point_component((-1, -1, 1, 1)),
+)
+
+
+def test_ties_on_the_sort_key_fall_back_to_the_normal_repr():
+    for perm in itertools.permutations(TIED_PLANES):
+        check_order(perm)
+    planes = [c.normal.minus for c in FixedPointData(TIED_PLANES).components
+              if c.type is ComponentType.CP2]
+    assert planes == [(1,), (10,), (9,), (9,)]
 
 
 def test_catalog_against_oracle():
