@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
 from operator import index
@@ -72,6 +71,7 @@ from .model import (
     surface_component,
     validate,
 )
+from .record import Record, set_field
 
 
 class ClassifyError(ValueError):
@@ -275,11 +275,13 @@ def verification_report(data):
 # admissible extremal dimension pairs
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShapeAssessment:
-    shape: tuple
-    admissible: bool
-    trace: tuple
+class ShapeAssessment(Record):
+    _fields = ("shape", "admissible", "trace")
+
+    def __init__(self, shape, admissible, trace):
+        set_field(self, "shape", shape)
+        set_field(self, "admissible", admissible)
+        set_field(self, "trace", trace)
 
 
 def _assess_shape(d1, d2):
@@ -322,19 +324,23 @@ def admissible_dim_pairs():
 # enumeration output types
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Family:
-    key: str
-    shape: tuple
-    summary: str
-    iota: int
-    b4_base: int                 # b4 = b4_base + n2
-    fixed: tuple                 # ((name, value), ...)
-    free: tuple                  # human-readable leftover freedom
-    builder: object = field(compare=False, repr=False)
-    n2_max: int = 0
+class Family(Record):
+    """``builder(n2, **choices)`` builds a member; it is not a record field,
+    so equality, hashing and repr do not see it."""
 
+    _fields = ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "n2_max")
     n2_min = 0                   # every family has a member without Morse-index-4 points
+
+    def __init__(self, key, shape, summary, iota, b4_base, fixed, free, builder, n2_max=0):
+        set_field(self, "key", key)
+        set_field(self, "shape", shape)
+        set_field(self, "summary", summary)
+        set_field(self, "iota", iota)
+        set_field(self, "b4_base", b4_base)    # b4 = b4_base + n2
+        set_field(self, "fixed", fixed)        # ((name, value), ...)
+        set_field(self, "free", free)          # human-readable leftover freedom
+        set_field(self, "builder", builder)
+        set_field(self, "n2_max", n2_max)
 
     def b4(self, n2=None):
         return self.b4_base + (self.n2_min if n2 is None else n2)
@@ -347,26 +353,28 @@ class Family:
         return self.builder(n2, **choices)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    candidate: str
-    rule_id: str
-    detail: str
+class Rejection(Record):
+    _fields = ("candidate", "rule_id", "detail")
 
-    def __post_init__(self):
-        rule_statement(self.rule_id)
+    def __init__(self, candidate, rule_id, detail):
+        rule_statement(rule_id)
+        set_field(self, "candidate", candidate)
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "detail", detail)
 
     @property
     def rule(self):
         return RULES[self.rule_id]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    shape: tuple
-    b4_max: int
-    families: tuple
-    rejections: tuple
+class EnumerationResult(Record):
+    _fields = ("shape", "b4_max", "families", "rejections")
+
+    def __init__(self, shape, b4_max, families, rejections):
+        set_field(self, "shape", shape)
+        set_field(self, "b4_max", b4_max)
+        set_field(self, "families", families)
+        set_field(self, "rejections", rejections)
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +564,9 @@ def _sweep(label, axes, first_failure, solve=None):
 def _certified(key, n2_max=0):
     """The table's family with the n2 range its sweep's survivors give,
     after re-running the full rule chain on every instantiated member."""
-    family = replace(_FAMILIES[key], n2_max=n2_max)
+    f = _FAMILIES[key]
+    family = Family(f.key, f.shape, f.summary, f.iota, f.b4_base, f.fixed, f.free,
+                    f.builder, n2_max)
     for n2 in range(family.n2_min, n2_max + 1):
         rep = verification_report(family.instantiate(n2))
         if not rep.ok:
@@ -899,14 +909,16 @@ def match_fp_class(data):
 # Fano families with index at least 2 and their volume filter
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FanoFamilyRecord:
-    name: str
-    fano_index: int
-    b4: int
-    c1_fourth: int
-    genus: int = 0              # 0 means: not a genus-indexed family
-    finite_automorphisms: bool = False
+class FanoFamilyRecord(Record):
+    _fields = ("name", "fano_index", "b4", "c1_fourth", "genus", "finite_automorphisms")
+
+    def __init__(self, name, fano_index, b4, c1_fourth, genus=0, finite_automorphisms=False):
+        set_field(self, "name", name)
+        set_field(self, "fano_index", fano_index)
+        set_field(self, "b4", b4)
+        set_field(self, "c1_fourth", c1_fourth)
+        set_field(self, "genus", genus)   # 0 means: not a genus-indexed family
+        set_field(self, "finite_automorphisms", finite_automorphisms)
 
 
 def default_fano_table():
@@ -947,11 +959,13 @@ _INDEX_WITNESS = {
 }
 
 
-@dataclass(frozen=True)
-class FanoClassification:
-    survivors: tuple
-    traces: tuple        # ((name, (CheckItem, ...)), ...)
-    table_hash: str
+class FanoClassification(Record):
+    _fields = ("survivors", "traces", "table_hash")
+
+    def __init__(self, survivors, traces, table_hash):
+        set_field(self, "survivors", survivors)
+        set_field(self, "traces", traces)     # ((name, (CheckItem, ...)), ...)
+        set_field(self, "table_hash", table_hash)
 
 
 def classify_fano(records=None):
@@ -960,10 +974,15 @@ def classify_fano(records=None):
 
     Index-2 families must additionally match one of the two computable
     moment-interval volumes; a positive-dimensional symmetry group is
-    required throughout.
+    required throughout. A table must list every required family, each
+    name once.
     """
     records = default_fano_table() if records is None else tuple(records)
-    names = {r.name for r in records}
+    names = set()
+    for r in records:
+        if r.name in names:
+            raise ClassifyError("duplicate family record %r in the table" % (r.name,))
+        names.add(r.name)
     missing = [n for n in REQUIRED_FAMILY_NAMES if n not in names]
     if missing:
         raise ClassifyError("incomplete family table, missing: %s" % ", ".join(missing))

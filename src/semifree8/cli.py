@@ -8,7 +8,8 @@ Four subcommands:
     catalog [--name N]       the built-in datasets of the known actions
 
 Exit codes: 0 all checks pass, 1 some constraint fails, 2 malformed
-input (bad JSON, unknown names, inadmissible shapes, incomplete tables).
+input (bad JSON, unknown names, inadmissible shapes, incomplete tables or
+tables that list a family twice).
 Output for a fixed argument list is byte-stable; every subcommand takes
 --json for a machine-readable document instead of text.
 """

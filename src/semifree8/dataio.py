@@ -30,7 +30,6 @@ impossible action loads fine and then fails verification.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 from .localization import (
     FourDimExtremalNormal,
@@ -100,10 +99,10 @@ def _expect_summands(value, path):
     return tuple(tuple(pair) for pair in value)
 
 
-# each normal class reads its JSON fields under its dataclass field names
+# each normal class reads its JSON fields under its record field names
 _FIELDS = {"summands": _expect_summands, "c1": _expect_int, "c2": _expect_int,
            "minus": _expect_int_list, "plus": _expect_int_list}
-_NORMALS = {cls.kind: (cls, [(f.name, _FIELDS[f.name]) for f in fields(cls)])
+_NORMALS = {cls.kind: (cls, [(name, _FIELDS[name]) for name in cls._fields])
             for cls in (PointNormal, SurfaceNormal, FourDimExtremalNormal,
                         FourDimSplitNormal, SixDimNormal)}
 

@@ -14,7 +14,8 @@ as the reversed action reads its minimum):
   reduced space is the projectivized bundle (the ruled density).
 
 The ruled density is implemented twice: a stored closed form and an
-independent route through an exact reduced-space ring. Volumes are
+independent route through an exact reduced-space ring, which imports
+:mod:`semifree8.rings` only when it runs. Volumes are
 normalized so that the total moment-interval volume equals the integral
 of the fourth power of the symplectic class (a factor of 4 per unit of
 density, coming from the binomial normalization of the quartic).
@@ -25,7 +26,6 @@ with Sturm sequences; a zero at a wall is fine, a zero inside is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
@@ -37,7 +37,7 @@ from .model import (
     pass_fail,
 )
 from .polynomial import Poly, positive_on_open
-from .rings import ring_projectivized
+from .record import Record, set_field
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +54,7 @@ def dh_near_cp2(k2):
 def dh_from_ring(k2):
     """Same density computed from scratch: integrate the cube of the
     reduced class 2*eta + x*xi over the projectivized-bundle ring."""
+    from .rings import ring_projectivized
     ring = ring_projectivized(k2)
     w = 2 * ring.gen(0) + Poly.x() * ring.gen(1)
     out = (w ** 3).integrate()
@@ -111,17 +112,21 @@ def ruled_plane_k2(comp):
 # density profiles assembled from fixed point data
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DHPiece:
-    lo: Fraction
-    hi: Fraction
-    poly: Poly        # in the moment level variable
+class DHPiece(Record):
+    _fields = ("lo", "hi", "poly")
+
+    def __init__(self, lo, hi, poly):
+        set_field(self, "lo", lo)       # Fraction
+        set_field(self, "hi", hi)       # Fraction
+        set_field(self, "poly", poly)   # Poly in the moment level variable
 
 
-@dataclass(frozen=True)
-class DHProfile:
-    pieces: tuple
-    warnings: tuple   # WARN-level CheckItems about seams
+class DHProfile(Record):
+    _fields = ("pieces", "warnings")
+
+    def __init__(self, pieces, warnings):
+        set_field(self, "pieces", pieces)
+        set_field(self, "warnings", warnings)   # WARN-level CheckItems about seams
 
 
 def _end_pieces(data, end):

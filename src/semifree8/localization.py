@@ -17,23 +17,25 @@ them two independent ways:
   geometric series terminates after at most dim_C(F) + 1 terms.
 
 The two routes are kept separate on purpose and tested against each
-other; neither is ever defined in terms of the other.
+other; neither is ever defined in terms of the other. Only the oracle
+reads the component rings of :mod:`semifree8.rings`, so each oracle
+function imports them when called, and importing the package leaves them
+out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .rings import RingClass, ring_cpn, ring_p1xp1, ring_point
+from .record import Record, set_field
 
 
 # ----------------------------------------------------------------------
 # normal bundle data, one variant per fixed-component species
 # ----------------------------------------------------------------------
 
-class _Normal:
+class _Normal(Record):
     """Each variant states its own data: ``first_chern`` in the component's
     generator basis, the closed-form ``contribution(lam)`` for lam negative
     weights, ``reversed()`` for the circle running backwards, the
@@ -47,7 +49,6 @@ class _Normal:
         return self
 
 
-@dataclass(frozen=True)
 class PointNormal(_Normal):
     """Normal bundle of an isolated fixed point: the weights say it all."""
 
@@ -64,25 +65,23 @@ class PointNormal(_Normal):
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
 class SurfaceNormal(_Normal):
     """Rank-3 split normal bundle of a fixed 2-sphere.
 
     ``summands`` holds (degree, weight) pairs, weight -1 entries first.
     """
 
-    summands: tuple
-
+    _fields = ("summands",)
     kind = "surface"
 
-    def __post_init__(self):
-        pairs = tuple(sorted(((index(a), index(w)) for a, w in self.summands),
+    def __init__(self, summands):
+        pairs = tuple(sorted(((index(a), index(w)) for a, w in summands),
                              key=lambda p: (p[1], p[0])))
         if len(pairs) != 3:
             raise ValueError("a fixed surface has a rank-3 normal bundle")
         if any(w not in (-1, 1) for _, w in pairs):
             raise ValueError("normal weights of a surface must be -1 or +1")
-        object.__setattr__(self, "summands", pairs)
+        set_field(self, "summands", pairs)
 
     @property
     def first_chern(self):
@@ -110,7 +109,6 @@ class SurfaceNormal(_Normal):
         return {"kind": self.kind, "summands": [[d, w] for d, w in self.summands]}
 
 
-@dataclass(frozen=True)
 class FourDimExtremalNormal(_Normal):
     """Rank-2 normal bundle of an extremal 4-dim component, both weights equal.
 
@@ -118,14 +116,12 @@ class FourDimExtremalNormal(_Normal):
     c2 the integral of the second Chern class.
     """
 
-    c1: int
-    c2: int
-
+    _fields = ("c1", "c2")
     kind = "fourdim_extremal"
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", index(self.c1))
-        object.__setattr__(self, "c2", index(self.c2))
+    def __init__(self, c1, c2):
+        set_field(self, "c1", index(c1))
+        set_field(self, "c2", index(c2))
 
     @property
     def first_chern(self):
@@ -155,7 +151,6 @@ def _pairing(a, b):
     return a[0] * b[0] if len(a) == 1 else a[0] * b[1] + a[1] * b[0]
 
 
-@dataclass(frozen=True)
 class FourDimSplitNormal(_Normal):
     """L(-1) + L(+1) normal bundle of an interior 4-dim component.
 
@@ -164,16 +159,16 @@ class FourDimSplitNormal(_Normal):
     bidegree pair on P1xP1.
     """
 
-    minus: tuple
-    plus: tuple
-
+    _fields = ("minus", "plus")
     kind = "fourdim_split"
 
-    def __post_init__(self):
-        object.__setattr__(self, "minus", tuple(index(v) for v in self.minus))
-        object.__setattr__(self, "plus", tuple(index(v) for v in self.plus))
-        if len(self.minus) != len(self.plus) or len(self.minus) not in (1, 2):
+    def __init__(self, minus, plus):
+        minus = tuple(index(v) for v in minus)
+        plus = tuple(index(v) for v in plus)
+        if len(minus) != len(plus) or len(minus) not in (1, 2):
             raise ValueError("split normal bundle needs two c1 vectors of length 1 or 2")
+        set_field(self, "minus", minus)
+        set_field(self, "plus", plus)
 
     @property
     def first_chern(self):
@@ -202,16 +197,14 @@ class FourDimSplitNormal(_Normal):
         return {"kind": self.kind, "minus": list(self.minus), "plus": list(self.plus)}
 
 
-@dataclass(frozen=True)
 class SixDimNormal(_Normal):
     """Line normal bundle of a 6-dim extremal component, c1 = c1 * generator."""
 
-    c1: int
-
+    _fields = ("c1",)
     kind = "sixdim"
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", index(self.c1))
+    def __init__(self, c1):
+        set_field(self, "c1", index(c1))
 
     @property
     def first_chern(self):
@@ -252,6 +245,7 @@ class LaurentSeries:
 
     @classmethod
     def monomial(cls, ring, power, coeff):
+        from .rings import RingClass
         return cls(ring, {power: coeff if isinstance(coeff, RingClass) else ring.scalar(coeff)})
 
     def coefficient(self, k):
@@ -302,6 +296,7 @@ class LaurentSeries:
 
 
 def _split_classes(normal):
+    from .rings import ring_cpn, ring_p1xp1
     if len(normal.minus) == 1:
         ring = ring_cpn(2)
         u = normal.minus[0] * ring.gen(0)
@@ -321,6 +316,7 @@ def equivariant_euler_fourdim(normal, sign):
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
+    from .rings import ring_cpn
     ring = ring_cpn(2)
     h = ring.gen(0)
     return LaurentSeries(ring, {
@@ -332,6 +328,7 @@ def equivariant_euler_fourdim(normal, sign):
 
 def equivariant_euler(weights, normal):
     """The equivariant Euler class of the normal bundle, built exactly."""
+    from .rings import ring_cpn, ring_point
     nonzero = [w for w in weights if w]
     if isinstance(normal, PointNormal):
         ring = ring_point()

@@ -12,12 +12,14 @@ vocabulary (components, Betti numbers via localization of homology,
 structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
 
-A dataset computes what every rule reads of it once, on first use: its
-unique minimum and maximum, its interior components and its Betti vector
-(``FixedPointData.extremes``, ``interior`` and ``betti``). These are the
-only per-dataset copies; they are not dataclass fields, so equality,
-hashing and repr see the components only. ``oriented`` is computed on each
-call from them: it reverses the action only when ``dim_pair`` says so, which
+A component computes its Morse half-index ``lam`` and its ``level`` when
+it is built. A dataset computes what every rule reads of it once, on first
+use: its unique minimum and maximum, its interior components and its Betti
+vector (``FixedPointData.extremes``, ``interior`` and ``betti``). These are
+the only per-dataset copies; none of them is a record field, so equality,
+hashing and repr see the type, weights and normal data of a component and
+the components of a dataset only. ``oriented`` is computed on each call
+from them: it reverses the action only when ``dim_pair`` says so, which
 few inputs need.
 
 The public constructors take integers only: weights and Chern data go
@@ -27,9 +29,7 @@ TypeError instead of being truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import index
 
 from .localization import (
@@ -39,6 +39,7 @@ from .localization import (
     SixDimNormal,
     SurfaceNormal,
 )
+from .record import Record, lazy, set_field
 
 
 _BETTI = {"point": (1,), "cp1": (1, 1), "cp2": (1, 1, 1), "p1xp1": (1, 2, 1),
@@ -68,28 +69,21 @@ class ComponentType(Enum):
         return _TANGENT_C1[self._value_]
 
 
-@dataclass(frozen=True)
-class FixedComponent:
-    type: ComponentType
-    weights: tuple
-    normal: object
+class FixedComponent(Record):
+    """``lam`` is the number of negative weights, i.e. half the Morse index,
+    and ``level`` the moment map value, normalized to minus the weight sum."""
 
-    def __post_init__(self):
-        ws = tuple(sorted(index(w) for w in self.weights))
+    _fields = ("type", "weights", "normal")
+
+    def __init__(self, type, weights, normal):
+        ws = tuple(sorted(index(w) for w in weights))
         if len(ws) != 4:
             raise ValueError("a component of an 8-manifold carries exactly 4 weights")
-        object.__setattr__(self, "weights", ws)
-
-    # computed once; not dataclass fields, so __eq__, __hash__, repr are unchanged
-    @cached_property
-    def lam(self):
-        """Number of negative weights, i.e. half the Morse index."""
-        return sum(1 for w in self.weights if w < 0)
-
-    @cached_property
-    def level(self):
-        """Moment map value, normalized to minus the weight sum."""
-        return -sum(self.weights)
+        set_field(self, "type", type)
+        set_field(self, "weights", ws)
+        set_field(self, "normal", normal)
+        set_field(self, "lam", sum(1 for w in ws if w < 0))
+        set_field(self, "level", -sum(ws))
 
     @property
     def complex_dim(self):
@@ -99,16 +93,15 @@ class FixedComponent:
         return (self.level, self.type.value, self.weights)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    components: tuple
+class FixedPointData(Record):
+    _fields = ("components",)
 
-    def __post_init__(self):
-        comps = sorted(self.components, key=FixedComponent.sort_key)
+    def __init__(self, components):
+        comps = sorted(components, key=FixedComponent.sort_key)
         if any(a.weights == b.weights and a.type is b.type and a.normal != b.normal
                for a, b in zip(comps, comps[1:])):     # ties only repr(normal) orders
             comps.sort(key=lambda c: (c.sort_key(), repr(c.normal)))
-        object.__setattr__(self, "components", tuple(comps))
+        set_field(self, "components", tuple(comps))
 
     def __iter__(self):
         return iter(self.components)
@@ -116,8 +109,8 @@ class FixedPointData:
     def __len__(self):
         return len(self.components)
 
-    # computed once; not dataclass fields, so __eq__, __hash__, repr are unchanged
-    @cached_property
+    # computed once; not record fields, so __eq__, __hash__, repr are unchanged
+    @lazy
     def extremes(self):
         """(minimum, maximum): the one component with no negative weight and
         the one with lam = 4 - dim_C, each None when not unique."""
@@ -126,13 +119,13 @@ class FixedPointData:
         return (mins[0] if len(mins) == 1 else None,
                 maxs[0] if len(maxs) == 1 else None)
 
-    @cached_property
+    @lazy
     def interior(self):
         """The components other than the unique minimum and maximum."""
         lo, hi = self.extremes
         return tuple(c for c in self.components if c is not lo and c is not hi)
 
-    @cached_property
+    @lazy
     def betti(self):
         """Even Betti numbers (b0, b2, b4, b6, b8) by localization."""
         return tuple(kirwan_betti(self, i) for i in (0, 2, 4, 6, 8))
@@ -233,14 +226,14 @@ def rule_statement(check_id):
         raise ValueError("unknown check id %r" % (check_id,)) from None
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    id: str
-    verdict: str   # PASS / FAIL / WARN / INFO
-    detail: str = ""
+class CheckItem(Record):
+    _fields = ("id", "verdict", "detail")
 
-    def __post_init__(self):
-        rule_statement(self.id)
+    def __init__(self, id, verdict, detail=""):
+        rule_statement(id)
+        set_field(self, "id", id)
+        set_field(self, "verdict", verdict)   # PASS / FAIL / WARN / INFO
+        set_field(self, "detail", detail)
 
     @property
     def rule(self):

@@ -1,0 +1,74 @@
+"""Immutable value records, written by hand.
+
+Every value type of the package (fixed components and their normal data,
+check items, density pieces, enumeration results, the Fano table records)
+is a ``Record``: a class that names its fields once, in ``_fields``, and
+sets them in its own ``__init__`` through ``set_field`` (which is
+``object.__setattr__``). Equality, hashing and repr read those fields in
+that order, exactly as a frozen dataclass of the same fields would:
+
+>>> class Pair(Record):
+...     _fields = ("a", "b")
+...     def __init__(self, a, b):
+...         set_field(self, "a", a)
+...         set_field(self, "b", b)
+>>> Pair(1, (2,))
+Pair(a=1, b=(2,))
+>>> Pair(1, 2) == Pair(1, 2), hash(Pair(1, 2)) == hash((1, 2))
+(True, True)
+>>> Pair(1, 2).__eq__((1, 2))
+NotImplemented
+>>> Pair(1, 2).a = 3
+Traceback (most recent call last):
+AttributeError: cannot assign to field 'a'
+
+An attribute outside ``_fields`` (a value an ``__init__`` precomputes, a
+``lazy`` value) is invisible to all three.
+"""
+
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the frozen value types; see the module docstring."""
+
+    _fields = ()
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class lazy:
+    """A value computed on its first read and kept in the instance dict,
+    where later reads find it first. Unlike ``functools.cached_property``
+    before Python 3.12 it takes no lock; the values it holds are pure
+    functions of the record, so a second computation is harmless."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value

@@ -1,7 +1,5 @@
 """Case analysis: rules, per-shape enumeration, catalog, Fano filter."""
 
-from dataclasses import replace
-
 import pytest
 
 from semifree8 import classify
@@ -408,7 +406,9 @@ def test_index_witness_pins_b4(name, index, b4, pinned):
     # the b4 each witnessing pattern pins for index 3, 4 and 5
     assert not [it for _, items in classify_fano().traces for it in items
                 if it.verdict == "WARN"]
-    records = [replace(r, b4=b4) if r.name == name else r for r in default_fano_table()]
+    records = [FanoFamilyRecord(r.name, r.fano_index, b4, r.c1_fourth, r.genus,
+                                r.finite_automorphisms) if r.name == name else r
+               for r in default_fano_table()]
     assert [r.fano_index for r in records if r.name == name] == [index]
     result = classify_fano(records)
     warns = [it.detail for it in dict(result.traces)[name]

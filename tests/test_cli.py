@@ -157,6 +157,19 @@ def test_classify_fano_incomplete_table(tmp_path, capsys):
     assert "missing" in err
 
 
+def test_classify_fano_duplicate_family(tmp_path, capsys):
+    table = [{"name": r.name, "fano_index": r.fano_index, "b4": r.b4,
+              "c1_fourth": r.c1_fourth, "genus": r.genus,
+              "finite_automorphisms": r.finite_automorphisms}
+             for r in default_fano_table()]
+    table.append(next(dict(node) for node in table if node["name"] == "Q4"))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert code == 2 and not out
+    assert err == "error: duplicate family record 'Q4' in the table\n"
+
+
 def test_json_documents_parse(capsys):
     code, out, _ = run(capsys, "enumerate", "--json", "--shape", "0,4")
     assert code == 0

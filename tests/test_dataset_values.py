@@ -1,12 +1,12 @@
 """The per-dataset values, computed once, against the scans they replaced.
 
 `FixedPointData` computes its unique minimum and maximum, its interior
-components and its Betti vector once, as cached properties that are not
-dataclass fields; `oriented` reads them on each call, reversing the action
-only when `dim_pair` says so. The oracle is the earlier route: scan the
-components on every call, and rebuild the reversed dataset for every
-orientation. Equality, hashing, repr and the dataclass fields must not see
-the cached values.
+components and its Betti vector once, as lazy values that are not record
+fields; `oriented` reads them on each call, reversing the action only when
+`dim_pair` says so. The oracle is the earlier route: scan the components
+on every call, and rebuild the reversed dataset for every orientation.
+Equality, hashing, repr and the record fields must not see the cached
+values.
 
 The components of a dataset are sorted by (level, type, weights) and, only
 where that key ties and the normal data differ, by the normal's repr. The
@@ -14,7 +14,6 @@ oracle for that order is the old sort key, which formatted the repr for
 every component.
 """
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -108,8 +107,8 @@ def check_against_oracle(data):
             assert got[2:] == want[2:]
             assert dim_pair(data) == (want[0], want[1] is not data)
             assert (got[1] is data) == (want[1] is data)
-    # the cached values are invisible to the dataclass machinery
-    assert [f.name for f in dataclasses.fields(data)] == ["components"]
+    # the cached values are invisible to the record machinery
+    assert type(data)._fields == ("components",)
     assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
     assert repr(data) == "FixedPointData(components=%r)" % (data.components,)
     assert hash(data) == hash((data.components,))

@@ -1,0 +1,177 @@
+"""The package's value types against frozen dataclasses of the same fields.
+
+Every record type is a plain class on `semifree8.record.Record`. The oracle
+is the formula a frozen dataclass would give, built here with
+`dataclasses.make_dataclass` from the field list stated below: repr text,
+hash, equality, `NotImplemented` against another class, no ordering, and
+no assignment or deletion of any attribute. `Family.builder` is a field
+that neither equality nor repr sees, as `field(compare=False, repr=False)`
+stated it.
+"""
+
+import dataclasses
+
+import pytest
+
+from semifree8.classify import (
+    EnumerationResult,
+    Family,
+    FanoClassification,
+    FanoFamilyRecord,
+    Rejection,
+    ShapeAssessment,
+    admissible_dim_pairs,
+    catalog,
+    classify_fano,
+    default_fano_table,
+    enumerate_case,
+)
+from semifree8.dh import DHPiece, DHProfile, dh_profile
+from semifree8.localization import (
+    FourDimExtremalNormal,
+    FourDimSplitNormal,
+    PointNormal,
+    SixDimNormal,
+    SurfaceNormal,
+)
+from semifree8.model import CheckItem, FixedComponent, FixedPointData, point_component
+
+
+def _x8():
+    return catalog()["x8-six-points"]
+
+
+def _table_with(name, **changes):
+    out = []
+    for r in default_fano_table():
+        fields = {f: getattr(r, f) for f in FIELDS[FanoFamilyRecord]}
+        if r.name == name:
+            fields.update(changes)
+        out.append(FanoFamilyRecord(**fields))
+    return out
+
+
+# the fields of each type, in order, as its dataclass declared them
+FIELDS = {
+    FixedComponent: ("type", "weights", "normal"),
+    FixedPointData: ("components",),
+    CheckItem: ("id", "verdict", "detail"),
+    PointNormal: (),
+    SurfaceNormal: ("summands",),
+    FourDimExtremalNormal: ("c1", "c2"),
+    FourDimSplitNormal: ("minus", "plus"),
+    SixDimNormal: ("c1",),
+    DHPiece: ("lo", "hi", "poly"),
+    DHProfile: ("pieces", "warnings"),
+    ShapeAssessment: ("shape", "admissible", "trace"),
+    Family: ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "builder",
+             "n2_max"),
+    Rejection: ("candidate", "rule_id", "detail"),
+    EnumerationResult: ("shape", "b4_max", "families", "rejections"),
+    FanoFamilyRecord: ("name", "fano_index", "b4", "c1_fourth", "genus",
+                       "finite_automorphisms"),
+    FanoClassification: ("survivors", "traces", "table_hash"),
+}
+
+# (type, an instance, an unequal instance of the same type or None)
+CASES = [
+    (FixedComponent, lambda: point_component((1, 1, 1, 1)),
+     lambda: point_component((-1, 1, 1, 1))),
+    (FixedPointData, lambda: catalog()["q4-two-planes"], lambda: catalog()["q4-interior-quadric"]),
+    (CheckItem, lambda: CheckItem("semi-free", "PASS", "4 weights checked"),
+     lambda: CheckItem("semi-free", "FAIL", "4 weights checked")),
+    (PointNormal, PointNormal, None),
+    (SurfaceNormal, lambda: SurfaceNormal(((1, 1), (1, 1), (1, 1))),
+     lambda: SurfaceNormal(((3, -1), (2, 1), (2, 1)))),
+    (FourDimExtremalNormal, lambda: FourDimExtremalNormal(-1, 4),
+     lambda: FourDimExtremalNormal(-1, 5)),
+    (FourDimSplitNormal, lambda: FourDimSplitNormal((1, 1), (1, 1)),
+     lambda: FourDimSplitNormal((1, 0), (0, 1))),
+    (SixDimNormal, lambda: SixDimNormal(1), lambda: SixDimNormal(2)),
+    (DHPiece, lambda: dh_profile(_x8()).pieces[0], lambda: dh_profile(_x8()).pieces[1]),
+    (DHProfile, lambda: dh_profile(_x8()), lambda: dh_profile(catalog()["w5-surface-and-plane"])),
+    (ShapeAssessment, lambda: admissible_dim_pairs()[(0, 4)],
+     lambda: admissible_dim_pairs()[(2, 6)]),
+    (Family, lambda: enumerate_case((0, 4)).families[0],
+     lambda: enumerate_case((0, 4)).families[1]),
+    (Rejection, lambda: enumerate_case((4, 4)).rejections[0],
+     lambda: enumerate_case((4, 4)).rejections[1]),
+    (EnumerationResult, lambda: enumerate_case((0, 6)), lambda: enumerate_case((2, 4))),
+    (FanoFamilyRecord, lambda: default_fano_table()[0], lambda: default_fano_table()[1]),
+    (FanoClassification, classify_fano, lambda: classify_fano(_table_with("Q4", b4=7))),
+]
+
+
+def oracle_type(cls):
+    """A frozen dataclass with cls's name and fields."""
+    return dataclasses.make_dataclass(cls.__qualname__, [
+        (name, object, dataclasses.field(compare=False, repr=False))
+        if (cls, name) == (Family, "builder") else (name, object)
+        for name in FIELDS[cls]], frozen=True)
+
+
+def test_every_record_type_is_covered():
+    assert [cls for cls, _, _ in CASES] == list(FIELDS) and len(FIELDS) == 16
+
+
+@pytest.mark.parametrize("cls, make, make_other", CASES, ids=[c.__name__ for c, _, _ in CASES])
+def test_record_semantics(cls, make, make_other):
+    oracle = oracle_type(cls)
+
+    def twin(rec):
+        return oracle(**{name: getattr(rec, name) for name in FIELDS[cls]})
+
+    rec = make()
+    assert type(rec) is cls
+    fresh = cls(**{name: getattr(rec, name) for name in FIELDS[cls]})
+    assert fresh is not rec
+
+    assert repr(rec) == repr(twin(rec)) == repr(fresh)
+    assert repr(rec) == "%s(%s)" % (cls.__qualname__, ", ".join(
+        "%s=%r" % (name, getattr(rec, name)) for name in FIELDS[cls] if name != "builder"))
+    assert hash(rec) == hash(twin(rec)) == hash(fresh)
+    assert rec == fresh and not rec != fresh
+
+    # another class with the same fields, and any other object, is unequal
+    assert rec.__eq__(twin(rec)) is NotImplemented
+    assert rec.__eq__(object()) is NotImplemented
+    assert rec != twin(rec) and not rec == twin(rec)
+    with pytest.raises(TypeError):
+        rec < fresh
+
+    if make_other is not None:
+        other = make_other()
+        assert (rec == other) is (twin(rec) == twin(other)) is False
+        assert rec != other
+
+    before = repr(rec)
+    for name in FIELDS[cls] + ("lam", "extremes", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert repr(rec) == before
+
+
+def test_family_builder_is_not_compared():
+    family = enumerate_case((0, 0)).families[0]
+    fields = {name: getattr(family, name) for name in FIELDS[Family]}
+    other = Family(**dict(fields, builder=lambda n2: None))
+    assert other == family and hash(other) == hash(family) and repr(other) == repr(family)
+    assert Family(**dict(fields, n2_max=1)) != family
+
+
+def test_keyword_defaults():
+    assert FanoFamilyRecord("P4", 5, 1, 625) == FanoFamilyRecord(
+        "P4", 5, 1, 625, genus=0, finite_automorphisms=False)
+    assert CheckItem("semi-free", "PASS").detail == ""
+    family = enumerate_case((0, 0)).families[0]
+    assert family.n2_max == 0 and family.n2_min == 0
+    assert Family(*[getattr(family, n) for n in FIELDS[Family][:-1]]) == family
+
+
+def test_precomputed_component_values_are_not_fields():
+    comp = point_component((-1, -1, 1, 1))
+    assert (comp.lam, comp.level) == (2, 0)
+    assert "lam" not in repr(comp) and hash(comp) == hash((comp.type, comp.weights,
+                                                           comp.normal))
