@@ -30,7 +30,6 @@ ones, whose index witnesses read their b4 from the family table.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cache
 from itertools import product
@@ -941,6 +940,8 @@ _X8M_VOLUME = next(r.c1_fourth for r in default_fano_table() if r.name == "X8m")
 
 
 def fano_table_hash(records=None):
+    import hashlib      # here, not at the top: only the table hash reads it
+
     records = default_fano_table() if records is None else records
     doc = [{
         "name": r.name, "fano_index": r.fano_index, "b4": r.b4,

@@ -8,8 +8,8 @@ Four subcommands:
     catalog [--name N]       the built-in datasets of the known actions
 
 Exit codes: 0 all checks pass, 1 some constraint fails, 2 malformed
-input (bad JSON, unknown names, inadmissible shapes, incomplete tables or
-tables that list a family twice).
+input (bad JSON, unknown names, inadmissible shapes, incomplete tables,
+tables that list a family twice, or `catalog --emit file` without --name).
 Output for a fixed argument list is byte-stable; every subcommand takes
 --json for a machine-readable document instead of text.
 """
@@ -240,6 +240,8 @@ def _cmd_classify_fano(args, out):
 # ----------------------------------------------------------------------
 
 def _cmd_catalog(args, out):
+    if args.emit == "file" and args.name is None:
+        raise ClassifyError("--emit file needs --name")
     entries = catalog()
     if args.name is None:
         if args.json:

@@ -56,7 +56,7 @@ class DataError(ValueError):
 _TYPES = {t.value: t for t in ComponentType}
 
 
-def _expect_int(value, path):
+def _expect_int(value, path=""):
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError("expected an integer, got %r" % (value,), path)
     return value
@@ -74,28 +74,45 @@ def _expect_bool(value, path):
     return value
 
 
-# The element paths below are formatted only for a node that fails the
-# exact-type fast test; the general check then decides, so valid input
-# builds no path and an int or list subclass still passes.
+# A reader raises with the path of the failing node relative to the node
+# it reads, and each parent prefixes its own step (``_at``) on the way out,
+# so a valid document formats no path at all. A list of integers first
+# takes an exact-type fast test; only one that fails it goes through the
+# general checks, which let an int or list subclass still pass.
 
-def _expect_int_list(value, path, length=None):
+def _at(step, read, *args):
+    """read(*args); a DataError from it gets the step to the node it read
+    (a key, or an int for a list index) prefixed to its path."""
+    try:
+        return read(*args)
+    except DataError as exc:
+        step = "[%d]" % step if type(step) is int else step
+        exc.path = step + ("." + exc.path if exc.path[:1] not in ("", "[") else exc.path)
+        raise
+
+
+def _read_each(read, nodes):
+    return [_at(i, read, node) for i, node in enumerate(nodes)]
+
+
+def _expect_int_list(value, length=None):
     if not isinstance(value, list):
-        raise DataError("expected a list, got %r" % (value,), path)
+        raise DataError("expected a list, got %r" % (value,))
     if length is not None and len(value) != length:
-        raise DataError("expected %d entries, got %d" % (length, len(value)), path)
+        raise DataError("expected %d entries, got %d" % (length, len(value)))
     for i, v in enumerate(value):
         if type(v) is not int:
-            _expect_int(v, "%s[%d]" % (path, i))
+            _expect_int(v, "[%d]" % i)
     return value
 
 
-def _expect_summands(value, path):
+def _expect_summands(value):
     if not isinstance(value, list) or len(value) != 3:
-        raise DataError("surface normals need exactly 3 summands", path)
+        raise DataError("surface normals need exactly 3 summands")
     for i, pair in enumerate(value):
         if not (type(pair) is list and len(pair) == 2
                 and type(pair[0]) is int and type(pair[1]) is int):
-            _expect_int_list(pair, "%s[%d]" % (path, i), 2)
+            _at(i, _expect_int_list, pair, 2)
     return tuple(tuple(pair) for pair in value)
 
 
@@ -107,33 +124,32 @@ _NORMALS = {cls.kind: (cls, [(name, _FIELDS[name]) for name in cls._fields])
                         FourDimSplitNormal, SixDimNormal)}
 
 
-def _parse_normal(node, path):
+def _parse_normal(node):
     if not isinstance(node, dict):
-        raise DataError("expected an object, got %r" % (node,), path)
+        raise DataError("expected an object, got %r" % (node,))
     kind = node.get("kind")
     if not isinstance(kind, str) or kind not in _NORMALS:
-        raise DataError("unknown normal kind %r" % (kind,), path + ".kind")
+        raise DataError("unknown normal kind %r" % (kind,), "kind")
     cls, readers = _NORMALS[kind]
-    args = [read(node.get(name), "%s.%s" % (path, name)) for name, read in readers]
+    args = [_at(name, read, node.get(name)) for name, read in readers]
     try:
         return cls(*args)
     except ValueError as exc:
-        raise DataError(str(exc), path)
+        raise DataError(str(exc))
 
 
-def _parse_component(node, path):
+def _parse_component(node):
     if not isinstance(node, dict):
-        raise DataError("expected an object, got %r" % (node,), path)
+        raise DataError("expected an object, got %r" % (node,))
     tname = node.get("type")
     if not isinstance(tname, str) or tname not in _TYPES:
         raise DataError("unknown component type %r (expected one of %s)"
-                        % (tname, ", ".join(sorted(_TYPES))), path + ".type")
-    weights = _expect_int_list(node.get("weights"), path + ".weights", 4)
-    normal = _parse_normal(node.get("normal"), path + ".normal")
-    try:
-        return FixedComponent(_TYPES[tname], tuple(weights), normal)
-    except ValueError as exc:
-        raise DataError(str(exc), path)
+                        % (tname, ", ".join(sorted(_TYPES))), "type")
+    weights = node.get("weights")
+    if not (type(weights) is list and len(weights) == 4 and type(weights[0])
+            is type(weights[1]) is type(weights[2]) is type(weights[3]) is int):
+        _at("weights", _expect_int_list, weights, 4)
+    return FixedComponent(_TYPES[tname], weights, _at("normal", _parse_normal, node.get("normal")))
 
 
 def parse_document(doc):
@@ -149,9 +165,7 @@ def parse_document(doc):
     comps = doc.get("components")
     if not isinstance(comps, list) or not comps:
         raise DataError("components must be a non-empty list", "components")
-    parsed = tuple(_parse_component(node, "components[%d]" % i)
-                   for i, node in enumerate(comps))
-    return FixedPointData(parsed)
+    return FixedPointData(_at("components", _read_each, _parse_component, comps))
 
 
 def loads_data(text):

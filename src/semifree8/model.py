@@ -12,8 +12,10 @@ vocabulary (components, Betti numbers via localization of homology,
 structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
 
-A component computes its Morse half-index ``lam`` and its ``level`` when
-it is built. A dataset computes what every rule reads of it once, on first
+A component computes its Morse half-index ``lam``, its ``level`` and its
+``complex_dim`` when it is built; the members of ``ComponentType`` carry
+their complex dimension, Betti numbers and tangent Chern class as plain
+attributes. A dataset computes what every rule reads of it once, on first
 use: its unique minimum and maximum, its interior components and its Betti
 vector (``FixedPointData.extremes``, ``interior`` and ``betti``). These are
 the only per-dataset copies; none of them is a record field, so equality,
@@ -29,6 +31,7 @@ TypeError instead of being truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from operator import index
 
@@ -42,6 +45,8 @@ from .localization import (
 from .record import Record, lazy, set_field
 
 
+# per type: the even Betti numbers (b0, b2, ..) up to the top degree, and
+# the first Chern class of the tangent bundle in the generator basis
 _BETTI = {"point": (1,), "cp1": (1, 1), "cp2": (1, 1, 1), "p1xp1": (1, 2, 1),
           "cp3": (1, 1, 1, 1)}
 _TANGENT_C1 = {"point": (), "cp1": (2,), "cp2": (3,), "p1xp1": (2, 2), "cp3": (4,)}
@@ -54,43 +59,32 @@ class ComponentType(Enum):
     P1XP1 = "p1xp1"
     CP3 = "cp3"
 
-    @property
-    def complex_dim(self):
-        return len(_BETTI[self._value_]) - 1
-
-    @property
-    def betti(self):
-        """Even Betti numbers (b0, b2, ..) up to the top degree."""
-        return _BETTI[self._value_]
-
-    @property
-    def tangent_c1(self):
-        """First Chern class of the component in its generator basis."""
-        return _TANGENT_C1[self._value_]
+    def __init__(self, value):
+        self.betti = _BETTI[value]
+        self.complex_dim = len(self.betti) - 1
+        self.tangent_c1 = _TANGENT_C1[value]
 
 
 class FixedComponent(Record):
     """``lam`` is the number of negative weights, i.e. half the Morse index,
-    and ``level`` the moment map value, normalized to minus the weight sum."""
+    ``level`` the moment map value, normalized to minus the weight sum, and
+    ``complex_dim`` the complex dimension of the type."""
 
     _fields = ("type", "weights", "normal")
 
     def __init__(self, type, weights, normal):
-        ws = tuple(sorted(index(w) for w in weights))
+        ws = tuple(sorted(map(index, weights)))
         if len(ws) != 4:
             raise ValueError("a component of an 8-manifold carries exactly 4 weights")
         set_field(self, "type", type)
         set_field(self, "weights", ws)
         set_field(self, "normal", normal)
-        set_field(self, "lam", sum(1 for w in ws if w < 0))
+        set_field(self, "lam", bisect_left(ws, 0))     # ws is sorted
         set_field(self, "level", -sum(ws))
-
-    @property
-    def complex_dim(self):
-        return self.type.complex_dim
+        set_field(self, "complex_dim", type.complex_dim)
 
     def sort_key(self):
-        return (self.level, self.type.value, self.weights)
+        return (self.level, self.type._value_, self.weights)
 
 
 class FixedPointData(Record):
@@ -127,8 +121,13 @@ class FixedPointData(Record):
 
     @lazy
     def betti(self):
-        """Even Betti numbers (b0, b2, b4, b6, b8) by localization."""
-        return tuple(kirwan_betti(self, i) for i in (0, 2, 4, 6, 8))
+        """Even Betti numbers (b0, b2, b4, b6, b8) by localization: each
+        component adds the Betti numbers of its type, shifted up by lam."""
+        b = [0, 0, 0, 0, 0]
+        for c in self.components:
+            for j, x in enumerate(c.type.betti[:5 - c.lam], c.lam):
+                b[j] += x
+        return tuple(b)
 
 
 # ----------------------------------------------------------------------
@@ -274,10 +273,8 @@ class ConstraintReport:
         return "<report %s, %d checks>" % ("PASS" if self.ok else "FAIL", len(self.items))
 
 
-def pass_fail(check_id, good, detail, fail_detail=None):
-    """A PASS or FAIL item; a FAIL takes fail_detail when one is given."""
-    if not good and fail_detail is not None:
-        detail = fail_detail
+def pass_fail(check_id, good, detail):
+    """A PASS or FAIL item with the detail of that verdict."""
     return CheckItem(check_id, "PASS" if good else "FAIL", detail)
 
 
@@ -369,32 +366,35 @@ def area_realizable(comp, area):
 # structural validation
 # ----------------------------------------------------------------------
 
-def _normal_matches(comp):
-    t, n, ws = comp.type, comp.normal, comp.weights
-    nonzero = tuple(w for w in ws if w)
+def _normal_mismatch(comp):
+    """None when the normal data of the component fits its type and
+    weights, else the reason it does not."""
+    t, n = comp.type, comp.normal
     if t is ComponentType.POINT:
-        return isinstance(n, PointNormal), "isolated point carries no Chern data"
+        return None if isinstance(n, PointNormal) else "isolated point carries no Chern data"
+    nonzero = [w for w in comp.weights if w]      # sorted, as the weights are
     if t is ComponentType.CP1:
         if not isinstance(n, SurfaceNormal):
-            return False, "fixed sphere needs a rank-3 split normal bundle"
-        got = tuple(sorted(w for _, w in n.summands))
-        want = tuple(sorted(nonzero))
-        return got == want, "summand weights %s vs nonzero weights %s" % (got, want)
+            return "fixed sphere needs a rank-3 split normal bundle"
+        got = tuple(w for _, w in n.summands)     # sorted: weight -1 summands first
+        want = tuple(nonzero)
+        return None if got == want else "summand weights %s vs nonzero weights %s" % (got, want)
     if t is ComponentType.CP2:
         if isinstance(n, FourDimExtremalNormal):
-            return len(set(nonzero)) == 1, "equal-weight rank-2 bundle on an extremal plane"
+            return None if len(set(nonzero)) == 1 else \
+                "equal-weight rank-2 bundle on an extremal plane"
         if isinstance(n, FourDimSplitNormal):
-            return sorted(nonzero) == [-1, 1] and len(n.minus) == 1, \
+            return None if nonzero == [-1, 1] and len(n.minus) == 1 else \
                 "interior plane needs weights -1,+1 and scalar c1 data"
-        return False, "plane needs rank-2 normal data"
+        return "plane needs rank-2 normal data"
     if t is ComponentType.P1XP1:
-        return (isinstance(n, FourDimSplitNormal) and len(n.minus) == 2
-                and sorted(nonzero) == [-1, 1]), \
+        return None if (isinstance(n, FourDimSplitNormal) and len(n.minus) == 2
+                        and nonzero == [-1, 1]) else \
             "interior quadric surface needs weights -1,+1 and bidegree c1 data"
     if t is ComponentType.CP3:
-        return isinstance(n, SixDimNormal) and len(nonzero) == 1, \
+        return None if isinstance(n, SixDimNormal) and len(nonzero) == 1 else \
             "six-dimensional component needs a line normal bundle"
-    return False, "unknown component type"
+    return "unknown component type"
 
 
 # the checks that make normal bundle data well typed; every rule after
@@ -403,58 +403,55 @@ STRUCTURAL = ("semi-free", "weight-zeros", "normal-variant")
 
 
 def validate(data):
-    """Structural checks every dataset must pass before any classification."""
-    rep = ConstraintReport()
-    all_w = [w for c in data for w in c.weights]
-    rep.append(pass_fail(
-        "semi-free", all(w in (-1, 0, 1) for w in all_w),
-        "%d weights checked" % len(all_w),
-        "offending weights %s" % sorted({w for w in all_w if w not in (-1, 0, 1)})))
+    """Structural checks every dataset must pass before any classification:
+    one pass over the components, then each check formats the detail of
+    the verdict it reports only."""
+    comps = data.components
+    bad, zeros_ok, n_min, mismatched, nonpositive = set(), True, 0, [], []
+    for c in comps:
+        ws = c.weights                  # sorted: a weight outside {-1, 0, 1} sits at an end
+        if ws[0] < -1 or ws[3] > 1:
+            bad.update(w for w in ws if not -1 <= w <= 1)
+        zeros_ok = zeros_ok and ws.count(0) == c.complex_dim
+        n_min += not c.lam
+        why = _normal_mismatch(c)
+        if why is not None:
+            mismatched.append("%s: %s" % (c.type._value_, why))
+        elif c.complex_dim:             # well typed and not a point: [w] restricts
+            coeffs = omega_coefficients(c)
+            if min(coeffs) < 1:
+                nonpositive.append((c.type._value_, coeffs))
 
-    ok = all(sum(1 for w in c.weights if w == 0) == c.complex_dim for c in data)
-    rep.append(pass_fail(
-        "weight-zeros", ok, "zero count matches dim_C on all components",
-        "some component has zero count != dim_C"))
-
-    matches = [(c, _normal_matches(c)) for c in data]
-    rep.append(pass_fail(
-        "normal-variant", all(good for _, (good, _) in matches),
-        "all %d normal bundles well-typed" % len(data),
-        "; ".join("%s: %s" % (c.type.value, why) for c, (good, why) in matches if not good)))
-
-    n_min = sum(1 for c in data if c.lam == 0)
-    rep.append(pass_fail("unique-minimum", n_min == 1, "one minimum", "%d candidate minima" % n_min))
-
-    bv = betti_vector(data)
-    rep.append(pass_fail("unique-maximum", bv[4] == 1, "b8 = 1", "b8 = %d" % bv[4]))
-
-    lo, hi = data.extremes
+    bv, (lo, hi) = data.betti, data.extremes
     if lo is not None and hi is not None and lo is not hi:
-        inner = data.interior
-        ok = all(lo.level < c.level < hi.level for c in inner) and lo.level < hi.level
-        rep.append(pass_fail(
-            "level-order", ok, "levels %s" % sorted(c.level for c in data),
-            "levels %s violate min < interior < max" % sorted(c.level for c in data)))
+        # the components come in level order: min < interior < max says that
+        # lo comes first and hi last, each alone at its level
+        levels = [c.level for c in comps]
+        ok = (comps[0] is lo and comps[-1] is hi
+              and levels[0] < levels[1] and levels[-2] < levels[-1])
+        order = pass_fail("level-order", ok, ("levels %s" if ok else
+                                              "levels %s violate min < interior < max") % levels)
     else:
-        rep.append(CheckItem("level-order", "FAIL", "no unique extrema to order against"))
-
-    rep.append(pass_fail("kirwan-b2", bv[1] == 1, "b2 = 1", "b2 = %d" % bv[1]))
-    rep.append(pass_fail(
-        "poincare", bv == bv[::-1], "b = %s" % (bv,), "b = %s is not palindromic" % (bv,)))
-
-    rep.append(pass_fail("b4-positive", bv[2] >= 1, "b4 = %d" % bv[2]))
-
-    bad = []
-    for c, (good, _) in matches:
-        if not good:
-            continue  # the normal-variant check has already flagged this one
-        coeffs = omega_coefficients(c)
-        if coeffs is not None and any(e < 1 for e in coeffs):
-            bad.append((c.type.value, coeffs))
-    rep.append(pass_fail(
-        "monotone-positive", not bad, "restrictions positive on all components",
-        "nonpositive restriction on %s" % bad))
-    return rep
+        order = CheckItem("level-order", "FAIL", "no unique extrema to order against")
+    palindromic = bv == bv[::-1]
+    return ConstraintReport([
+        pass_fail("semi-free", not bad, "offending weights %s" % sorted(bad) if bad
+                  else "%d weights checked" % (4 * len(comps))),
+        pass_fail("weight-zeros", zeros_ok, "zero count matches dim_C on all components"
+                  if zeros_ok else "some component has zero count != dim_C"),
+        pass_fail("normal-variant", not mismatched, "; ".join(mismatched) if mismatched
+                  else "all %d normal bundles well-typed" % len(comps)),
+        pass_fail("unique-minimum", n_min == 1,
+                  "one minimum" if n_min == 1 else "%d candidate minima" % n_min),
+        pass_fail("unique-maximum", bv[4] == 1, "b8 = %d" % bv[4]),
+        order,
+        pass_fail("kirwan-b2", bv[1] == 1, "b2 = %d" % bv[1]),
+        pass_fail("poincare", palindromic,
+                  ("b = %s" if palindromic else "b = %s is not palindromic") % (bv,)),
+        pass_fail("b4-positive", bv[2] >= 1, "b4 = %d" % bv[2]),
+        pass_fail("monotone-positive", not nonpositive, "nonpositive restriction on %s"
+                  % nonpositive if nonpositive else "restrictions positive on all components"),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -476,7 +473,7 @@ def signature_check(data):
     si = sum(c.normal.c2 for c in data if c.complex_dim == 2)
     b4 = data.betti[2]
     return pass_fail("signature-self-intersection", si == b4,
-                     "self-intersection %s = b4" % si,
+                     "self-intersection %s = b4" % si if si == b4 else
                      "self-intersection %s but b4 = %d" % (si, b4))
 
 
@@ -493,7 +490,7 @@ def reverse_action(data):
 
 def fingerprint(data):
     """Sorted component fingerprints; equal exactly when fp_equivalent."""
-    return tuple(sorted((c.type.value, c.weights) + c.normal.fingerprint for c in data))
+    return tuple(sorted((c.type._value_, c.weights) + c.normal.fingerprint for c in data))
 
 
 def fp_equivalent(a, b):

@@ -46,6 +46,11 @@ def test_catalog_unknown_name(capsys):
     assert "unknown catalog entry" in err
 
 
+def test_catalog_emit_file_needs_a_name(capsys):
+    code, out, err = run(capsys, "catalog", "--emit", "file")
+    assert (code, out, err) == (2, "", "error: --emit file needs --name\n")
+
+
 def test_verify_fails_on_weight_two(tmp_path, capsys):
     doc = {
         "dimension": 8, "b2": 1,

@@ -4,7 +4,8 @@ Every command runs in a new process, so each module the import pulls in
 is compiled and executed on every call. The package needs neither the
 dataclass machinery (with `inspect` and the rest that `dataclasses`
 imports) nor the component rings, which only the independent oracles
-read: those import `semifree8.rings` when they run.
+read: those import `semifree8.rings` when they run. Nor does it need
+`hashlib` until a command prints the family table's hash.
 """
 
 import os
@@ -44,4 +45,4 @@ def test_cli_import_footprint():
     assert lines[1:] == ["oracles ok"]
     added = set(lines[0].split()) - set(bare.split())
     assert {"semifree8.cli", "semifree8.classify", "semifree8.localization"} <= added
-    assert not added & {"dataclasses", "inspect", "semifree8.rings"}, sorted(added)
+    assert not added & {"dataclasses", "hashlib", "inspect", "semifree8.rings"}, sorted(added)
