@@ -5,8 +5,9 @@ import json
 import pytest
 
 from semifree8 import classify
-from semifree8.classify import B4_MAX_LIMIT, default_fano_table
+from semifree8.classify import B4_MAX_LIMIT, catalog, default_fano_table
 from semifree8.cli import main
+from semifree8.dataio import dump_data, dumps_data, load_data
 
 
 def run(capsys, *argv):
@@ -248,3 +249,70 @@ def test_classify_fano_table_field_types(tmp_path, capsys, field, value, expect)
     code, out, err = run(capsys, "classify-fano", "--table", str(path))
     assert code == 2 and not out
     assert err == "error: %s (at %s[3].%s)\n" % (expect, path, field)
+
+
+def _write_table(tmp_path, table, text=None):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table) if text is None else text)
+    return path
+
+
+def test_classify_fano_table_missing_field(tmp_path, capsys):
+    table = [dict(rec) for rec in _GOOD_RECORDS]
+    del table[3]["b4"]
+    path = _write_table(tmp_path, table)
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: record is missing the 'b4' field (at %s[3])\n" % path
+
+
+def test_classify_fano_table_record_not_an_object(tmp_path, capsys):
+    table = [dict(rec) for rec in _GOOD_RECORDS]
+    table[3] = ["W5", 3, 2, 405]
+    path = _write_table(tmp_path, table)
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected an object (at %s[3])\n" % path
+
+
+def test_classify_fano_table_not_an_array(tmp_path, capsys):
+    path = _write_table(tmp_path, {"records": _GOOD_RECORDS})
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a family table is a JSON array of records (at %s)\n" % path
+
+
+def test_classify_fano_table_invalid_json(tmp_path, capsys):
+    text = json.dumps(_GOOD_RECORDS)[:-2]
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    path = _write_table(tmp_path, None, text)
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: %s (at %s)\n" % (exc.value, path)
+
+
+def test_classify_fano_table_optional_fields(tmp_path, capsys):
+    """A record without genus or finite_automorphisms reads them as 0 and
+    false: the table classifies, and hashes, as the built-in one."""
+    full = _write_table(tmp_path, _GOOD_RECORDS)
+    records = [{key: value for key, value in rec.items()
+                if (key, value) not in (("genus", 0), ("finite_automorphisms", False))}
+               for rec in _GOOD_RECORDS]
+    assert sum("genus" not in rec for rec in records) == 4
+    assert sum("finite_automorphisms" not in rec for rec in records) == 7
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(records))
+    outputs = {run(capsys, "classify-fano", *argv)
+               for argv in ((), ("--table", str(full)), ("--table", str(short)))}
+    assert len(outputs) == 1
+    (code, out, err), = outputs
+    assert (code, err) == (0, "")
+
+
+def test_dump_data_round_trip(tmp_path):
+    for name, data in catalog().items():
+        path = tmp_path / (name + ".json")
+        dump_data(data, path)
+        assert path.read_text(encoding="utf-8") == dumps_data(data)
+        assert load_data(path) == data
