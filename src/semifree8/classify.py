@@ -943,11 +943,8 @@ def fano_table_hash(records=None):
     import hashlib      # here, not at the top: only the table hash reads it
 
     records = default_fano_table() if records is None else records
-    doc = [{
-        "name": r.name, "fano_index": r.fano_index, "b4": r.b4,
-        "c1_fourth": r.c1_fourth, "genus": r.genus,
-        "finite_automorphisms": r.finite_automorphisms,
-    } for r in sorted(records, key=lambda r: r.name)]
+    doc = [{name: getattr(r, name) for name in r._fields}
+           for r in sorted(records, key=lambda r: r.name)]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

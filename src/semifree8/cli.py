@@ -24,7 +24,6 @@ from . import __version__
 from .classify import (
     ADMISSIBLE_SHAPES,
     ClassifyError,
-    FanoFamilyRecord,
     admissible_dim_pairs,
     catalog,
     classify_fano,
@@ -34,8 +33,7 @@ from .classify import (
     match_fp_class,
     verification_report,
 )
-from .dataio import (DataError, _expect_bool, _expect_int, _expect_str, dumps_data, load_data,
-                     read_text)
+from .dataio import DataError, dumps_data, load_data, load_table
 from .model import betti_vector, dim_pair
 
 
@@ -187,35 +185,8 @@ def _cmd_enumerate(args, out):
 # classify-fano
 # ----------------------------------------------------------------------
 
-def _load_table(path):
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError("invalid JSON: %s" % exc, path)
-    if not isinstance(doc, list):
-        raise DataError("a family table is a JSON array of records", path)
-    records = []
-    for i, node in enumerate(doc):
-        where = "%s[%d]" % (path, i)
-        if not isinstance(node, dict):
-            raise DataError("expected an object", where)
-        try:
-            records.append(FanoFamilyRecord(
-                name=_expect_str(node["name"], where + ".name"),
-                fano_index=_expect_int(node["fano_index"], where + ".fano_index"),
-                b4=_expect_int(node["b4"], where + ".b4"),
-                c1_fourth=_expect_int(node["c1_fourth"], where + ".c1_fourth"),
-                genus=_expect_int(node.get("genus", 0), where + ".genus"),
-                finite_automorphisms=_expect_bool(node.get("finite_automorphisms", False),
-                                                  where + ".finite_automorphisms"),
-            ))
-        except KeyError as exc:
-            raise DataError("record is missing the %s field" % exc, where)
-    return tuple(records)
-
-
 def _cmd_classify_fano(args, out):
-    records = _load_table(args.table) if args.table else default_fano_table()
+    records = load_table(args.table) if args.table else default_fano_table()
     result = classify_fano(records)
     if args.json:
         doc = _meta("classify-fano")

@@ -1,6 +1,6 @@
-"""Fixed point data as JSON documents.
+"""The JSON formats of the package: fixed point data and the Fano table.
 
-The format is deliberately small:
+A data document (``load_data``, ``dumps_data``) is deliberately small:
 
     {
       "dimension": 8,
@@ -21,24 +21,39 @@ Normal kinds and their fields:
     fourdim_split     -- "minus", "plus": lists of line bundle degrees
     sixdim            -- "c1" integer
 
+A family table (``load_table``, for ``classify-fano --table``) is an array
+of records, one per deformation family:
+
+    [{"name": "X8m", "fano_index": 2, "b4": 8, "c1_fourth": 224,
+      "genus": 8, "finite_automorphisms": false}, ...]
+
+"genus" (default 0: not a genus-indexed family) and
+"finite_automorphisms" (default false) may be left out.
+
+Every record is read and written under its ``_fields`` names, a normal's
+led by its ``kind``; a tuple is a JSON list, a component type its name.
+
 The loader checks document structure only. Mathematical consistency
 (semi-freeness, matching weights and normal kinds, Betti budgets) is the
 job of the verification rules, so a structurally valid file describing an
 impossible action loads fine and then fails verification.
+
+A ``DataError``'s path names the failing node: ``components[1].normal.c1``,
+or in a table ``table.json[3].b4``. Each reader raises with the path
+relative to the node it reads and each parent prefixes its step (``_at``)
+on the way out, so a valid document formats no path. JSON decoding gives
+exact types, so each value takes one exact-type test: a bool or a float is
+never an integer.
 """
 
 from __future__ import annotations
 
 import json
 
-from .localization import (
-    FourDimExtremalNormal,
-    FourDimSplitNormal,
-    PointNormal,
-    SixDimNormal,
-    SurfaceNormal,
-)
+from .classify import FanoFamilyRecord
+from .localization import _Normal
 from .model import ComponentType, FixedComponent, FixedPointData
+from .record import Record
 
 
 class DataError(ValueError):
@@ -53,32 +68,11 @@ class DataError(ValueError):
         return "%s (at %s)" % (base, self.path) if self.path else base
 
 
+# key, the one value supported, and what any other value is told
+_HEADER = (("dimension", 8, "only dimension 8 is supported"),
+           ("b2", 1, "only b2 = 1 is supported"))
 _TYPES = {t.value: t for t in ComponentType}
 
-
-def _expect_int(value, path=""):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError("expected an integer, got %r" % (value,), path)
-    return value
-
-
-def _expect_str(value, path):
-    if not isinstance(value, str):
-        raise DataError("expected a string, got %r" % (value,), path)
-    return value
-
-
-def _expect_bool(value, path):
-    if not isinstance(value, bool):
-        raise DataError("expected true or false, got %r" % (value,), path)
-    return value
-
-
-# A reader raises with the path of the failing node relative to the node
-# it reads, and each parent prefixes its own step (``_at``) on the way out,
-# so a valid document formats no path at all. A list of integers first
-# takes an exact-type fast test; only one that fails it goes through the
-# general checks, which let an int or list subclass still pass.
 
 def _at(step, read, *args):
     """read(*args); a DataError from it gets the step to the node it read
@@ -95,19 +89,33 @@ def _read_each(read, nodes):
     return [_at(i, read, node) for i, node in enumerate(nodes)]
 
 
+def _expect(cls, what):
+    """The reader of a JSON scalar of exactly the type cls."""
+    def read(value):
+        if type(value) is not cls:
+            raise DataError("expected %s, got %r" % (what, value))
+        return value
+    return read
+
+
+_expect_int = _expect(int, "an integer")
+_expect_str = _expect(str, "a string")
+_expect_bool = _expect(bool, "true or false")
+
+
 def _expect_int_list(value, length=None):
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise DataError("expected a list, got %r" % (value,))
     if length is not None and len(value) != length:
         raise DataError("expected %d entries, got %d" % (length, len(value)))
     for i, v in enumerate(value):
         if type(v) is not int:
-            _expect_int(v, "[%d]" % i)
+            _at(i, _expect_int, v)
     return value
 
 
 def _expect_summands(value):
-    if not isinstance(value, list) or len(value) != 3:
+    if type(value) is not list or len(value) != 3:
         raise DataError("surface normals need exactly 3 summands")
     for i, pair in enumerate(value):
         if not (type(pair) is list and len(pair) == 2
@@ -116,19 +124,23 @@ def _expect_summands(value):
     return tuple(tuple(pair) for pair in value)
 
 
-# each normal class reads its JSON fields under its record field names
+# the reader of each record field, by field name
 _FIELDS = {"summands": _expect_summands, "c1": _expect_int, "c2": _expect_int,
-           "minus": _expect_int_list, "plus": _expect_int_list}
+           "minus": _expect_int_list, "plus": _expect_int_list,
+           "name": _expect_str, "fano_index": _expect_int, "b4": _expect_int,
+           "c1_fourth": _expect_int, "genus": _expect_int,
+           "finite_automorphisms": _expect_bool}
 _NORMALS = {cls.kind: (cls, [(name, _FIELDS[name]) for name in cls._fields])
-            for cls in (PointNormal, SurfaceNormal, FourDimExtremalNormal,
-                        FourDimSplitNormal, SixDimNormal)}
+            for cls in _Normal.__subclasses__()}
+# the table fields a record may leave out, for FanoFamilyRecord's defaults
+_OPTIONAL = ("genus", "finite_automorphisms")
 
 
 def _parse_normal(node):
-    if not isinstance(node, dict):
+    if type(node) is not dict:
         raise DataError("expected an object, got %r" % (node,))
     kind = node.get("kind")
-    if not isinstance(kind, str) or kind not in _NORMALS:
+    if type(kind) is not str or kind not in _NORMALS:
         raise DataError("unknown normal kind %r" % (kind,), "kind")
     cls, readers = _NORMALS[kind]
     args = [_at(name, read, node.get(name)) for name, read in readers]
@@ -139,10 +151,10 @@ def _parse_normal(node):
 
 
 def _parse_component(node):
-    if not isinstance(node, dict):
+    if type(node) is not dict:
         raise DataError("expected an object, got %r" % (node,))
     tname = node.get("type")
-    if not isinstance(tname, str) or tname not in _TYPES:
+    if type(tname) is not str or tname not in _TYPES:
         raise DataError("unknown component type %r (expected one of %s)"
                         % (tname, ", ".join(sorted(_TYPES))), "type")
     weights = node.get("weights")
@@ -152,54 +164,87 @@ def _parse_component(node):
     return FixedComponent(_TYPES[tname], weights, _at("normal", _parse_normal, node.get("normal")))
 
 
+def _parse_record(node):
+    if type(node) is not dict:
+        raise DataError("expected an object")
+    fields = {}
+    for name in FanoFamilyRecord._fields:
+        if name in node:
+            fields[name] = _at(name, _FIELDS[name], node[name])
+        elif name not in _OPTIONAL:
+            raise DataError("record is missing the %r field" % (name,))
+    return FanoFamilyRecord(**fields)
+
+
+def _decode(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError("invalid JSON: %s" % exc)
+
+
+def _read_text(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError("not UTF-8 text: %s" % exc)
+
+
 def parse_document(doc):
     """Build fixed point data from a decoded JSON document."""
-    if not isinstance(doc, dict):
-        raise DataError("top level must be an object", "")
-    if doc.get("dimension") != 8:
-        raise DataError("only dimension 8 is supported, got %r"
-                        % (doc.get("dimension"),), "dimension")
-    if doc.get("b2") != 1:
-        raise DataError("only b2 = 1 is supported, got %r"
-                        % (doc.get("b2"),), "b2")
+    if type(doc) is not dict:
+        raise DataError("top level must be an object")
+    for key, value, message in _HEADER:
+        got = doc.get(key)
+        if type(got) is not int or got != value:
+            raise DataError("%s, got %r" % (message, got), key)
     comps = doc.get("components")
-    if not isinstance(comps, list) or not comps:
+    if type(comps) is not list or not comps:
         raise DataError("components must be a non-empty list", "components")
     return FixedPointData(_at("components", _read_each, _parse_component, comps))
 
 
 def loads_data(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataError("invalid JSON: %s" % exc, "")
-    return parse_document(doc)
-
-
-def read_text(path):
-    """The contents of a UTF-8 text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise DataError("not UTF-8 text: %s" % exc, path)
+    return parse_document(_decode(text))
 
 
 def load_data(path):
-    return loads_data(read_text(path))
+    """The data in a file; only an error in reading the file names it."""
+    return loads_data(_at(path, _read_text, path))
+
+
+def _read_table(path):
+    doc = _decode(_read_text(path))
+    if type(doc) is not list:
+        raise DataError("a family table is a JSON array of records")
+    return tuple(_read_each(_parse_record, doc))
+
+
+def load_table(path):
+    """The Fano family records in a table file, in file order."""
+    return _at(path, _read_table, path)
+
+
+def _plain(value):
+    """A value as JSON: a tuple as a list, a component type as its name, a
+    record as the object of its fields, a normal's led by its kind."""
+    if type(value) is tuple:
+        return [_plain(v) for v in value]
+    if type(value) is ComponentType:
+        return value.value
+    if isinstance(value, Record):
+        doc = {"kind": value.kind} if isinstance(value, _Normal) else {}
+        doc.update((name, _plain(getattr(value, name))) for name in value._fields)
+        return doc
+    return value
 
 
 def document_for(data):
     """The JSON document describing the data; inverse of parse_document."""
-    return {
-        "dimension": 8,
-        "b2": 1,
-        "components": [{
-            "type": c.type.value,
-            "weights": list(c.weights),
-            "normal": c.normal.document,
-        } for c in data],
-    }
+    doc = {key: value for key, value, _ in _HEADER}
+    doc.update(_plain(data))
+    return doc
 
 
 def dumps_data(data):

@@ -38,10 +38,10 @@ from .record import Record, set_field
 class _Normal(Record):
     """Each variant states its own data: ``first_chern`` in the component's
     generator basis, the closed-form ``contribution(lam)`` for lam negative
-    weights, ``reversed()`` for the circle running backwards, the
-    ``fingerprint`` tail and the JSON ``document``, all for a well-typed
-    component (the ``normal-variant`` rule). By default reversal keeps the
-    data, and only an extremal plane pins the ruled density."""
+    weights, ``reversed()`` for the circle running backwards and the
+    ``fingerprint`` tail, all for a well-typed component (the
+    ``normal-variant`` rule). By default reversal keeps the data, and only
+    an extremal plane pins the ruled density."""
 
     ruled_k2 = None
 
@@ -59,10 +59,6 @@ class PointNormal(_Normal):
     def contribution(self, lam):
         """(-1)^lam: the sign of the product of the four nonzero weights."""
         return Fraction((-1) ** lam)
-
-    @property
-    def document(self):
-        return {"kind": self.kind}
 
 
 class SurfaceNormal(_Normal):
@@ -104,10 +100,6 @@ class SurfaceNormal(_Normal):
     def fingerprint(self):
         return ("surf", self.summands)
 
-    @property
-    def document(self):
-        return {"kind": self.kind, "summands": [[d, w] for d, w in self.summands]}
-
 
 class FourDimExtremalNormal(_Normal):
     """Rank-2 normal bundle of an extremal 4-dim component, both weights equal.
@@ -139,10 +131,6 @@ class FourDimExtremalNormal(_Normal):
     @property
     def fingerprint(self):
         return ("ext", self.c1, self.c2)
-
-    @property
-    def document(self):
-        return {"kind": self.kind, "c1": self.c1, "c2": self.c2}
 
 
 def _pairing(a, b):
@@ -192,10 +180,6 @@ class FourDimSplitNormal(_Normal):
         """Allows the factor swap on a quadric (a no-op on a plane)."""
         return ("split",) + min((self.minus, self.plus), (self.minus[::-1], self.plus[::-1]))
 
-    @property
-    def document(self):
-        return {"kind": self.kind, "minus": list(self.minus), "plus": list(self.plus)}
-
 
 class SixDimNormal(_Normal):
     """Line normal bundle of a 6-dim extremal component, c1 = c1 * generator."""
@@ -217,10 +201,6 @@ class SixDimNormal(_Normal):
     @property
     def fingerprint(self):
         return ("six", self.c1)
-
-    @property
-    def document(self):
-        return {"kind": self.kind, "c1": self.c1}
 
 
 def contribution(weights, normal):

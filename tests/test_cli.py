@@ -85,6 +85,23 @@ def test_verify_rejects_bad_dimension(tmp_path, capsys):
     assert "dimension" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dimension", 8.0, "only dimension 8 is supported, got 8.0"),
+    ("dimension", "8", "only dimension 8 is supported, got '8'"),
+    ("b2", True, "only b2 = 1 is supported, got True"),
+    ("b2", 1.0, "only b2 = 1 is supported, got 1.0"),
+])
+def test_verify_header_takes_exact_integers(tmp_path, capsys, key, value, message):
+    """A header value equal to the integer but of another type does not
+    load, as a weight of that value would not."""
+    doc = json.loads(dumps_data(catalog()["x8-six-points"]))
+    doc[key] = value
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: %s (at %s)\n" % (message, key))
+
+
 def test_data_error_paths_point_at_nodes(tmp_path, capsys):
     doc = {
         "dimension": 8, "b2": 1,

@@ -1,9 +1,10 @@
 """Each normal-bundle variant's own data against the ladders it replaced.
 
 The normal classes in `semifree8.localization` state their first Chern
-class, contribution, reversal, fingerprint tail and JSON form. Before
-that, the same knowledge sat in isinstance ladders over the normal class
-and in ring computations; those are kept below as oracles (verbatim but
+class, contribution, reversal and fingerprint tail, and
+`semifree8.dataio` writes each as its kind and fields. Before that, the
+same knowledge sat in isinstance ladders over the normal class and in
+ring computations; those are kept below as oracles (verbatim but
 for names and an inlined degree sum), and the two routes must agree on
 every well-typed component in a box and on all the package's own data.
 """
@@ -14,7 +15,7 @@ from itertools import product
 import pytest
 
 from semifree8.classify import catalog, enumerate_all
-from semifree8.dataio import dumps_data
+from semifree8.dataio import document_for, dumps_data
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -142,7 +143,9 @@ def test_variants_agree_with_the_ladders_on_a_box():
         kinds.add(n.kind)
         assert omega_coefficients(comp) == oracle_omega_coefficients(comp)
         assert (comp.type.value, comp.weights) + n.fingerprint == oracle_fingerprint(comp)
-        assert n.document == oracle_normal_document(n)
+        (written,) = document_for(FixedPointData((comp,)))["components"]
+        assert written == {"type": comp.type.value, "weights": list(comp.weights),
+                           "normal": oracle_normal_document(n)}
         assert n.reversed() == oracle_reverse_normal(n)
         # both are quadratic forms in the line bundle degrees, so agreement
         # on the degrees in -2..2 is agreement everywhere

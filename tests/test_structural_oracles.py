@@ -8,7 +8,11 @@ oracles below are the earlier routes, verbatim but for names: `validate`
 with its passes over the components and both details of every check
 formatted, the item helper that took both details, the normal-bundle
 ladder that returned a reason for every component, the five-pass Betti
-sum, and the loader that built the path of every node it read. Both routes must give the same items (id, verdict,
+sum, and the loader that built the path of every node it read. The
+loader keeps its own copies of the readers and name tables it shared with
+the package, so a fault in one of those cannot pass both routes, and it
+takes the one later fix: a header value that is a float or a bool is not
+the integer it equals. Both routes must give the same items (id, verdict,
 detail), Betti vectors and DataErrors (message and path).
 """
 
@@ -20,7 +24,7 @@ import re
 from hypothesis import example, given, settings
 
 from semifree8.classify import catalog, enumerate_all
-from semifree8.dataio import _NORMALS, _TYPES, DataError, _expect_int, dumps_data, loads_data
+from semifree8.dataio import DataError, dumps_data, loads_data
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -141,13 +145,29 @@ def oracle_validate(data):
     return rep
 
 
+def is_int(value):
+    return not isinstance(value, bool) and isinstance(value, int)
+
+
+def oracle_expect_int(value, path=""):
+    if not is_int(value):
+        raise DataError("expected an integer, got %r" % (value,), path)
+    return value
+
+
+ORACLE_TYPES = {t.value: t for t in ComponentType}
+ORACLE_NORMALS = {"point": PointNormal, "surface": SurfaceNormal,
+                  "fourdim_extremal": FourDimExtremalNormal,
+                  "fourdim_split": FourDimSplitNormal, "sixdim": SixDimNormal}
+
+
 def oracle_int_list(value, path, length=None):
     if not isinstance(value, list):
         raise DataError("expected a list, got %r" % (value,), path)
     if length is not None and len(value) != length:
         raise DataError("expected %d entries, got %d" % (length, len(value)), path)
     for i, v in enumerate(value):
-        _expect_int(v, "%s[%d]" % (path, i))
+        oracle_expect_int(v, "%s[%d]" % (path, i))
     return value
 
 
@@ -159,17 +179,17 @@ def oracle_summands(value, path):
     return tuple(tuple(pair) for pair in value)
 
 
-ORACLE_FIELDS = {"summands": oracle_summands, "c1": _expect_int, "c2": _expect_int,
-                 "minus": oracle_int_list, "plus": oracle_int_list}
+ORACLE_FIELDS = {"summands": oracle_summands, "c1": oracle_expect_int,
+                 "c2": oracle_expect_int, "minus": oracle_int_list, "plus": oracle_int_list}
 
 
 def oracle_parse_normal(node, path):
     if not isinstance(node, dict):
         raise DataError("expected an object, got %r" % (node,), path)
     kind = node.get("kind")
-    if not isinstance(kind, str) or kind not in _NORMALS:
+    if not isinstance(kind, str) or kind not in ORACLE_NORMALS:
         raise DataError("unknown normal kind %r" % (kind,), path + ".kind")
-    cls = _NORMALS[kind][0]
+    cls = ORACLE_NORMALS[kind]
     args = [ORACLE_FIELDS[name](node.get(name), "%s.%s" % (path, name)) for name in cls._fields]
     try:
         return cls(*args)
@@ -181,13 +201,13 @@ def oracle_parse_component(node, path):
     if not isinstance(node, dict):
         raise DataError("expected an object, got %r" % (node,), path)
     tname = node.get("type")
-    if not isinstance(tname, str) or tname not in _TYPES:
+    if not isinstance(tname, str) or tname not in ORACLE_TYPES:
         raise DataError("unknown component type %r (expected one of %s)"
-                        % (tname, ", ".join(sorted(_TYPES))), path + ".type")
+                        % (tname, ", ".join(sorted(ORACLE_TYPES))), path + ".type")
     weights = oracle_int_list(node.get("weights"), path + ".weights", 4)
     normal = oracle_parse_normal(node.get("normal"), path + ".normal")
     try:
-        return FixedComponent(_TYPES[tname], tuple(weights), normal)
+        return FixedComponent(ORACLE_TYPES[tname], tuple(weights), normal)
     except ValueError as exc:
         raise DataError(str(exc), path)
 
@@ -195,10 +215,10 @@ def oracle_parse_component(node, path):
 def oracle_parse_document(doc):
     if not isinstance(doc, dict):
         raise DataError("top level must be an object", "")
-    if doc.get("dimension") != 8:
+    if not is_int(doc.get("dimension")) or doc.get("dimension") != 8:
         raise DataError("only dimension 8 is supported, got %r"
                         % (doc.get("dimension"),), "dimension")
-    if doc.get("b2") != 1:
+    if not is_int(doc.get("b2")) or doc.get("b2") != 1:
         raise DataError("only b2 = 1 is supported, got %r"
                         % (doc.get("b2"),), "b2")
     comps = doc.get("components")
