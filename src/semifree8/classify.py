@@ -50,7 +50,6 @@ from .model import (
     ComponentType,
     ConstraintReport,
     FixedPointData,
-    RULES,
     STRUCTURAL,
     area_fits,
     area_realizable,
@@ -356,14 +355,10 @@ class Rejection(Record):
     _fields = ("candidate", "rule_id", "detail")
 
     def __init__(self, candidate, rule_id, detail):
-        rule_statement(rule_id)
         set_field(self, "candidate", candidate)
         set_field(self, "rule_id", rule_id)
         set_field(self, "detail", detail)
-
-    @property
-    def rule(self):
-        return RULES[self.rule_id]
+        set_field(self, "rule", rule_statement(rule_id))   # unknown ids raise
 
 
 class EnumerationResult(Record):

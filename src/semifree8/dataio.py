@@ -179,7 +179,7 @@ def _parse_record(node):
 def _decode(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also too deep, or too many digits
         raise DataError("invalid JSON: %s" % exc)
 
 

@@ -37,11 +37,11 @@ from .record import Record, set_field
 
 class _Normal(Record):
     """Each variant states its own data: ``first_chern`` in the component's
-    generator basis, the closed-form ``contribution(lam)`` for lam negative
-    weights, ``reversed()`` for the circle running backwards and the
-    ``fingerprint`` tail, all for a well-typed component (the
-    ``normal-variant`` rule). By default reversal keeps the data, and only
-    an extremal plane pins the ruled density."""
+    generator basis and the ``fingerprint`` tail, attributes set in
+    ``__init__``, the closed-form ``contribution(lam)`` for lam negative
+    weights and ``reversed()`` for the circle running backwards, all for a
+    well-typed component (the ``normal-variant`` rule). By default reversal
+    keeps the data, and only an extremal plane pins the ruled density."""
 
     ruled_k2 = None
 
@@ -78,10 +78,8 @@ class SurfaceNormal(_Normal):
         if any(w not in (-1, 1) for _, w in pairs):
             raise ValueError("normal weights of a surface must be -1 or +1")
         set_field(self, "summands", pairs)
-
-    @property
-    def first_chern(self):
-        return (sum(a for a, _ in self.summands),)
+        set_field(self, "first_chern", (sum(a for a, _ in pairs),))
+        set_field(self, "fingerprint", ("surf", pairs))
 
     def degrees_with_weight(self, w):
         return tuple(a for a, wt in self.summands if wt == w)
@@ -96,10 +94,6 @@ class SurfaceNormal(_Normal):
     def reversed(self):
         return SurfaceNormal(tuple((a, -w) for a, w in self.summands))
 
-    @property
-    def fingerprint(self):
-        return ("surf", self.summands)
-
 
 class FourDimExtremalNormal(_Normal):
     """Rank-2 normal bundle of an extremal 4-dim component, both weights equal.
@@ -112,25 +106,17 @@ class FourDimExtremalNormal(_Normal):
     kind = "fourdim_extremal"
 
     def __init__(self, c1, c2):
-        set_field(self, "c1", index(c1))
-        set_field(self, "c2", index(c2))
-
-    @property
-    def first_chern(self):
-        return (self.c1,)
-
-    @property
-    def ruled_k2(self):
-        """c2 when the total class is 1 - h + c2*h^2, else None."""
-        return self.c2 if self.c1 == -1 else None
+        c1, c2 = index(c1), index(c2)
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
+        set_field(self, "first_chern", (c1,))
+        # c2 when the total class is 1 - h + c2*h^2, else None
+        set_field(self, "ruled_k2", c2 if c1 == -1 else None)
+        set_field(self, "fingerprint", ("ext", c1, c2))
 
     def contribution(self, lam):
         """c1^2 - c2; the sign of the two equal weights drops out."""
         return Fraction(self.c1 ** 2 - self.c2)
-
-    @property
-    def fingerprint(self):
-        return ("ext", self.c1, self.c2)
 
 
 def _pairing(a, b):
@@ -157,15 +143,12 @@ class FourDimSplitNormal(_Normal):
             raise ValueError("split normal bundle needs two c1 vectors of length 1 or 2")
         set_field(self, "minus", minus)
         set_field(self, "plus", plus)
-
-    @property
-    def first_chern(self):
-        return tuple(u + v for u, v in zip(self.minus, self.plus))
-
-    @property
-    def c2(self):
-        """Integral of c2 = c1(L-) c1(L+) over the component."""
-        return _pairing(self.minus, self.plus)
+        set_field(self, "first_chern", tuple(u + v for u, v in zip(minus, plus)))
+        # integral of c2 = c1(L-) c1(L+) over the component
+        set_field(self, "c2", _pairing(minus, plus))
+        # allows the factor swap on a quadric (a no-op on a plane)
+        set_field(self, "fingerprint",
+                  ("split",) + min((minus, plus), (minus[::-1], plus[::-1])))
 
     def contribution(self, lam):
         """-(u^2 - u v + v^2) integrated over the component, u = c1(L-), v = c1(L+)."""
@@ -175,11 +158,6 @@ class FourDimSplitNormal(_Normal):
     def reversed(self):
         return FourDimSplitNormal(self.plus, self.minus)
 
-    @property
-    def fingerprint(self):
-        """Allows the factor swap on a quadric (a no-op on a plane)."""
-        return ("split",) + min((self.minus, self.plus), (self.minus[::-1], self.plus[::-1]))
-
 
 class SixDimNormal(_Normal):
     """Line normal bundle of a 6-dim extremal component, c1 = c1 * generator."""
@@ -188,19 +166,14 @@ class SixDimNormal(_Normal):
     kind = "sixdim"
 
     def __init__(self, c1):
-        set_field(self, "c1", index(c1))
-
-    @property
-    def first_chern(self):
-        return (self.c1,)
+        c1 = index(c1)
+        set_field(self, "c1", c1)
+        set_field(self, "first_chern", (c1,))
+        set_field(self, "fingerprint", ("six", c1))
 
     def contribution(self, lam):
         """-c1^3; again independent of the weight sign."""
         return Fraction(-self.c1 ** 3)
-
-    @property
-    def fingerprint(self):
-        return ("six", self.c1)
 
 
 def contribution(weights, normal):

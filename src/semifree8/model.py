@@ -15,14 +15,14 @@ reversal and fixed-point-data equivalence).
 A component computes its Morse half-index ``lam``, its ``level`` and its
 ``complex_dim`` when it is built; the members of ``ComponentType`` carry
 their complex dimension, Betti numbers and tangent Chern class as plain
-attributes. A dataset computes what every rule reads of it once, on first
-use: its unique minimum and maximum, its interior components and its Betti
-vector (``FixedPointData.extremes``, ``interior`` and ``betti``). These are
-the only per-dataset copies; none of them is a record field, so equality,
-hashing and repr see the type, weights and normal data of a component and
-the components of a dataset only. ``oriented`` is computed on each call
-from them: it reverses the action only when ``dim_pair`` says so, which
-few inputs need.
+attributes. A dataset computes what every rule reads of it when it is
+built: its unique minimum and maximum, its interior components and its
+Betti vector (``FixedPointData.extremes``, ``interior`` and ``betti``).
+These are the only per-dataset copies; none of them is a record field, so
+equality, hashing and repr see the type, weights and normal data of a
+component and the components of a dataset only. ``oriented`` is computed
+on each call from them: it reverses the action only when ``dim_pair`` says
+so, which few inputs need.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -42,7 +42,7 @@ from .localization import (
     SixDimNormal,
     SurfaceNormal,
 )
-from .record import Record, lazy, set_field
+from .record import Record, set_field
 
 
 # per type: the even Betti numbers (b0, b2, ..) up to the top degree, and
@@ -88,6 +88,12 @@ class FixedComponent(Record):
 
 
 class FixedPointData(Record):
+    """``extremes`` is (minimum, maximum): the one component with no
+    negative weight and the one with lam = 4 - dim_C, each None when not
+    unique; ``interior`` the components other than those two; ``betti`` the
+    even Betti numbers (b0, b2, b4, b6, b8) by localization, where each
+    component adds the Betti numbers of its type, shifted up by lam."""
+
     _fields = ("components",)
 
     def __init__(self, components):
@@ -95,39 +101,25 @@ class FixedPointData(Record):
         if any(a.weights == b.weights and a.type is b.type and a.normal != b.normal
                for a, b in zip(comps, comps[1:])):     # ties only repr(normal) orders
             comps.sort(key=lambda c: (c.sort_key(), repr(c.normal)))
-        set_field(self, "components", tuple(comps))
+        comps = tuple(comps)
+        set_field(self, "components", comps)
+        mins = [c for c in comps if c.lam == 0]
+        maxs = [c for c in comps if c.lam == 4 - c.complex_dim]
+        lo = mins[0] if len(mins) == 1 else None
+        hi = maxs[0] if len(maxs) == 1 else None
+        set_field(self, "extremes", (lo, hi))
+        set_field(self, "interior", tuple(c for c in comps if c is not lo and c is not hi))
+        b = [0, 0, 0, 0, 0]
+        for c in comps:
+            for j, x in enumerate(c.type.betti[:5 - c.lam], c.lam):
+                b[j] += x
+        set_field(self, "betti", tuple(b))
 
     def __iter__(self):
         return iter(self.components)
 
     def __len__(self):
         return len(self.components)
-
-    # computed once; not record fields, so __eq__, __hash__, repr are unchanged
-    @lazy
-    def extremes(self):
-        """(minimum, maximum): the one component with no negative weight and
-        the one with lam = 4 - dim_C, each None when not unique."""
-        mins = [c for c in self.components if c.lam == 0]
-        maxs = [c for c in self.components if c.lam == 4 - c.complex_dim]
-        return (mins[0] if len(mins) == 1 else None,
-                maxs[0] if len(maxs) == 1 else None)
-
-    @lazy
-    def interior(self):
-        """The components other than the unique minimum and maximum."""
-        lo, hi = self.extremes
-        return tuple(c for c in self.components if c is not lo and c is not hi)
-
-    @lazy
-    def betti(self):
-        """Even Betti numbers (b0, b2, b4, b6, b8) by localization: each
-        component adds the Betti numbers of its type, shifted up by lam."""
-        b = [0, 0, 0, 0, 0]
-        for c in self.components:
-            for j, x in enumerate(c.type.betti[:5 - c.lam], c.lam):
-                b[j] += x
-        return tuple(b)
 
 
 # ----------------------------------------------------------------------
@@ -229,14 +221,10 @@ class CheckItem(Record):
     _fields = ("id", "verdict", "detail")
 
     def __init__(self, id, verdict, detail=""):
-        rule_statement(id)
         set_field(self, "id", id)
         set_field(self, "verdict", verdict)   # PASS / FAIL / WARN / INFO
         set_field(self, "detail", detail)
-
-    @property
-    def rule(self):
-        return RULES[self.id]
+        set_field(self, "rule", rule_statement(id))   # unknown ids raise
 
     def line(self):
         tail = " (%s)" % self.detail if self.detail else ""

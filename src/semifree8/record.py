@@ -22,8 +22,8 @@ NotImplemented
 Traceback (most recent call last):
 AttributeError: cannot assign to field 'a'
 
-An attribute outside ``_fields`` (a value an ``__init__`` precomputes, a
-``lazy`` value) is invisible to all three.
+An attribute outside ``_fields`` (a value an ``__init__`` derives from the
+fields) is invisible to all three.
 """
 
 set_field = object.__setattr__
@@ -54,21 +54,3 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % (name,))
-
-
-class lazy:
-    """A value computed on its first read and kept in the instance dict,
-    where later reads find it first. Unlike ``functools.cached_property``
-    before Python 3.12 it takes no lock; the values it holds are pure
-    functions of the record, so a second computation is harmless."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value

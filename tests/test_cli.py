@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, stability, round trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -307,6 +308,29 @@ def test_classify_fano_table_invalid_json(tmp_path, capsys):
     code, out, err = run(capsys, "classify-fano", "--table", str(path))
     assert (code, out) == (2, "")
     assert err == "error: invalid JSON: %s (at %s)\n" % (exc.value, path)
+
+
+def _too_deep():
+    return "[" * 200000
+
+
+def _too_many_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no digit limit on integers")
+    return "[" + "1" * (limit + 1) + "]"
+
+
+@pytest.mark.parametrize("make", [_too_deep, _too_many_digits])
+@pytest.mark.parametrize("argv", [("verify",), ("classify-fano", "--table")])
+def test_json_the_decoder_refuses_is_invalid_json(tmp_path, capsys, argv, make):
+    """Nesting past the recursion limit and an integer past the digit limit
+    are malformed input: exit 2 with one error line, no traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(make())
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_classify_fano_table_optional_fields(tmp_path, capsys):

@@ -1,11 +1,11 @@
 """The per-dataset values, computed once, against the scans they replaced.
 
 `FixedPointData` computes its unique minimum and maximum, its interior
-components and its Betti vector once, as lazy values that are not record
-fields; `oriented` reads them on each call, reversing the action only when
+components and its Betti vector when it is built, as attributes that are
+not record fields; `oriented` reads them on each call, reversing the action only when
 `dim_pair` says so. The oracle is the earlier route: scan the components
 on every call, and rebuild the reversed dataset for every orientation.
-Equality, hashing, repr and the record fields must not see the cached
+Equality, hashing, repr and the record fields must not see the stored
 values.
 
 The components of a dataset are sorted by (level, type, weights) and, only
@@ -94,7 +94,7 @@ def check_order(components):
 def check_against_oracle(data):
     check_order(data.components)
     fresh = FixedPointData(data.components)
-    for _ in range(2):      # the second round reads the cached values
+    for _ in range(2):      # a second read finds the same values
         lo, hi = data.extremes
         assert lo is oracle_min(data) and hi is oracle_max(data)
         assert data.interior == oracle_interior(data)
@@ -107,7 +107,7 @@ def check_against_oracle(data):
             assert got[2:] == want[2:]
             assert dim_pair(data) == (want[0], want[1] is not data)
             assert (got[1] is data) == (want[1] is data)
-    # the cached values are invisible to the record machinery
+    # the stored values are invisible to the record machinery
     assert type(data)._fields == ("components",)
     assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
     assert repr(data) == "FixedPointData(components=%r)" % (data.components,)
@@ -115,7 +115,7 @@ def check_against_oracle(data):
 
 
 # two minima under one maximum, and no minimum at all: the scans give None
-# for the extreme that is not unique, and so must the cached values
+# for the extreme that is not unique, and so must the stored values
 TWO_MINIMA = FixedPointData((
     point_component((1, 1, 1, 1)),
     point_component((1, 1, 1, 1)),
@@ -190,7 +190,7 @@ def test_loadable_documents_against_oracle(doc):
 
 
 def test_verified_data_is_freed_by_reference_counting():
-    # nothing cached may refer back to its dataset: a value that did would
+    # no stored value may refer back to its dataset: a value that did would
     # keep every verified dataset alive until the cyclic collector runs
     gc.disable()
     try:

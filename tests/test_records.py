@@ -35,6 +35,7 @@ from semifree8.localization import (
     SurfaceNormal,
 )
 from semifree8.model import CheckItem, FixedComponent, FixedPointData, point_component
+from semifree8.record import set_field
 
 
 def _x8():
@@ -170,8 +171,38 @@ def test_keyword_defaults():
     assert Family(*[getattr(family, n) for n in FIELDS[Family][:-1]]) == family
 
 
+# (a record, the values its __init__ derives from its fields)
+DERIVED = [
+    (lambda: point_component((-1, -1, 1, 1)), ("lam", "level", "complex_dim")),
+    (lambda: SurfaceNormal(((3, -1), (2, 1), (2, 1))), ("first_chern", "fingerprint")),
+    (lambda: FourDimExtremalNormal(-1, 4), ("first_chern", "ruled_k2", "fingerprint")),
+    (lambda: FourDimSplitNormal((1, 0), (0, 1)), ("first_chern", "c2", "fingerprint")),
+    (lambda: SixDimNormal(1), ("first_chern", "fingerprint")),
+    (lambda: catalog()["q4-two-planes"], ("extremes", "interior", "betti")),
+    (lambda: CheckItem("semi-free", "PASS"), ("rule",)),
+    (lambda: enumerate_case((4, 4)).rejections[0], ("rule",)),
+]
+
+
 def test_precomputed_component_values_are_not_fields():
     comp = point_component((-1, -1, 1, 1))
     assert (comp.lam, comp.level) == (2, 0)
     assert "lam" not in repr(comp) and hash(comp) == hash((comp.type, comp.weights,
                                                            comp.normal))
+    for make, names in DERIVED:
+        rec = make()
+        cls = type(rec)
+        fields = {name: getattr(rec, name) for name in FIELDS[cls]}
+        fresh = cls(**fields)
+        # set when built, before anything reads them
+        assert set(names) <= set(vars(fresh)) - set(FIELDS[cls])
+        # a twin whose derived values are all replaced is still the same record
+        twin = cls(**fields)
+        for name in names:
+            set_field(twin, name, object())
+            with pytest.raises(AttributeError):
+                setattr(fresh, name, None)
+            assert "%s=" % name not in repr(fresh)
+        assert twin == fresh == rec and hash(twin) == hash(fresh) == hash(rec)
+        assert hash(fresh) == hash(tuple(fields.values()))
+        assert repr(twin) == repr(fresh) == repr(rec)
