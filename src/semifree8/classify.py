@@ -31,6 +31,7 @@ ones, whose index witnesses read their b4 from the family table.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import product
 from operator import index
@@ -125,6 +126,11 @@ def surface_tail(a1):
     return 2 * a1 - 2
 
 
+def _gap_empty(levels, a, b):
+    """No level lies strictly between a and b; levels is sorted and distinct."""
+    return bisect_right(levels, a) >= bisect_left(levels, b)
+
+
 def sphere_constraints(data):
     """All sphere-area rules whose hypotheses the data satisfies.
 
@@ -137,13 +143,10 @@ def sphere_constraints(data):
         return rep
     (d1, d2), data, lo, hi, inner = o
     lam2 = [c for c in inner if c.type is ComponentType.POINT and c.lam == 2]
-
-    def gap_empty(a, b):
-        return not any(a < c.level < b for c in data)
-
-    if d2 == 4 and lam2 and gap_empty(0, hi.level):
+    levels = sorted({c.level for c in data})
+    if d2 == 4 and lam2 and _gap_empty(levels, 0, hi.level):
         rep.append(_area_item("sphere-area-max", hi, 2, "maximum"))
-    if d2 == 4 and lam2 and gap_empty(lo.level, 0):
+    if d2 == 4 and lam2 and _gap_empty(levels, lo.level, 0):
         rep.append(_area_item("sphere-area-min", lo, -lo.level, "minimum"))
     if d2 == 4 and inner and len(lam2) == len(inner):
         rep.append(_area_item("sphere-span-min", lo, hi.level - lo.level, "minimum"))
@@ -154,7 +157,7 @@ def sphere_constraints(data):
     if d1 == 0:
         for c in inner:
             if (c.type is ComponentType.CP1 and c.lam == 1
-                    and gap_empty(lo.level, c.level)):
+                    and _gap_empty(levels, lo.level, c.level)):
                 a1 = c.normal.degrees_with_weight(-1)[0]
                 rest = sum(c.normal.degrees_with_weight(1))
                 rep.append(pass_fail(
@@ -683,12 +686,11 @@ def _enum_24(b4_max, box):
         if 2 + s < 1 or 3 + kp < 1:
             return "monotone-positive", "e.g. s = %d, k' = %d", (s, kp)
         if n2 > 0:
+            # no sphere-span-min: here 2 + s is 5 or 2, so sphere-area-min fires first
             if not area_fits(3 + kp, 2):
                 return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
             if not area_fits(2 + s, 3):
                 return "sphere-area-min", "e.g. s = %d: 2 + s does not divide the depth 3", (s,)
-            if not area_fits(2 + s, 5):
-                return "sphere-span-min", "e.g. s = %d: 2 + s does not divide the span 5", (s,)
         else:
             if not area_fits(2 + s, 5):
                 return ("sphere-span-extremes",
@@ -724,8 +726,7 @@ def _enum_04(b4_max, box):
                 if abs(3 + kp) > 2:
                     return ("index-cap-point", "e.g. k' = %d gives index %d > 2",
                             (kp, abs(3 + kp)))
-                if n2 > 0 and not area_fits(3 + kp, 2):
-                    return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
+                # no sphere-area-max: only k' = -1 is left, and 3 + k' = 2 divides 2
                 if c2 > K2_CAP:
                     return "dh-k-bound", "c2 = b4 = %d exceeds %d", (c2, K2_CAP)
 

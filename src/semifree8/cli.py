@@ -10,8 +10,15 @@ Four subcommands:
 Exit codes: 0 all checks pass, 1 some constraint fails, 2 malformed
 input (bad JSON, unknown names, inadmissible shapes, incomplete tables,
 tables that list a family twice, or `catalog --emit file` without --name).
-Output for a fixed argument list is byte-stable; every subcommand takes
---json for a machine-readable document instead of text.
+
+One output path: each subcommand returns its exit code, its JSON document
+and its text lines, and writes nothing. `main` alone prints one of the two
+forms. The text form opens with a header line naming the version and the
+family table hash; the --json document carries `version`, `table_sha256`
+and `command`. A document with its own `table_sha256` (classify-fano
+--table) heads both forms with that hash. `catalog --emit file` returns no
+document: it prints the data file alone, with or without --json. Output
+for a fixed argument list is byte-stable.
 """
 
 from __future__ import annotations
@@ -37,21 +44,6 @@ from .dataio import DataError, dumps_data, load_data, load_table
 from .model import betti_vector, dim_pair
 
 
-def _header(table_hash=None):
-    table_hash = table_hash or fano_table_hash()
-    return "semifree8 %s (family table sha256 %s)" % (__version__, table_hash)
-
-
-def _meta(command):
-    return {"version": __version__, "table_sha256": fano_table_hash(),
-            "command": command}
-
-
-def _emit(out, lines):
-    for line in lines:
-        out.write(line + "\n")
-
-
 def _shape_of(data):
     try:
         (d1, d2), _ = dim_pair(data)
@@ -69,42 +61,30 @@ def _check_doc(item):
 # verify
 # ----------------------------------------------------------------------
 
-def _report(out, as_json, command, source, title, data):
+def _report(source, title, data):
     """The verification report of one dataset, shared by verify and
     catalog --name; source is the JSON key/value naming the dataset."""
     rep = verification_report(data)
     shape = _shape_of(data)
     fp_class = match_fp_class(data)
-    if as_json:
-        doc = _meta(command)
-        doc.update(source)
-        doc.update({
-            "shape": shape,
-            "betti": list(betti_vector(data)),
-            "fp_class": fp_class,
-            "checks": [_check_doc(it) for it in rep],
-            "ok": rep.ok,
-        })
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [_header(), title,
-                 "shape %s, %d components, betti %s"
-                 % (tuple(shape) if shape else "undetermined", len(data),
-                    betti_vector(data))]
-        lines.extend(rep.lines())
-        warns = sum(1 for it in rep if it.verdict == "WARN")
-        lines.append("result: %s (%d checks, %d failed, %d warnings)"
-                     % ("PASS" if rep.ok else "FAIL", len(rep.items), len(rep.failures),
-                        warns))
-        lines.append("fixed point class: %s" % fp_class)
-        _emit(out, lines)
-    return 0 if rep.ok else 1
+    doc = dict(source, shape=shape, betti=list(betti_vector(data)), fp_class=fp_class,
+               checks=[_check_doc(it) for it in rep], ok=rep.ok)
+    lines = [title,
+             "shape %s, %d components, betti %s"
+             % (tuple(shape) if shape else "undetermined", len(data),
+                betti_vector(data))]
+    lines.extend(rep.lines())
+    warns = sum(1 for it in rep if it.verdict == "WARN")
+    lines.append("result: %s (%d checks, %d failed, %d warnings)"
+                 % ("PASS" if rep.ok else "FAIL", len(rep.items), len(rep.failures),
+                    warns))
+    lines.append("fixed point class: %s" % fp_class)
+    return (0 if rep.ok else 1), doc, lines
 
 
-def _cmd_verify(args, out):
+def _cmd_verify(args):
     data = load_data(args.path)
-    return _report(out, args.json, "verify", {"path": args.path},
-                   "verify %s" % args.path, data)
+    return _report({"path": args.path}, "verify %s" % args.path, data)
 
 
 # ----------------------------------------------------------------------
@@ -144,24 +124,19 @@ def _family_lines(f):
     return lines
 
 
-def _cmd_enumerate(args, out):
+def _cmd_enumerate(args):
     shape = _parse_shape(args.shape)
     shapes = list(ADMISSIBLE_SHAPES) if shape is None else [shape]
     results = [enumerate_case(s, args.max_b4) for s in shapes]
-    if args.json:
-        doc = _meta("enumerate")
-        doc["b4_max"] = args.max_b4
-        doc["shapes"] = [{
-            "shape": list(r.shape),
-            "families": [_family_doc(f) for f in r.families],
-            "rejections": [{
-                "candidate": rej.candidate, "rule_id": rej.rule_id,
-                "rule": rej.rule, "detail": rej.detail,
-            } for rej in r.rejections],
-        } for r in results]
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    lines = [_header()]
+    doc = {"b4_max": args.max_b4, "shapes": [{
+        "shape": list(r.shape),
+        "families": [_family_doc(f) for f in r.families],
+        "rejections": [{
+            "candidate": rej.candidate, "rule_id": rej.rule_id,
+            "rule": rej.rule, "detail": rej.detail,
+        } for rej in r.rejections],
+    } for r in results]}
+    lines = []
     for r in results:
         lines.append("shape %s: %d families (b4 up to %d)"
                      % (r.shape, len(r.families), r.b4_max))
@@ -177,70 +152,52 @@ def _cmd_enumerate(args, out):
                 for item in assessment.trace:
                     if item.verdict == "FAIL":
                         lines.append("  %s [%s] %s" % (s, item.id, item.detail))
-    _emit(out, lines)
-    return 0
+    return 0, doc, lines
 
 
 # ----------------------------------------------------------------------
 # classify-fano
 # ----------------------------------------------------------------------
 
-def _cmd_classify_fano(args, out):
+def _cmd_classify_fano(args):
     records = load_table(args.table) if args.table else default_fano_table()
     result = classify_fano(records)
-    if args.json:
-        doc = _meta("classify-fano")
-        doc["table_sha256"] = result.table_hash
-        doc["survivors"] = list(result.survivors)
-        doc["traces"] = [{"name": name, "checks": [_check_doc(it) for it in items]}
-                         for name, items in result.traces]
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    lines = [_header(result.table_hash),
-             "families carrying a semi-free circle action: %s"
+    doc = {"table_sha256": result.table_hash, "survivors": list(result.survivors),
+           "traces": [{"name": name, "checks": [_check_doc(it) for it in items]}
+                      for name, items in result.traces]}
+    lines = ["families carrying a semi-free circle action: %s"
              % ", ".join(result.survivors)]
     for name, items in result.traces:
         for item in items:
             lines.append("  %-5s %s" % (name, item.line()))
-    _emit(out, lines)
-    return 0
+    return 0, doc, lines
 
 
 # ----------------------------------------------------------------------
 # catalog
 # ----------------------------------------------------------------------
 
-def _cmd_catalog(args, out):
+def _cmd_catalog(args):
     if args.emit == "file" and args.name is None:
         raise ClassifyError("--emit file needs --name")
     entries = catalog()
     if args.name is None:
-        if args.json:
-            doc = _meta("catalog")
-            doc["entries"] = [{
-                "name": name,
-                "shape": _shape_of(data),
-                "betti": list(betti_vector(data)),
-                "fp_class": match_fp_class(data),
-            } for name, data in entries.items()]
-            out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            return 0
-        lines = [_header()]
-        for name, data in entries.items():
-            lines.append("%-22s shape %s, betti %s, class %s"
-                         % (name, tuple(_shape_of(data)), betti_vector(data),
-                            match_fp_class(data)))
-        _emit(out, lines)
-        return 0
+        rows = [(name, _shape_of(data), betti_vector(data), match_fp_class(data))
+                for name, data in entries.items()]
+        doc = {"entries": [{"name": name, "shape": shape, "betti": list(betti),
+                            "fp_class": fp_class}
+                           for name, shape, betti, fp_class in rows]}
+        lines = ["%-22s shape %s, betti %s, class %s"
+                 % (name, tuple(shape), betti, fp_class)
+                 for name, shape, betti, fp_class in rows]
+        return 0, doc, lines
     if args.name not in entries:
         raise ClassifyError("unknown catalog entry %r (known: %s)"
                             % (args.name, ", ".join(entries)))
     data = entries[args.name]
     if args.emit == "file":
-        out.write(dumps_data(data))
-        return 0
-    return _report(out, args.json, "catalog", {"name": args.name},
-                   "catalog entry %s" % args.name, data)
+        return 0, None, dumps_data(data).splitlines()
+    return _report({"name": args.name}, "catalog entry %s" % args.name, data)
 
 
 # ----------------------------------------------------------------------
@@ -287,13 +244,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, print the form --json picks, return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code, doc, lines = args.func(args)
     except (DataError, ClassifyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    if doc is not None:
+        doc = dict({"version": __version__, "table_sha256": fano_table_hash(),
+                    "command": args.command}, **doc)
+        if args.json:
+            lines = [json.dumps(doc, indent=2, sort_keys=True)]
+        else:
+            lines = ["semifree8 %s (family table sha256 %s)"
+                     % (__version__, doc["table_sha256"])] + lines
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

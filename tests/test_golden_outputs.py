@@ -7,12 +7,17 @@ into one registry, so any refactor that changes a single output byte
 The enumerations at small and middling b4_max were pinned before the
 sweeps started solving the localization sum instead of looping over it;
 they hit the cutoffs where rejection counts and family ranges change.
+The text forms, the data file that `catalog --emit file` prints, and the
+outputs on the files that `FILE_PINNED` writes were pinned before the
+commands handed their output to one printing path in `main`.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from semifree8.classify import default_fano_table
 from semifree8.cli import main
 
 PINNED = {
@@ -62,6 +67,39 @@ PINNED = {
         "968836a801184ffe7d726ddfd39563109eecb24062ae821d01461ce243d4e7fb",
     "catalog --name x8-six-points":
         "773968831ddb28cf506c868b0c44627ea4a966bbe0c8b3a5f943ea0b61c836cc",
+    "enumerate":
+        "b7eeb74345792ad5d55056c92eb4376fb219d79f41dd9213f8f3ded6a79c3cb6",
+    "enumerate --shape 0,4":
+        "e5749f9616b868808c7fd948a1a6a48c7fb807efa62bc1550a5abe34e22af917",
+    "classify-fano":
+        "08d1f17ef623fe8efe62eecfde96a4c0a965bb4864da20ba05452c062ffd88f8",
+    "catalog":
+        "130ffbe8d655c5e75d39863e9d125f8e2fd2264166bd6df8c7832e934d13c8a6",
+    "catalog --name x8-six-points --emit file":
+        "080e4d3ab945f7c32a6f0d62e2392cf51f088f70fb85f9725908ebc4efd0179f",
+    "catalog --name x8-six-points --emit file --json":
+        "080e4d3ab945f7c32a6f0d62e2392cf51f088f70fb85f9725908ebc4efd0179f",
+}
+
+# a weight 2 fails semi-free; a table with one family more than the
+# built-in one heads its output with its own hash
+FAILING = {"dimension": 8, "b2": 1, "components": [
+    {"type": "point", "weights": [2, 1, -1, -1], "normal": {"kind": "point"}},
+    {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
+]}
+EXTRA_FAMILY = {"name": "Z9", "fano_index": 2, "b4": 3, "c1_fourth": 512}
+
+# argument list -> (exit code, stdout sha256), run in the directory holding
+# fail.json and extra.json
+FILE_PINNED = {
+    "verify fail.json":
+        (1, "298b8337a75ebda56722b764a280637856b8de20d19f6bbcf8aab1eb2304db15"),
+    "verify fail.json --json":
+        (1, "73669d22fcb354aae29a14d31a9d5fd1adce9d1b4ba63d566c1c7ac21ee0d85e"),
+    "classify-fano --table extra.json":
+        (0, "28351de29204528b4aefd460d48b266a6dce25dceae19196a06aafd096b60d62"),
+    "classify-fano --table extra.json --json":
+        (0, "388ef0196ce434904c8a98e86e460441ddda1b06183d93890278bc2f711d68ed"),
 }
 
 
@@ -71,3 +109,15 @@ def test_output_matches_pinned_digest(capsys, argv):
     captured = capsys.readouterr()
     assert code == 0 and not captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == PINNED[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(FILE_PINNED))
+def test_output_on_files_matches_pinned_digest(tmp_path, monkeypatch, capsys, argv):
+    table = [{name: getattr(r, name) for name in r._fields} for r in default_fano_table()]
+    (tmp_path / "fail.json").write_text(json.dumps(FAILING))
+    (tmp_path / "extra.json").write_text(json.dumps(table + [EXTRA_FAMILY]))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert not captured.err
+    assert (code, hashlib.sha256(captured.out.encode()).hexdigest()) == FILE_PINNED[argv]

@@ -11,11 +11,14 @@ import io
 import json
 import os
 import tempfile
+import time
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 from semifree8 import cli
 from semifree8.classify import (
+    _gap_empty,
     catalog,
     match_fp_class,
     sphere_constraints,
@@ -134,3 +137,35 @@ def test_quadric_with_plane_data_is_not_the_x8_family():
     doc = json.loads(dumps_data(catalog()["x8-six-points"]))
     doc["components"][0]["type"] = "p1xp1"
     assert match_fp_class(loads_data(json.dumps(doc))) == "unclassified"
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents)
+def test_gap_test_equals_the_scan_over_components(doc):
+    try:
+        data = loads_data(json.dumps(doc))
+    except DataError:
+        return
+    levels = sorted({c.level for c in data})
+    probes = {0} | {v + d for v in levels for d in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1)}
+    for a in probes:
+        for b in probes:
+            assert _gap_empty(levels, a, b) == (not any(a < c.level < b for c in data))
+
+
+def test_many_interior_spheres_verify_in_linear_time():
+    # an isolated minimum, 20,000 Morse-index-2 spheres on one level and a
+    # plane maximum: each sphere asks whether a level lies below it, and a
+    # scan over the components for each sphere made this quadratic
+    sphere = {"type": "cp1", "weights": [0, -1, 1, 1],
+              "normal": {"kind": "surface", "summands": [[0, -1], [1, 1], [1, 1]]}}
+    data = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
+        {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
+        *[sphere] * 20000,
+        {"type": "cp2", "weights": [0, 0, -1, -1],
+         "normal": {"kind": "fourdim_extremal", "c1": 3, "c2": 3}},
+    ]}))
+    start = time.perf_counter()
+    rep = verification_report(data)
+    assert time.perf_counter() - start < 10
+    assert sum(it.id == "surface-degree-relation" for it in rep) == 20000
