@@ -4,9 +4,13 @@ A `Poly` is integer numerators q over one positive denominator den, in
 lowest terms; its Fraction `coeffs` are built only when read. Everything
 below runs on Python integers, no float is used, and each `Poly` builds
 its Sturm chain once, on first use: one chain per polynomial, nothing
-shared across polynomials. p(n/d) = d^deg * q(n/d) / (den * d^deg), and
-with a*x + b = (A*x + B)/D, p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i /
-(den * D^deg), by Horner's rule on integer coefficient lists.
+shared across polynomials and nothing cached here. Sharing is the density
+layer's (`semifree8.dh`): it keeps each distinct piece, so an equal
+polynomial met again reuses the chain its first copy built.
+
+p(n/d) = d^deg * q(n/d) / (den * d^deg), and with a*x + b = (A*x + B)/D,
+p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i / (den * D^deg), by Horner's
+rule on integer coefficient lists.
 
 For the root count q is divided by its content; a primitive
 pseudo-remainder gcd with q' and an exact division give its square-free

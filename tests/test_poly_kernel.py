@@ -8,7 +8,9 @@ Horner's rule on `Fraction` coefficients and on `Poly` objects, and the
 old tuple of trimmed `Fraction` coefficients with the `fmt` that read it.
 The two must agree coefficient for coefficient, on equality, hashing,
 printing and degree, and the results must keep `Fraction` values. Each
-`Poly` builds its Sturm chain once: counting and isolating a root share it.
+`Poly` builds its Sturm chain once: counting and isolating a root share it,
+and the density layer, which shares its pieces, builds one chain per
+distinct piece.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from semifree8 import polynomial
+from semifree8 import dh, polynomial
 from semifree8.classify import enumerate_case
 from semifree8.dh import dh_profile, positivity_check
 from semifree8.polynomial import Poly, count_roots_open, isolate_root, positive_on_open
@@ -196,10 +198,17 @@ def test_interior_root_builds_one_chain(monkeypatch):
 
 def test_failing_density_piece_builds_one_chain(monkeypatch):
     fam = [f for f in enumerate_case((4, 4)).families if f.key == "4,4/negative"][0]
-    profile = dh_profile(fam.instantiate(12, split=(8, 6)))   # k2 = 8 passes K2_CAP
+    data = fam.instantiate(12, split=(8, 6))        # k2 = 8 passes K2_CAP
+    dh.clear_caches()               # no piece built by an earlier test
+    profile = dh_profile(data)
     builds = count_chain_builds(monkeypatch)
     report = positivity_check(profile)
     verdicts = [it.verdict for it in report if it.id == "dh-positivity"]
     assert sorted(verdicts) == ["FAIL", "PASS"]
     assert "vanishes in the interior" in " ".join(it.detail for it in report)
     assert len(builds) == len(profile.pieces) == 2
+    # the density layer shares its pieces and their certificates: the same
+    # profile again, and an equal one built afresh, build no further chain
+    assert positivity_check(profile).lines() == report.lines()
+    assert positivity_check(dh_profile(fam.instantiate(12, split=(8, 6)))).lines() == report.lines()
+    assert len(builds) == 2
