@@ -23,24 +23,23 @@ density, coming from the binomial normalization of the quartic).
 Positivity of the density on open regular intervals is decided exactly
 with Sturm sequences; a zero at a wall is fine, a zero inside is not.
 
-The layer is memoized on its own exact sub-inputs, never on a document:
+The layer keeps two caches, neither keyed on a document:
 
-* a piece on ``(end, base, a, b, formula, *args)``: which end, the
-  extreme's level read from that end, the interval read from that end, and
-  the formula with its argument (``k2`` for the ruled one);
-* the seam resolution on the tuple of pieces;
+* a profile on the pair of end descriptions ``_end(data, 1)`` and
+  ``_end(data, -1)``: flat tuples of the end, the extreme's level read from
+  that end, and per piece its interval, formula and argument (``k2`` for the
+  ruled one), all that a profile reads of the data;
 * a piece's ``dh-positivity`` item, its text included, on ``(poly, lo,
-  hi)``, with the argument types in the key.
+  hi)``, with the argument types in the key, so each distinct piece is
+  certified, and builds its Sturm chain, once per process.
 
-Every key is made of ints, Fractions, frozen records and ``Poly``s, whose
-equality and hash read exact values, and every function behind a cache is
-pure, so a hit returns what a fresh call would. What the caches share is
-immutable, except the Sturm chain a ``Poly`` builds on first use, so each
-distinct piece builds its chain once per process. A verify-families pass
-over the benchmark's families corpus meets 59 distinct pieces, 180
-distinct tuples of pieces and 44 distinct certificates, the edits corpus
-21, 22 and 20, ``enumerate_all(30)`` 22, 24 and 20; each cache keeps at
-most ``CACHE_SIZE`` entries, least recently used first out.
+Both keys are ints, Fractions, functions and ``Poly``s, whose equality and
+hash read exact values (a function's is its identity), and both cached
+functions are pure and return immutable records, so a hit returns what a
+fresh call would. A verify-families pass over the benchmark's families
+corpus meets 180 distinct pairs and 44 distinct certificates, the edits
+corpus 22 and 20, ``enumerate_all(30)`` 24 and 20; each cache keeps at most
+``CACHE_SIZE`` entries, least recently used first out.
 """
 
 from __future__ import annotations
@@ -152,53 +151,56 @@ class DHProfile(Record):
 CACHE_SIZE = 1024      # entries per cache, past every distinct count above
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _piece(end, base, a, b, formula, *args):
-    """formula(*args) on (a, b) read from this end, mapped back to levels."""
-    lo, hi = (a, b) if end == 1 else (-b, -a)
-    return DHPiece(Fraction(lo), Fraction(hi), formula(*args).compose_linear(end, -base))
-
-
-def _end_pieces(data, end):
-    """Pieces pinned next to the minimum (end = 1) or maximum (end = -1), read
-    as the reversed action reads its minimum: levels read as end * level, and
-    the extreme's first (or last) sorted weight has sign end or is zero."""
+def _end(data, end):
+    """What the formulas pin next to the minimum (end = 1) or maximum (end =
+    -1), read as the reversed action reads its minimum (levels as end *
+    level; the extreme's first, or last, sorted weight has sign end or is
+    zero), as one flat tuple: the end, the extreme's level, then per piece
+    its interval, formula and argument tuple, all read from that end; ()
+    when nothing is pinned."""
     ext = [c for c in data if end * c.weights[0 if end == 1 else -1] >= 0]
     levels = sorted({end * c.level for c in data})
     if len(ext) != 1 or len(levels) < 2:
         return ()
     ext, base = ext[0], end * ext[0].level
     if ext.type is ComponentType.POINT:
-        out = (_piece(end, base, base, levels[1], dh_isolated_min),)
-        wall = [c for c in data if end * c.level == levels[1]]
-        # the wall point's index counts its weights of sign -end
-        if (len(wall) == 1 and wall[0].type is ComponentType.POINT
-                and sum(1 for w in wall[0].weights if end * w < 0) == 1
-                and levels[1] - base == 2 and len(levels) >= 3):
-            out += (_piece(end, base, levels[1], levels[2], dh_after_lam1_point),)
+        out = (end, base, base, levels[1], dh_isolated_min, ())
+        if levels[1] - base == 2 and len(levels) >= 3:
+            wall = [c for c in data if end * c.level == levels[1]]
+            # the wall point's index counts its weights of sign -end
+            if (len(wall) == 1 and wall[0].type is ComponentType.POINT
+                    and sum(1 for w in wall[0].weights if end * w < 0) == 1):
+                out += (levels[1], levels[2], dh_after_lam1_point, ())
         return out
     k2 = ruled_plane_k2(ext)    # reversal keeps an extremal plane's normal data
-    return () if k2 is None else (_piece(end, base, base, levels[1], dh_near_cp2, k2),)
+    return () if k2 is None else (end, base, base, levels[1], dh_near_cp2, (k2,))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _resolve(pieces):
+def _profile(below, above):
+    """The pieces two end descriptions pin, seams resolved."""
+    pieces = []
+    for end, base, *rest in filter(None, (below, above)):
+        for i in range(0, len(rest), 4):
+            a, b, formula, args = rest[i:i + 4]
+            lo, hi = (a, b) if end == 1 else (-b, -a)
+            pieces.append(DHPiece(Fraction(lo), Fraction(hi),
+                                  formula(*args).compose_linear(end, -base)))
     # only opposite ends overlap, and never with one polynomial (leading
     # terms, degrees or interval lengths differ): every overlap is a seam
-    pieces = sorted(pieces, key=lambda p: (p.lo, p.hi))
+    pieces.sort(key=lambda p: (p.lo, p.hi))
     out, warns = [], []
     for pc in pieces:
-        if not out or pc.lo >= out[-1].hi:
-            out.append(pc)
-            continue
-        prev = out[-1]
-        seam = (max(prev.lo, pc.lo) + min(prev.hi, pc.hi)) / 2
-        warns.append(CheckItem(
-            "dh-seam", "WARN",
-            "the two extremal formulas disagree on a shared wall-free interval; "
-            "truncating both at level %s" % seam))
-        out[-1] = DHPiece(prev.lo, seam, prev.poly)
-        out.append(DHPiece(seam, pc.hi, pc.poly))
+        if out and pc.lo < out[-1].hi:
+            prev = out.pop()
+            seam = (max(prev.lo, pc.lo) + min(prev.hi, pc.hi)) / 2
+            warns.append(CheckItem(
+                "dh-seam", "WARN",
+                "the two extremal formulas disagree on a shared wall-free interval; "
+                "truncating both at level %s" % seam))
+            out.append(DHPiece(prev.lo, seam, prev.poly))
+            pc = DHPiece(seam, pc.hi, pc.poly)
+        out.append(pc)
     for a, b in zip(out, out[1:]):
         if a.hi == b.lo:
             va, vb = a.poly(a.hi), b.poly(b.lo)
@@ -207,7 +209,7 @@ def _resolve(pieces):
                     "dh-seam", "WARN",
                     "density value jumps at level %s: %s from below vs %s from above"
                     % (a.hi, va, vb)))
-    return tuple(out), tuple(warns)
+    return DHProfile(tuple(out), tuple(warns))
 
 
 def dh_profile(data):
@@ -215,8 +217,7 @@ def dh_profile(data):
     pin next to each extreme, read in place, with seam diagnostics. Data
     they do not cover gets fewer (possibly zero) pieces; nothing is
     extrapolated."""
-    pieces, warns = _resolve(_end_pieces(data, 1) + _end_pieces(data, -1))
-    return DHProfile(pieces, warns)
+    return _profile(_end(data, 1), _end(data, -1))
 
 
 # typed: an endpoint of another number type (a float, say) is its own key,
@@ -229,9 +230,9 @@ def _certificate(poly, lo, hi):
 
 
 def clear_caches():
-    """Empty the piece, seam and certificate caches."""
-    for cached in (_piece, _resolve, _certificate):
-        cached.cache_clear()
+    """Empty the profile and certificate caches."""
+    _profile.cache_clear()
+    _certificate.cache_clear()
 
 
 def positivity_check(profile):
@@ -270,11 +271,9 @@ def total_volume(data):
             return None
         return half_volume_cp2(k2s[0]) + half_volume_cp2(k2s[1])
     if (d1, d2) == (0, 4):
-        lam1 = [c for c in inner if c.lam == 1]
-        lam2 = [c for c in inner if c.lam == 2]
-        if len(lam1) + len(lam2) != len(inner) or len(lam1) != 1:
-            return None
-        if any(c.type is not ComponentType.POINT for c in lam1 + lam2):
+        lams = [c.lam for c in inner]
+        if (lams.count(1) != 1 or not set(lams) <= {1, 2}
+                or any(c.type is not ComponentType.POINT for c in inner)):
             return None
         k2 = ruled_plane_k2(hi)
         if k2 is None:
@@ -303,9 +302,9 @@ def b4_bound_check(b4, shape, split=None):
         return pass_fail("dh-k-bound", ok, "a split of %d into two parts <= %d %s"
                          % (b4, K2_CAP, "exists" if ok else "cannot exist"))
     split = tuple(index(v) for v in split)
-    if sum(split) != b4:
-        return CheckItem("dh-k-bound", "FAIL",
-                         "split %s does not sum to b4 = %d" % (split, b4))
+    if len(split) != 2 or sum(split) != b4:
+        return CheckItem("dh-k-bound", "FAIL", "split %s %s" % (split, (
+            "is not two parts" if len(split) != 2 else "does not sum to b4 = %d" % b4)))
     ok = max(split) <= K2_CAP
     return pass_fail("dh-k-bound", ok, "split %s with both parts %s %d"
                      % (split, "<=" if ok else "not <=", K2_CAP))

@@ -1,9 +1,10 @@
 """The memoized density layer against itself cold and against a fresh route.
 
-`semifree8.dh` caches its pieces, its seam resolution and each piece's
-`dh-positivity` item on exact sub-inputs, never on a document. A hit must
-return what a fresh call returns. So the report lines of
-``positivity_check(dh_profile(d))`` must be the same three ways:
+`semifree8.dh` caches each profile on what the formulas pin next to its two
+ends, and each piece's `dh-positivity` item on the piece's polynomial and
+interval, never on a document. A hit must return what a fresh call
+returns. So the report lines of ``positivity_check(dh_profile(d))`` must
+be the same three ways:
 
 * with every cache emptied before each document (cold),
 * after the whole corpus has run once (warm), and
@@ -113,19 +114,36 @@ def test_cold_warm_and_fresh_reports_agree():
     assert dh._certificate.cache_info().hits > hits
 
 
-def test_documents_sharing_an_end_share_its_piece():
-    # the same plane with k2 = 3 at one end, different planes at the other
-    fam = [f for f in enumerate_all(14)[(4, 4)].families if f.key == "4,4/negative"][0]
-    one, other = fam.instantiate(6, split=(3, 5)), fam.instantiate(7, split=(3, 6))
+def test_documents_whose_ends_read_alike_share_a_profile():
+    # two tails of the surface between the same isolated minimum and the same
+    # maximum: different documents, alike at both ends
+    fam = [f for f in enumerate_all(14)[(0, 4)].families if f.key == "0,4/with-surface"][0]
+    one, other = fam.instantiate(0, tail=(2, 2)), fam.instantiate(0, tail=(1, 3))
+    assert one != other
+    assert [dh._end(one, e) for e in (1, -1)] == [dh._end(other, e) for e in (1, -1)]
     dh.clear_caches()
     first = dh_profile(one)
-    before = dh._piece.cache_info()
-    second = dh_profile(other)
-    after = dh._piece.cache_info()
-    assert after.hits > before.hits
-    shared = [pc for pc in second.pieces if any(pc is p for p in first.pieces)]
-    assert shared, "no piece object is shared between the two profiles"
+    assert dh._profile.cache_info()[:2] == (0, 1)         # (hits, misses)
+    assert dh_profile(other) is first
+    assert dh._profile.cache_info()[:2] == (1, 1)
+
+
+def test_documents_sharing_an_end_share_its_piece():
+    # the same plane with k2 = 3 at the minimum, different planes at the maximum
+    fam = [f for f in enumerate_all(14)[(4, 4)].families if f.key == "4,4/negative"][0]
+    one, other = fam.instantiate(6, split=(3, 5)), fam.instantiate(7, split=(3, 6))
+    assert dh._end(one, 1) == dh._end(other, 1) and dh._end(one, -1) != dh._end(other, -1)
+    dh.clear_caches()
+    first, second = dh_profile(one), dh_profile(other)
     assert first != second
+    assert first.pieces[0] == second.pieces[0]
+    assert first.pieces[1] != second.pieces[1]
+    positivity_check(first)
+    before = dh._certificate.cache_info()
+    positivity_check(second)
+    after = dh._certificate.cache_info()
+    # the shared end's certificate is read back, the other end's is made
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
 def test_an_endpoint_of_another_type_is_not_a_hit():

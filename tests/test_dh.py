@@ -20,7 +20,14 @@ from semifree8.dh import (
     positivity_check,
     total_volume,
 )
-from semifree8.model import cp2_extremal, point_component, FixedPointData
+from semifree8.localization import SurfaceNormal
+from semifree8.model import (
+    ComponentType,
+    FixedComponent,
+    FixedPointData,
+    cp2_extremal,
+    point_component,
+)
 from semifree8.polynomial import Poly, count_roots_open, positive_on_open
 
 
@@ -102,6 +109,29 @@ def test_total_volume_of_families():
     assert total_volume(positive.instantiate()) is None
 
 
+def test_total_volume_wants_one_index_2_point_among_points():
+    fam = [f for f in enumerate_case((0, 4)).families if f.key == "0,4/no-surface"][0]
+    comps = list(fam.instantiate(2))
+    assert total_volume(FixedPointData(comps)) == 416 - 16 * 3
+    sphere = FixedComponent(ComponentType.CP1, (-1, -1, 0, 1),
+                            SurfaceNormal([(1, -1), (1, -1), (1, 1)]))
+    for extra in (point_component((-1, -1, -1, 1)),     # an interior index 6
+                  point_component((-1, 1, 1, 1)),       # a second index 2
+                  sphere):                              # an index-4 sphere
+        assert total_volume(FixedPointData(comps + [extra])) is None
+
+
+def test_blow_up_piece_wants_a_lone_index_2_point_on_the_wall():
+    # an isolated minimum at -4 and a point maximum at 4; the wall at -2
+    # holds one index-2 point, then two
+    ends = [point_component((1, 1, 1, 1)), point_component((-1, -1, -1, -1))]
+    lone, pair = (dh_profile(FixedPointData(ends + [point_component((-1, 1, 1, 1))] * n))
+                  for n in (1, 2))
+    assert [(pc.lo, pc.hi) for pc in lone.pieces] == [(-4, -2), (-2, 1), (1, 4)]
+    assert lone.pieces[1].poly == dh_after_lam1_point().compose_linear(1, 4)
+    assert [(pc.lo, pc.hi) for pc in pair.pieces] == [(-4, -2), (-2, 4)]
+
+
 def test_volume_is_reversal_invariant():
     from semifree8.model import reverse_action
     fam = [f for f in enumerate_case((4, 4)).families if f.key == "4,4/negative"][0]
@@ -155,6 +185,16 @@ def test_b4_bound_lines():
     assert b4_bound_check(15, (4, 4), split=(7, 8)).verdict == "FAIL"
     assert b4_bound_check(7, (0, 4)).verdict == "PASS"
     assert b4_bound_check(8, (0, 4)).verdict == "FAIL"
+
+
+def test_b4_bound_wants_a_split_in_two():
+    # (7, 7, 0) passed as "both parts <= 7", (14,) failed as "both parts not
+    # <= 7" and () raised ValueError from max()
+    for b4, split in ((14, (7, 7, 0)), (14, (14,)), (0, ())):
+        item = b4_bound_check(b4, (4, 4), split=split)
+        assert (item.verdict, item.detail) == ("FAIL", "split %s is not two parts" % (split,))
+    item = b4_bound_check(14, (4, 4), split=(7, 8))
+    assert (item.verdict, item.detail) == ("FAIL", "split (7, 8) does not sum to b4 = 14")
 
 
 def test_b4_bound_refuses_non_integers():

@@ -118,8 +118,8 @@ def _pieces(pieces):
 def check_against_oracle(data):
     below = oracle_min_side_pieces(data)
     above = [oracle_mirror(p) for p in oracle_min_side_pieces(reverse_action(data))]
-    # opposite ends never pin one polynomial on an overlap, so _resolve
-    # needs no merge
+    # opposite ends never pin one polynomial on an overlap, so dh._profile
+    # needs no merge when it resolves the seams
     for p in below:
         for q in above:
             if max(p.lo, q.lo) < min(p.hi, q.hi):

@@ -25,6 +25,15 @@ every hyperplane; on each, with h the Pluecker class, W* has total class
 1/(1 - h) = 1 + h + h^2, so the normal bundle has class (1 + h + h^2)^3 /
 (1 + h)^4. The fixed P(V0) x P(V1) meets the four hyperplanes in the
 points counted by the integral of (h1 + h2)^4.
+
+W5 is Gr(2,5) cut by two such hyperplanes, with V0 and V1 of dimensions 2
+and 3. Gr(2,V0) is a point; on the plane Gr(2,V1) the normal bundle is
+W* (x) V0 minus two copies of O(1), of class (1 + h + h^2)^2 / (1 + h)^2.
+At W = l0 + l1, with lines l0 in V0 and l1 in V1, the directions of weight
+0 are the tangent space of P(V0) x P(V1), which the hyperplanes cut to the
+curve C of two (1,1) divisors; the normal directions are Hom(l1, V0/l0)
+of weight -1 and Hom(l0, V1/l1) of weight +1. Their Chern classes live in
+Z[h1,h2]/(h1^2, h2^3), and degrees on C are integrals against (h1 + h2)^2.
 """
 
 from math import comb
@@ -101,6 +110,18 @@ def test_catalog_entry_from_linear_action(name, weights, quadric):
     assert fingerprint(data) == fingerprint(catalog()[name])
 
 
+def _section_tangent(weights, span, cuts):
+    """Weights at a fixed 2-plane W, spanned by vectors of the weights in
+    span, of Gr(2, C^n) cut by `cuts` hyperplanes of weight 1."""
+    rest = list(weights)
+    for w in span:
+        rest.remove(w)
+    tangent = [q - w for w in span for q in rest]
+    for _ in range(cuts):
+        tangent.remove(1 - sum(span))
+    return tangent
+
+
 def grassmannian_section_data():
     """Fixed point data of Gr(2, V0 + V1) cut by four hyperplanes in V0 (x) V1."""
     weights = (0, 0, 0, 1, 1, 1)
@@ -111,12 +132,7 @@ def grassmannian_section_data():
     points = comb(4, 2)         # (h1 + h2)^4 on P2 x P2: its h1^2 h2^2 term
     comps = []
     for span in ((0, 0), (0, 1), (1, 1)):           # the weights of W
-        rest = list(weights)
-        for w in span:
-            rest.remove(w)
-        tangent = [q - w for w in span for q in rest]
-        for _ in range(4):
-            tangent.remove(1 - sum(span))
+        tangent = _section_tangent(weights, span, 4)
         if span == (0, 1):
             comps += [FixedComponent(ComponentType.POINT, tangent, PointNormal())
                       for _ in range(points)]
@@ -130,3 +146,54 @@ def test_x8_six_points_from_grassmannian_section():
     data, c, points = grassmannian_section_data()
     assert c == (1, -1, 4) and points == 6
     assert fingerprint(data) == fingerprint(catalog()["x8-six-points"])
+
+
+def _times2(a, b):
+    """Product in Z[h1,h2]/(h1^2, h2^3), a class as {(i, j): coefficient of
+    h1^i h2^j}."""
+    out = {}
+    for (i, j), x in a.items():
+        for (k, m), y in b.items():
+            if i + k < 2 and j + m < 3:
+                out[i + k, j + m] = out.get((i + k, j + m), 0) + x * y
+    return out
+
+
+def w5_section_data():
+    """Fixed point data of Gr(2, V0 + V1), dimensions 2 and 3, cut by two
+    hyperplanes in V0 (x) V1."""
+    weights = (0, 0, 1, 1, 1)
+    cw = (1, 1, 1)                                  # c(W*) = 1 / (1 - h)
+    c = _times(cw, cw)                              # c(W* (x) V0), V0 = C^2
+    for _ in range(2):
+        c = _times(c, _inverse((1, 1, 0)))          # minus O(1), twice
+    # the curve: (h1 + h2)^2 on P(V0) x P(V1), integrated as its h1 h2^2 term
+    h1, h2 = {(1, 0): 1}, {(0, 1): 1}
+    curve = _times2({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1})
+    h1_c, h2_c = (_times2(h, curve).get((1, 2), 0) for h in (h1, h2))
+    q = _inverse((1, -1, 0))[1]     # c1(V/l) on P(V), as c(V/l) = 1 / (1 - h)
+    down = h2_c + q * h1_c                          # c1(l1* (x) V0/l0) on C
+    up = 2 * h1_c + q * h2_c                        # c1(l0* (x) V1/l1) on C
+    # the split of the weight +1 bundle is not a Chern number: it rests on
+    # T_P2 restricted to a conic being O(3) + O(3), so V1/l1 = T_P2(-1)
+    # restricts to O(3 - h2.C) twice and l0* (x) V1/l1 to O(h1.C + 3 - h2.C)
+    # twice
+    tail = (h1_c + 3 - h2_c,) * 2
+    assert sum(tail) == up
+    comps = [
+        FixedComponent(ComponentType.POINT, _section_tangent(weights, (0, 0), 2),
+                       PointNormal()),
+        FixedComponent(ComponentType.CP1, _section_tangent(weights, (0, 1), 2),
+                       SurfaceNormal([(down, -1)] + [(a, 1) for a in tail])),
+        FixedComponent(ComponentType.CP2, _section_tangent(weights, (1, 1), 2),
+                       FourDimExtremalNormal(c[1], c[2])),
+    ]
+    return FixedPointData(comps), c, (h1_c, h2_c), (down, up)
+
+
+def test_w5_surface_and_plane_from_grassmannian_section():
+    data, c, (h1_c, h2_c), (down, up) = w5_section_data()
+    assert c == (1, 0, 2)
+    assert (h1_c, h2_c) == (1, 2) and (down, up) == (3, 4)
+    assert [comp.weights for comp in data] == [(1, 1, 1, 1), (-1, 0, 1, 1), (-1, -1, 0, 0)]
+    assert fingerprint(data) == fingerprint(catalog()["w5-surface-and-plane"])
