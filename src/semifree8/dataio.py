@@ -40,10 +40,13 @@ impossible action loads fine and then fails verification.
 
 A ``DataError``'s path names the failing node: ``components[1].normal.c1``,
 or in a table ``table.json[3].b4``. Each reader raises with the path
-relative to the node it reads and each parent prefixes its step (``_at``)
-on the way out, so a valid document formats no path. JSON decoding gives
-exact types, so each value takes one exact-type test: a bool or a float is
-never an integer.
+relative to the node it reads and each parent prefixes its step on the way
+out (``_prefix``). The loops over nodes (``_read_each``, a normal's fields)
+and a component's read of its normal catch the error themselves, so a
+loaded node costs one call, its reader's; the other reads go through
+``_at``. A valid document formats no path. JSON decoding gives exact
+types, so each value takes one exact-type test: a bool or a float is never
+an integer.
 """
 
 from __future__ import annotations
@@ -74,19 +77,31 @@ _HEADER = (("dimension", 8, "only dimension 8 is supported"),
 _TYPES = {t.value: t for t in ComponentType}
 
 
+def _prefix(exc, step):
+    """Prefix a DataError's path with the step to the node its reader read:
+    a key, or an int for a list index."""
+    step = "[%d]" % step if type(step) is int else step
+    exc.path = step + ("." + exc.path if exc.path[:1] not in ("", "[") else exc.path)
+
+
 def _at(step, read, *args):
-    """read(*args); a DataError from it gets the step to the node it read
-    (a key, or an int for a list index) prefixed to its path."""
+    """read(*args), a DataError from it prefixed with the step."""
     try:
         return read(*args)
     except DataError as exc:
-        step = "[%d]" % step if type(step) is int else step
-        exc.path = step + ("." + exc.path if exc.path[:1] not in ("", "[") else exc.path)
+        _prefix(exc, step)
         raise
 
 
 def _read_each(read, nodes):
-    return [_at(i, read, node) for i, node in enumerate(nodes)]
+    out = []
+    try:
+        for node in nodes:
+            out.append(read(node))
+    except DataError as exc:
+        _prefix(exc, len(out))      # the index of the node that failed
+        raise
+    return out
 
 
 def _expect(cls, what):
@@ -143,7 +158,13 @@ def _parse_normal(node):
     if type(kind) is not str or kind not in _NORMALS:
         raise DataError("unknown normal kind %r" % (kind,), "kind")
     cls, readers = _NORMALS[kind]
-    args = [_at(name, read, node.get(name)) for name, read in readers]
+    args = []
+    try:
+        for name, read in readers:
+            args.append(read(node.get(name)))
+    except DataError as exc:
+        _prefix(exc, name)
+        raise
     try:
         return cls(*args)
     except ValueError as exc:
@@ -161,7 +182,12 @@ def _parse_component(node):
     if not (type(weights) is list and len(weights) == 4 and type(weights[0])
             is type(weights[1]) is type(weights[2]) is type(weights[3]) is int):
         _at("weights", _expect_int_list, weights, 4)
-    return FixedComponent(_TYPES[tname], weights, _at("normal", _parse_normal, node.get("normal")))
+    try:
+        normal = _parse_normal(node.get("normal"))
+    except DataError as exc:
+        _prefix(exc, "normal")
+        raise
+    return FixedComponent(_TYPES[tname], weights, normal)
 
 
 def _parse_record(node):

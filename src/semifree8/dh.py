@@ -40,6 +40,14 @@ fresh call would. A verify-families pass over the benchmark's families
 corpus meets 180 distinct pairs and 44 distinct certificates, the edits
 corpus 22 and 20, ``enumerate_all(30)`` 24 and 20; each cache keeps at most
 ``CACHE_SIZE`` entries, least recently used first out.
+
+The first ``positivity_check`` of a profile looks its pieces up in the
+certificate cache and keeps the items on the profile, outside its fields
+(``DHProfile.certificates``). A profile that ``dh_profile`` has returned
+before is the cached object itself, so every later check of it, the warm
+path of ``verification_report``, reads its ``dh-positivity`` items from
+there and hashes or compares no ``Poly`` or ``Fraction``. ``_certificate``
+stays the one place where a distinct piece is certified.
 """
 
 from __future__ import annotations
@@ -142,6 +150,7 @@ class DHPiece(Record):
 
 class DHProfile(Record):
     _fields = ("pieces", "warnings")
+    certificates = None     # the pieces' dh-positivity items, once checked
 
     def __init__(self, pieces, warnings):
         set_field(self, "pieces", pieces)
@@ -247,7 +256,11 @@ def positivity_check(profile):
         rep.append(CheckItem("dh-positivity", "INFO",
                              "no density piece is pinned for this configuration"))
         return rep
-    rep.extend(_certificate(pc.poly, pc.lo, pc.hi) for pc in profile.pieces)
+    items = profile.certificates
+    if items is None:
+        items = tuple([_certificate(pc.poly, pc.lo, pc.hi) for pc in profile.pieces])
+        set_field(profile, "certificates", items)
+    rep.extend(items)
     rep.extend(profile.warnings)
     return rep
 

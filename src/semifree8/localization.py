@@ -9,12 +9,17 @@ vanishing is a statement about plain integers and this module computes
 them two independent ways:
 
 * closed forms, one per normal-bundle variant (the ``contribution``
-  method of each normal class), and
+  method of each normal class), each returning an ``int``, so that
+  ``abbv_terms`` and ``abbv_sum`` do integer arithmetic only, and
 * a series oracle that builds the equivariant Euler class exactly as a
   Laurent polynomial with coefficients in the component's cohomology
-  ring and inverts it. The inversion is exact, not truncated: after
-  factoring out the leading unit the remainder is nilpotent, so the
-  geometric series terminates after at most dim_C(F) + 1 terms.
+  ring and inverts it, returning a ``Fraction``. The inversion is exact,
+  not truncated: after factoring out the leading unit the remainder is
+  nilpotent, so the geometric series terminates after at most
+  dim_C(F) + 1 terms.
+
+An int and a Fraction compare exactly, so the two routes are held equal
+with ``==``.
 
 The two routes are kept separate on purpose and tested against each
 other; neither is ever defined in terms of the other. Only the oracle
@@ -39,9 +44,10 @@ class _Normal(Record):
     """Each variant states its own data: ``first_chern`` in the component's
     generator basis and the ``fingerprint`` tail, attributes set in
     ``__init__``, the closed-form ``contribution(lam)`` for lam negative
-    weights and ``reversed()`` for the circle running backwards, all for a
-    well-typed component (the ``normal-variant`` rule). By default reversal
-    keeps the data, and only an extremal plane pins the ruled density."""
+    weights (an int) and ``reversed()`` for the circle running backwards,
+    all for a well-typed component (the ``normal-variant`` rule). By default
+    reversal keeps the data, and only an extremal plane pins the ruled
+    density."""
 
     ruled_k2 = None
 
@@ -57,8 +63,8 @@ class PointNormal(_Normal):
     fingerprint = ("pt",)
 
     def contribution(self, lam):
-        """(-1)^lam: the sign of the product of the four nonzero weights."""
-        return Fraction((-1) ** lam)
+        """(-1)^lam, an int: the sign of the product of the four nonzero weights."""
+        return (-1) ** lam
 
 
 class SurfaceNormal(_Normal):
@@ -85,11 +91,11 @@ class SurfaceNormal(_Normal):
         return tuple(a for a, wt in self.summands if wt == w)
 
     def contribution(self, lam):
-        """-(-1)^lam (sum_pos a - sum_neg a)."""
+        """-(-1)^lam (sum_pos a - sum_neg a), an int."""
         neg = self.degrees_with_weight(-1)
         if len(neg) != lam:
             raise ValueError("surface normal data does not match lam = %d" % lam)
-        return Fraction(-((-1) ** lam) * (sum(self.degrees_with_weight(1)) - sum(neg)))
+        return -((-1) ** lam) * (sum(self.degrees_with_weight(1)) - sum(neg))
 
     def reversed(self):
         return SurfaceNormal(tuple((a, -w) for a, w in self.summands))
@@ -115,8 +121,8 @@ class FourDimExtremalNormal(_Normal):
         set_field(self, "fingerprint", ("ext", c1, c2))
 
     def contribution(self, lam):
-        """c1^2 - c2; the sign of the two equal weights drops out."""
-        return Fraction(self.c1 ** 2 - self.c2)
+        """c1^2 - c2, an int; the sign of the two equal weights drops out."""
+        return self.c1 ** 2 - self.c2
 
 
 def _pairing(a, b):
@@ -151,9 +157,10 @@ class FourDimSplitNormal(_Normal):
                   ("split",) + min((minus, plus), (minus[::-1], plus[::-1])))
 
     def contribution(self, lam):
-        """-(u^2 - u v + v^2) integrated over the component, u = c1(L-), v = c1(L+)."""
+        """-(u^2 - u v + v^2) integrated over the component, u = c1(L-),
+        v = c1(L+): an int."""
         u, v = self.minus, self.plus
-        return Fraction(-(_pairing(u, u) - _pairing(u, v) + _pairing(v, v)))
+        return -(_pairing(u, u) - _pairing(u, v) + _pairing(v, v))
 
     def reversed(self):
         return FourDimSplitNormal(self.plus, self.minus)
@@ -172,12 +179,12 @@ class SixDimNormal(_Normal):
         set_field(self, "fingerprint", ("six", c1))
 
     def contribution(self, lam):
-        """-c1^3; again independent of the weight sign."""
-        return Fraction(-self.c1 ** 3)
+        """-c1^3, an int; again independent of the weight sign."""
+        return -self.c1 ** 3
 
 
 def contribution(weights, normal):
-    """Closed-form localization contribution of one component."""
+    """Closed-form localization contribution of one component, an int."""
     return normal.contribution(sum(1 for w in weights if w < 0))
 
 
@@ -317,8 +324,8 @@ def equivariant_euler(weights, normal):
 def contribution_series_oracle(weights, normal):
     """Independent route: invert the equivariant Euler class, take t^-4.
 
-    Must agree with :func:`contribution` everywhere. Kept free of any
-    reference to the closed forms.
+    Returns a Fraction, which must equal the int of :func:`contribution`
+    everywhere. Kept free of any reference to the closed forms.
     """
     e = equivariant_euler(weights, normal)
     inv = e.inverse()
@@ -330,10 +337,11 @@ def contribution_series_oracle(weights, normal):
 # ----------------------------------------------------------------------
 
 def abbv_terms(components):
-    """Closed-form contribution of each component, in input order."""
+    """Closed-form contribution of each component, in input order: ints."""
     return tuple(contribution(c.weights, c.normal) for c in components)
 
 
 def abbv_sum(components):
-    """Sum of all localization contributions; zero for realizable data."""
-    return sum(abbv_terms(components), Fraction(0))
+    """Sum of all localization contributions, an int; zero for realizable
+    data."""
+    return sum(abbv_terms(components))

@@ -3,10 +3,13 @@
 Every closed form is swept against an independent computation: invert the
 equivariant Euler class as an exact Laurent series over the component's
 cohomology ring, extract the degree minus-four coefficient, integrate.
+The closed forms return ints and the oracle Fractions, which compare
+exactly.
 """
 
 from itertools import product
 
+from semifree8.classify import catalog, enumerate_all
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -114,3 +117,23 @@ def test_abbv_sum_duck_typing():
     comps = [Comp(_point_weights(0), PointNormal()),
              Comp(_point_weights(4), PointNormal())]
     assert abbv_sum(comps) == 2
+
+
+def test_closed_forms_are_ints_on_the_catalog_and_every_family_member():
+    datasets = list(catalog().values())
+    datasets += [family.instantiate(n2)
+                 for result in enumerate_all(14).values()
+                 for family in result.families
+                 for n2 in range(family.n2_min, family.n2_max + 1)]
+    kinds = set()
+    for data in datasets:
+        for comp in data:
+            got = contribution(comp.weights, comp.normal)
+            assert type(got) is int, comp
+            assert got == contribution_series_oracle(comp.weights, comp.normal), comp
+            kinds.add(comp.normal.kind)
+    # every closed form is reached
+    assert kinds == {"point", "surface", "fourdim_extremal", "fourdim_split", "sixdim"}
+    for name, data in catalog().items():
+        total = abbv_sum(data)
+        assert type(total) is int and total == 0, name
