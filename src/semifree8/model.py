@@ -12,17 +12,20 @@ vocabulary (components, Betti numbers via localization of homology,
 structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
 
-A component computes its Morse half-index ``lam``, its ``level`` and its
-``complex_dim`` when it is built; the members of ``ComponentType`` carry
+A component computes its Morse half-index ``lam``, its ``level``, its
+``complex_dim`` and its structural facts when it is built: ``mismatch``
+(``_normal_mismatch``, the reason its normal data does not fit its type
+and weights, or None) and ``omega`` (``omega_coefficients``, set when it
+fits), which ``validate`` reads; the members of ``ComponentType`` carry
 their complex dimension, Betti numbers and tangent Chern class as plain
 attributes. A dataset computes what every rule reads of it when it is
 built: its unique minimum and maximum, its interior components and its
 Betti vector (``FixedPointData.extremes``, ``interior`` and ``betti``).
-These are the only per-dataset copies; none of them is a record field, so
-equality, hashing and repr see the type, weights and normal data of a
-component and the components of a dataset only. ``oriented`` is computed
-on each call from them: it reverses the action only when ``dim_pair`` says
-so, which few inputs need.
+These are the only per-dataset copies. No derived value of a component
+or a dataset is a record field, so equality, hashing and repr see the
+type, weights and normal data of a component and the components of a
+dataset only. ``oriented`` is computed on each call from them: it reverses
+the action only when ``dim_pair`` says so, which few inputs need.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -67,8 +70,11 @@ class ComponentType(Enum):
 
 class FixedComponent(Record):
     """``lam`` is the number of negative weights, i.e. half the Morse index,
-    ``level`` the moment map value, normalized to minus the weight sum, and
-    ``complex_dim`` the complex dimension of the type."""
+    ``level`` the moment map value, normalized to minus the weight sum,
+    ``complex_dim`` the complex dimension of the type, ``mismatch`` why the
+    normal data does not fit the type and weights (``_normal_mismatch``, None
+    when it fits) and ``omega`` the restriction of [w] when it fits
+    (``omega_coefficients``, None for a point or an ill-typed component)."""
 
     _fields = ("type", "weights", "normal")
 
@@ -82,6 +88,9 @@ class FixedComponent(Record):
         set_field(self, "lam", bisect_left(ws, 0))     # ws is sorted
         set_field(self, "level", -sum(ws))
         set_field(self, "complex_dim", type.complex_dim)
+        why = _normal_mismatch(self)
+        set_field(self, "mismatch", why)
+        set_field(self, "omega", None if why else omega_coefficients(self))
 
     def sort_key(self):
         return (self.level, self.type._value_, self.weights)
@@ -98,8 +107,9 @@ class FixedPointData(Record):
 
     def __init__(self, components):
         comps = sorted(components, key=FixedComponent.sort_key)
-        if any(a.weights == b.weights and a.type is b.type and a.normal != b.normal
-               for a, b in zip(comps, comps[1:])):     # ties only repr(normal) orders
+        # ties only repr(normal) orders; a shared component ties with itself
+        if any(a is not b and a.weights == b.weights and a.type is b.type
+               and a.normal != b.normal for a, b in zip(comps, comps[1:])):
             comps.sort(key=lambda c: (c.sort_key(), repr(c.normal)))
         comps = tuple(comps)
         set_field(self, "components", comps)
@@ -402,11 +412,10 @@ def validate(data):
             bad.update(w for w in ws if not -1 <= w <= 1)
         zeros_ok = zeros_ok and ws.count(0) == c.complex_dim
         n_min += not c.lam
-        why = _normal_mismatch(c)
-        if why is not None:
-            mismatched.append("%s: %s" % (c.type._value_, why))
+        if c.mismatch is not None:
+            mismatched.append("%s: %s" % (c.type._value_, c.mismatch))
         elif c.complex_dim:             # well typed and not a point: [w] restricts
-            coeffs = omega_coefficients(c)
+            coeffs = c.omega
             if min(coeffs) < 1:
                 nonpositive.append((c.type._value_, coeffs))
 

@@ -7,15 +7,21 @@ same knowledge sat in isinstance ladders over the normal class and in
 ring computations; those are kept below as oracles (verbatim but
 for names and an inlined degree sum), and the two routes must agree on
 every well-typed component in a box and on all the package's own data.
+A component's ``mismatch`` and ``omega``, set when it is built, must be
+what ``_normal_mismatch`` and ``omega_coefficients`` say of it on every
+component of the benchmark's families and edits corpora.
 """
 
+import importlib.util
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import semifree8
 from semifree8.classify import catalog, enumerate_all
-from semifree8.dataio import document_for, dumps_data
+from semifree8.dataio import DataError, document_for, dumps_data, loads_data
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -177,3 +183,37 @@ def test_catalog_and_families_agree_with_the_ladders(reverse):
             for c in data)), name
         count += 1
     assert count > len(catalog())
+
+
+def bench_corpus():
+    """The benchmark's corpus module, bench/corpus.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EDITS_PER_SEED = 630        # the size of a verify-edits corpus in the benchmark
+
+
+def test_component_facts_are_the_functions_on_the_corpora():
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.families_corpus(semifree8, 1)]
+    for seed in range(1, 9):
+        texts += [text for _, text in corpus.edits_corpus(semifree8, seed, EDITS_PER_SEED)]
+    well_typed = ill_typed = 0
+    for text in texts:
+        try:
+            data = loads_data(text)
+        except DataError:
+            continue
+        for c in data:
+            assert c.mismatch == _normal_mismatch(c), c
+            if c.mismatch is None:
+                assert c.omega == omega_coefficients(c), c
+                well_typed += 1
+            else:
+                assert c.omega is None, c
+                ill_typed += 1
+    assert well_typed > 10000 and ill_typed > 1000

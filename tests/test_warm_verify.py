@@ -11,15 +11,22 @@ counter, shows that the counter sees such calls when they happen.
 
 The documents are the families box of ``tests/test_density_memo.py`` and
 every catalog entry, each as given and reversed.
+
+The loader builds each distinct component once per process, so after a
+warm-up pass loading the same documents again runs no
+``FixedComponent.__init__`` and no normal bundle's ``__init__``, and
+returns the very components of the warm-up pass.
 """
 
 import fractions
 import sys
 from collections import Counter
 
-from semifree8 import dh
+from semifree8 import dataio, dh
 from semifree8.classify import catalog, match_fp_class, verification_report
-from semifree8.model import reverse_action
+from semifree8.dataio import dumps_data, loads_data
+from semifree8.localization import _Normal
+from semifree8.model import FixedComponent, reverse_action
 from semifree8.polynomial import Poly
 from test_density_memo import family_members
 
@@ -64,3 +71,35 @@ def test_warm_pass_makes_no_fraction_or_poly_key_call():
     warm, warm_calls = counted_pass(docs)
     assert warm == cold
     assert warm_calls == Counter({"verification_report": len(docs)})
+
+
+BUILDERS = {cls.__init__.__code__: cls.__name__
+            for cls in [FixedComponent] + _Normal.__subclasses__() if "__init__" in vars(cls)}
+
+
+def counted_loads(texts):
+    """The data loaded from each text, and the component and normal
+    constructors run while loading."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in BUILDERS:
+            calls[BUILDERS[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = [loads_data(text) for text in texts]
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_warm_load_builds_no_component():
+    texts = [dumps_data(d) for d in documents()]
+    dataio._component.cache_clear()
+    cold, cold_calls = counted_loads(texts)
+    assert cold_calls["FixedComponent"] > 0 and cold_calls["FourDimSplitNormal"] > 0
+    warm, warm_calls = counted_loads(texts)
+    assert warm_calls == Counter()
+    assert warm == cold
+    assert all(a is b for x, y in zip(warm, cold) for a, b in zip(x, y))
