@@ -82,13 +82,22 @@ class ClassifyError(ValueError):
 # ----------------------------------------------------------------------
 
 def index_candidates(data):
-    """(source, value) pairs for the Fano index read off the extremes."""
+    """(source, value) pairs for the Fano index read off the extremes.
+
+    An extreme's stored ``omega`` is the restriction of [w]; an ill-typed
+    extreme stores none, so its Chern data is read as given, and where that
+    gives no coefficient the index cannot be read and ClassifyError says
+    why."""
     out = []
     lo, hi = data.extremes
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
         if comp is not None and comp.complex_dim >= 1:
-            out.append((label, abs(omega_coefficients(comp)[0])))
-    if lo is not None and hi is not None and lo.complex_dim == hi.complex_dim == 0:
+            coeffs = omega_coefficients(comp) if comp.mismatch else comp.omega
+            if not coeffs:
+                raise ClassifyError("no Fano index can be read off the %s: %s"
+                                    % (label, comp.mismatch))
+            out.append((label, abs(coeffs[0])))
+    if data.shape == (0, 0):
         four = [c for c in data.interior if c.complex_dim == 2]
         if len(four) == 1:
             out.append(("interior four-dimensional component", 4))
@@ -112,7 +121,7 @@ def index_from_extremal(data):
 # ----------------------------------------------------------------------
 
 def _area_item(check_id, comp, area, where):
-    coeffs = omega_coefficients(comp)
+    coeffs = comp.omega
     if coeffs is None:
         detail = "no sphere of positive area maps into an isolated %s" % where
     else:
@@ -179,7 +188,7 @@ def sphere_index_rules(data):
     o = oriented(data)
     if o is None:
         return rep
-    _, data, lo, hi, inner = o
+    shape, data, lo, hi, inner = o
     cands = index_candidates(data)
     iota = None
     if cands:
@@ -194,8 +203,7 @@ def sphere_index_rules(data):
     else:
         rep.append(CheckItem("fano-index", "INFO", "no index rule applies"))
 
-    if (lo.complex_dim == hi.complex_dim == 0
-            and len([c for c in inner if c.complex_dim == 2]) == 1):
+    if shape == (0, 0) and len([c for c in inner if c.complex_dim == 2]) == 1:
         rep.append(pass_fail("index-lower-oo", iota is not None and iota >= 4,
                              "index %s" % iota))
 
@@ -223,8 +231,7 @@ def _lambda2_exclusion(data):
 
 def _bundle_halves(data):
     """The (0,0) pin: interior 4-dim bundles are halves of the tangent class."""
-    lo, hi = data.extremes
-    if lo is None or hi is None or lo.complex_dim or hi.complex_dim:
+    if data.shape != (0, 0):
         return None
     for c in data.interior:
         if c.complex_dim != 2:
@@ -248,7 +255,10 @@ def _bundle_halves(data):
 # ----------------------------------------------------------------------
 
 def verification_report(data):
-    """Everything this package can check about one dataset, in one report."""
+    """Everything this package can check about one dataset, in one report.
+
+    The rules stated for the smaller extreme at the bottom read the data
+    oriented once, so a report reverses the action at most once."""
     rep = validate(data)
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
     failed = [it.id for it in rep if it.id in STRUCTURAL and it.verdict != "PASS"]
@@ -263,10 +273,12 @@ def verification_report(data):
     for item in (_lambda2_exclusion(data), _bundle_halves(data)):
         if item is not None:
             rep.append(item)
-    rep.extend(sphere_constraints(data))
-    rep.extend(sphere_index_rules(data))
+    o = oriented(data)
+    upright = data if o is None else o[1]
+    rep.extend(sphere_constraints(upright))
+    rep.extend(sphere_index_rules(upright))
     rep.extend(positivity_check(dh_profile(data)))
-    vol = total_volume(data)
+    vol = total_volume(upright)
     rep.append(CheckItem("total-volume", "INFO",
                          "c1^4 = %s" % vol if vol is not None else "not computable by halves"))
     return rep
@@ -520,6 +532,13 @@ _FAMILIES = {f.key: f for f in (
 )}
 
 
+def _ensure(ok, *why):
+    """An assert that ``python -O`` keeps: the sweeps' survivors must match
+    the family table."""
+    if not ok:
+        raise AssertionError(*why)
+
+
 def _sweep(label, axes, first_failure, solve=None):
     """Run one rule chain over a parameter box: (rejection rows, survivors).
 
@@ -546,7 +565,7 @@ def _sweep(label, axes, first_failure, solve=None):
             choice = outer + (v,)
             failure = first_failure(*choice)
             if failure is None:
-                assert n == 1, "solve left out an admitted value at %s" % (choice,)
+                _ensure(n == 1, "solve left out an admitted value at %s" % (choice,))
                 survivors.append(choice)
                 continue
             rule_id, fmt, args = failure
@@ -656,7 +675,7 @@ def _enum_06(b4_max, box):
     lo = point_component((1, 1, 1, 1))
     hi_probe = cp3_extremal(-1, 0)
     skels = _interior_skeletons(lo, hi_probe)
-    assert skels == [()], "unexpected interior budget solutions for (0,6)"
+    _ensure(skels == [()], "unexpected interior budget solutions for (0,6)")
     label = _skeleton_label((0, 6), ())
     rejections = [Rejection(
         label, "lambda2-needs-4dim-extremal",
@@ -671,7 +690,7 @@ def _enum_06(b4_max, box):
 
     rows, survivors = _sweep(label, (range(-box, box + 1),), first_failure)
     rejections.extend(rows)
-    assert survivors == [(1,)]
+    _ensure(survivors == [(1,)])
     return [_certified("0,6")], rejections
 
 
@@ -706,7 +725,7 @@ def _enum_24(b4_max, box):
     rows, survivors = _sweep(
         label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)),
         first_failure, solve=lambda n2, kp: (kp * kp - 1,))
-    assert survivors == [(0, 2, 3)]
+    _ensure(survivors == [(0, 2, 3)])
     return [_certified("2,4")], rows
 
 
@@ -736,10 +755,10 @@ def _enum_04(b4_max, box):
                 first_failure, solve=lambda n2: (-1, 1))
             rejections.extend(rows)
             top_n2 = max((n2 for n2, _ in survivors), default=-1)
-            assert top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1)
+            _ensure(top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1))
             families.append(_certified("0,4/no-surface", top_n2))
         else:
-            assert kinds == (ComponentType.CP1,), "unexpected budget solution %s" % (skel,)
+            _ensure(kinds == (ComponentType.CP1,), "unexpected budget solution %s" % (skel,))
 
             def first_failure(n2, kp, a1, tail):
                 c2 = 2 + n2
@@ -764,7 +783,7 @@ def _enum_04(b4_max, box):
                         range(-24, 25)),
                 first_failure, solve=lambda n2, kp, a1: (a1 + 1 - kp * kp,))
             rejections.extend(rows)
-            assert survivors == [(0, 0, 3, 4)]
+            _ensure(survivors == [(0, 0, 3, 4)])
             families.append(_certified("0,4/with-surface"))
     return families, rejections
 
@@ -794,7 +813,7 @@ def _enum_44(b4_max, box):
         first_failure, solve=lambda n2, k1: (-1, 1) if k1 * k1 == 1 else ())
     neg_top_n2 = max((n2 for n2, k1, _ in survivors if k1 == -1), default=-1)
     pos_ok = any(k1 != -1 for _, k1, _ in survivors)
-    assert pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2))
+    _ensure(pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2)))
     return [_certified("4,4/negative", neg_top_n2), _certified("4,4/positive")], rows
 
 
@@ -873,9 +892,9 @@ def _is_x8_family(data):
     with six interior components and X8m's volume by halves. The (4,4)
     branch of total_volume already asks for two ruled planes and only
     index-4 interior points, and its halves sum to X8m's c1^4 exactly when
-    the split sums to 8."""
-    o = oriented(data)
-    return (o is not None and o[0] == (4, 4) and len(o[4]) == 6
+    the split sums to 8. All three are symmetric under reversal, so the
+    data is read as given."""
+    return (data.shape == (4, 4) and len(data.interior) == 6
             and total_volume(data) == _X8M_VOLUME)
 
 

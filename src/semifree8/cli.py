@@ -41,15 +41,7 @@ from .classify import (
     verification_report,
 )
 from .dataio import DataError, dumps_data, load_data, load_table
-from .model import betti_vector, dim_pair
-
-
-def _shape_of(data):
-    try:
-        (d1, d2), _ = dim_pair(data)
-        return [d1, d2]
-    except ValueError:
-        return None
+from .model import betti_vector
 
 
 def _check_doc(item):
@@ -65,13 +57,13 @@ def _report(source, title, data):
     """The verification report of one dataset, shared by verify and
     catalog --name; source is the JSON key/value naming the dataset."""
     rep = verification_report(data)
-    shape = _shape_of(data)
+    shape = data.shape
     fp_class = match_fp_class(data)
     doc = dict(source, shape=shape, betti=list(betti_vector(data)), fp_class=fp_class,
                checks=[_check_doc(it) for it in rep], ok=rep.ok)
     lines = [title,
              "shape %s, %d components, betti %s"
-             % (tuple(shape) if shape else "undetermined", len(data),
+             % (shape or "undetermined", len(data),
                 betti_vector(data))]
     lines.extend(rep.lines())
     warns = sum(1 for it in rep if it.verdict == "WARN")
@@ -182,13 +174,13 @@ def _cmd_catalog(args):
         raise ClassifyError("--emit file needs --name")
     entries = catalog()
     if args.name is None:
-        rows = [(name, _shape_of(data), betti_vector(data), match_fp_class(data))
+        rows = [(name, data.shape, betti_vector(data), match_fp_class(data))
                 for name, data in entries.items()]
         doc = {"entries": [{"name": name, "shape": shape, "betti": list(betti),
                             "fp_class": fp_class}
                            for name, shape, betti, fp_class in rows]}
         lines = ["%-22s shape %s, betti %s, class %s"
-                 % (name, tuple(shape), betti, fp_class)
+                 % (name, shape, betti, fp_class)
                  for name, shape, betti, fp_class in rows]
         return 0, doc, lines
     if args.name not in entries:

@@ -19,13 +19,16 @@ and weights, or None) and ``omega`` (``omega_coefficients``, set when it
 fits), which ``validate`` reads; the members of ``ComponentType`` carry
 their complex dimension, Betti numbers and tangent Chern class as plain
 attributes. A dataset computes what every rule reads of it when it is
-built: its unique minimum and maximum, its interior components and its
-Betti vector (``FixedPointData.extremes``, ``interior`` and ``betti``).
-These are the only per-dataset copies. No derived value of a component
-or a dataset is a record field, so equality, hashing and repr see the
-type, weights and normal data of a component and the components of a
-dataset only. ``oriented`` is computed on each call from them: it reverses
-the action only when ``dim_pair`` says so, which few inputs need.
+built: its unique minimum and maximum, its interior components, its
+Betti vector and its sorted pair of extremal dimensions
+(``FixedPointData.extremes``, ``interior``, ``betti`` and ``shape``). The
+rules read these values and ``omega`` instead of deriving them again. No
+derived value of a component or a dataset is a record field, and none
+refers back to its dataset, so equality, hashing and repr see the type,
+weights and normal data of a component and the components of a dataset
+only. The reversed dataset is not stored: ``oriented`` builds it on each
+call that needs it, which only data with the larger extreme at the bottom
+does, and ``classify.verification_report`` orients once per report.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -101,7 +104,9 @@ class FixedPointData(Record):
     negative weight and the one with lam = 4 - dim_C, each None when not
     unique; ``interior`` the components other than those two; ``betti`` the
     even Betti numbers (b0, b2, b4, b6, b8) by localization, where each
-    component adds the Betti numbers of its type, shifted up by lam."""
+    component adds the Betti numbers of its type, shifted up by lam;
+    ``shape`` the real dimensions of the two extremes, sorted, None when
+    either is not unique."""
 
     _fields = ("components",)
 
@@ -118,6 +123,8 @@ class FixedPointData(Record):
         lo = mins[0] if len(mins) == 1 else None
         hi = maxs[0] if len(maxs) == 1 else None
         set_field(self, "extremes", (lo, hi))
+        set_field(self, "shape", None if lo is None or hi is None else
+                  tuple(sorted((2 * lo.complex_dim, 2 * hi.complex_dim))))
         set_field(self, "interior", tuple(c for c in comps if c is not lo and c is not hi))
         b = [0, 0, 0, 0, 0]
         for c in comps:
@@ -301,29 +308,25 @@ def betti_vector(data):
 def dim_pair(data):
     """Real dimensions (d1, d2) of (minimum, maximum), sorted, plus a flag
     saying whether the action had to be reversed to sort them."""
-    lo, hi = data.extremes
-    if lo is None or hi is None:
+    if data.shape is None:
         raise ValueError("need a unique minimum and a unique maximum")
-    d1, d2 = 2 * lo.complex_dim, 2 * hi.complex_dim
-    if d1 <= d2:
-        return (d1, d2), False
-    return (d2, d1), True
+    lo, hi = data.extremes
+    return data.shape, lo.complex_dim > hi.complex_dim
 
 
 def oriented(data):
-    """(shape, data, minimum, maximum, interior), the action reversed when
-    dim_pair says so; None when the data, as given or reversed, has no
-    unique minimum and maximum (possible only when types contradict
+    """(shape, data, minimum, maximum, interior) with the smaller extreme at
+    the bottom: the dataset's stored values, or those of its reversal when
+    the minimum is the larger extreme, the one case that builds a dataset.
+    None when the data, as given or reversed, has no unique minimum and
+    maximum (the reversal can lose them only when types contradict
     weights)."""
-    try:
-        shape, rev = dim_pair(data)
-    except ValueError:
-        return None
-    if rev:
+    shape = data.shape
+    if shape and data.extremes[0].complex_dim > data.extremes[1].complex_dim:
         data = reverse_action(data)
-    lo, hi = data.extremes
-    if lo is None or hi is None:
+    if shape is None or data.shape is None:
         return None
+    lo, hi = data.extremes
     return shape, data, lo, hi, data.interior
 
 
@@ -352,8 +355,9 @@ def area_realizable(comp, area):
 
     Past the structural gate every extreme with a restriction has one
     coefficient: a four-dimensional split (P1xP1) component has weights
-    -1 and +1, so it is never an extreme."""
-    coeffs = omega_coefficients(comp)
+    -1 and +1, so it is never an extreme. It reads the stored ``omega``,
+    None for a point and for an ill-typed component."""
+    coeffs = comp.omega
     if area <= 0 or coeffs is None:
         return False
     (coeff,) = coeffs
@@ -420,7 +424,7 @@ def validate(data):
                 nonpositive.append((c.type._value_, coeffs))
 
     bv, (lo, hi) = data.betti, data.extremes
-    if lo is not None and hi is not None and lo is not hi:
+    if data.shape is not None:
         # the components come in level order: min < interior < max says that
         # lo comes first and hi last, each alone at its level
         levels = [c.level for c in comps]

@@ -1,12 +1,15 @@
 """The per-dataset values, computed once, against the scans they replaced.
 
 `FixedPointData` computes its unique minimum and maximum, its interior
-components and its Betti vector when it is built, as attributes that are
-not record fields; `oriented` reads them on each call, reversing the action only when
-`dim_pair` says so. The oracle is the earlier route: scan the components
-on every call, and rebuild the reversed dataset for every orientation.
-Equality, hashing, repr and the record fields must not see the stored
-values.
+components, its Betti vector and its sorted pair of extremal dimensions
+(`shape`) when it is built, as attributes that are not record fields;
+`dim_pair` and `oriented` read them on each call, and `oriented` builds
+the reversed dataset only when the minimum is the larger extreme. The
+oracle is the earlier route: scan the components on every call, and
+rebuild the reversed dataset for every orientation. Equality, hashing,
+repr and the record fields must not see the stored values: a copy whose
+stored shape is overwritten still equals, hashes and prints as the
+dataset.
 
 The components of a dataset are sorted by (level, type, weights) and, only
 where that key ties and the normal data differ, by the normal's repr. The
@@ -34,6 +37,7 @@ from semifree8.model import (
     point_component,
     reverse_action,
 )
+from semifree8.record import set_field
 
 from test_far_end import PLANE_INSIDE
 from test_robustness import documents
@@ -60,6 +64,13 @@ def oracle_interior(data):
 def oracle_betti(data):
     return tuple(sum(betti_contribution(c.type, c.lam, i) for c in data)
                  for i in (0, 2, 4, 6, 8))
+
+
+def oracle_shape(data):
+    lo, hi = oracle_min(data), oracle_max(data)
+    if lo is None or hi is None:
+        return None
+    return tuple(sorted((2 * lo.complex_dim, 2 * hi.complex_dim)))
 
 
 def oracle_oriented(data):
@@ -100,6 +111,7 @@ def check_against_oracle(data):
         assert data.interior == oracle_interior(data)
         assert all(a is b for a, b in zip(data.interior, oracle_interior(data)))
         assert betti_vector(data) == oracle_betti(data)
+        assert data.shape == oracle_shape(data)
         got, want = oriented(data), oracle_oriented(data)
         assert (got is None) == (want is None)
         if got is not None:
@@ -112,6 +124,8 @@ def check_against_oracle(data):
     assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
     assert repr(data) == "FixedPointData(components=%r)" % (data.components,)
     assert hash(data) == hash((data.components,))
+    set_field(fresh, "shape", (2, 2) if data.shape is None else None)
+    assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
 
 
 # two minima under one maximum, and no minimum at all: the scans give None

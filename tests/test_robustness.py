@@ -1,9 +1,10 @@
 """No loadable document crashes verification.
 
 Random documents with mismatched types, weights and normal kinds either
-fail to load with a DataError or yield a report, a fixed point class and
-a `verify` exit code of 0, 1 or 2 with nothing on stderr but one `error:`
-line. A traceback is never an exit code.
+fail to load with a DataError or yield a report, a fixed point class, a
+Fano index or a ClassifyError from `index_from_extremal` (as given and
+reversed), and a `verify` exit code of 0, 1 or 2 with nothing on stderr
+but one `error:` line. A traceback is never an exit code.
 """
 
 import contextlib
@@ -14,19 +15,22 @@ import tempfile
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semifree8 import cli
 from semifree8.classify import (
+    ClassifyError,
     _gap_empty,
     catalog,
+    index_from_extremal,
     match_fp_class,
     sphere_constraints,
     sphere_index_rules,
     verification_report,
 )
 from semifree8.dataio import DataError, dumps_data, loads_data
-from semifree8.model import RULES, ConstraintReport
+from semifree8.model import RULES, ConstraintReport, reverse_action
 
 TYPES = ("point", "cp1", "cp2", "p1xp1", "cp3")
 FP_CLASSES = {"a", "b", "c", "d", "unclassified"}
@@ -92,6 +96,11 @@ def test_loadable_documents_never_crash(doc):
         return
     assert isinstance(verification_report(data), ConstraintReport)
     assert match_fp_class(data) in FP_CLASSES
+    for d in (data, reverse_action(data)):
+        try:
+            assert type(index_from_extremal(d)) is int
+        except ClassifyError:
+            pass
     code, _, err = _verify(text)
     assert code in (0, 1, 2)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
@@ -104,6 +113,15 @@ def test_plane_with_point_normal_exits_1():
     assert ("INFO typed-rules: %s (not applied: normal-variant failed)"
             % RULES["typed-rules"]) in out
     assert "abbv-vanishing" not in out
+
+
+def test_plane_with_point_normal_has_no_fano_index():
+    # the plane's Chern data gives no coefficient to read the index off
+    data = loads_data(json.dumps(PLANE_WITH_POINT_NORMAL))
+    for d, end in ((data, "minimum"), (reverse_action(data), "maximum")):
+        with pytest.raises(ClassifyError,
+                           match="off the %s: plane needs rank-2 normal data" % end):
+            index_from_extremal(d)
 
 
 def test_sphere_rules_on_data_without_oriented_extremes():

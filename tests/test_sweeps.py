@@ -1,10 +1,42 @@
 """`classify._sweep`: the solved innermost axis gives the rows and the
-survivors of the full loop over the box."""
+survivors of the full loop over the box. The sweeps' survivor checks hold
+under ``python -O`` too."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from semifree8 import classify
 from semifree8.classify import ADMISSIBLE_SHAPES, Rejection, _sweep, enumerate_case
+
+from test_cold_start import SRC
+
+# a density cap that no longer matches the (0,4) family table's n2 range
+CAP_MOVED = """
+import sys
+from semifree8 import classify
+print("optimize", sys.flags.optimize)
+classify.b4_cap = lambda shape: 3
+classify.enumerate_case((0, 4))
+"""
+
+
+def test_survivor_check_fails_on_a_moved_cap(monkeypatch):
+    monkeypatch.setattr(classify, "b4_cap", lambda shape: 3)
+    with pytest.raises(AssertionError):
+        enumerate_case((0, 4))
+
+
+def test_survivor_check_fails_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", CAP_MOVED], env=env,
+                          capture_output=True, text=True)
+    assert proc.stdout == "optimize 1\n"
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "AssertionError", proc.stderr
 
 
 @pytest.mark.parametrize("b4_max", [2, 9, 14])

@@ -16,6 +16,12 @@ The loader builds each distinct component once per process, so after a
 warm-up pass loading the same documents again runs no
 ``FixedComponent.__init__`` and no normal bundle's ``__init__``, and
 returns the very components of the warm-up pass.
+
+The rules read each dataset's stored shape and orientation and each
+component's stored ``omega``: on a warm pass ``reverse_action`` runs once
+for each document whose minimum is the larger extreme, and
+``omega_coefficients`` only inside ``FixedComponent.__init__``, for the
+components that reversal builds.
 """
 
 import fractions
@@ -26,7 +32,7 @@ from semifree8 import dataio, dh
 from semifree8.classify import catalog, match_fp_class, verification_report
 from semifree8.dataio import dumps_data, loads_data
 from semifree8.localization import _Normal
-from semifree8.model import FixedComponent, reverse_action
+from semifree8.model import FixedComponent, omega_coefficients, reverse_action
 from semifree8.polynomial import Poly
 from test_density_memo import family_members
 
@@ -71,6 +77,43 @@ def test_warm_pass_makes_no_fraction_or_poly_key_call():
     warm, warm_calls = counted_pass(docs)
     assert warm == cold
     assert warm_calls == Counter({"verification_report": len(docs)})
+
+
+def needs_reversal(data):
+    """The minimum, found by scanning, is the larger extreme."""
+    mins = [c for c in data if c.lam == 0]
+    maxs = [c for c in data if c.lam == 4 - c.complex_dim]
+    return (len(mins) == len(maxs) == 1
+            and mins[0].complex_dim > maxs[0].complex_dim)
+
+
+def test_warm_pass_reverses_once_and_reads_stored_omega():
+    docs = documents()
+    for d in docs:
+        verification_report(d)
+        match_fp_class(d)
+    calls = Counter()
+    init = FixedComponent.__init__.__code__
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is reverse_action.__code__:
+            calls["reverse_action"] += 1
+        elif frame.f_code is omega_coefficients.__code__:
+            calls["omega inside __init__" if frame.f_back.f_code is init else "omega"] += 1
+
+    sys.setprofile(profile)
+    try:
+        for d in docs:
+            verification_report(d)
+            match_fp_class(d)
+    finally:
+        sys.setprofile(None)
+    reversed_docs = sum(map(needs_reversal, docs))
+    assert reversed_docs == 46
+    assert calls["reverse_action"] == reversed_docs
+    assert calls["omega"] == 0 and calls["omega inside __init__"] > 0
 
 
 BUILDERS = {cls.__init__.__code__: cls.__name__
