@@ -892,8 +892,10 @@ def _is_x8_family(data):
     with six interior components and X8m's volume by halves. The (4,4)
     branch of total_volume already asks for two ruled planes and only
     index-4 interior points, and its halves sum to X8m's c1^4 exactly when
-    the split sums to 8. All three are symmetric under reversal, so the
-    data is read as given."""
+    the split sums to 8. The data is read as given: ``oriented`` reverses
+    only when the minimum is the larger extreme, never on a (4,4) shape,
+    so ``shape`` and ``interior`` are the oriented ones, and total_volume
+    orients by itself."""
     return (data.shape == (4, 4) and len(data.interior) == 6
             and total_volume(data) == _X8M_VOLUME)
 

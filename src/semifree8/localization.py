@@ -337,13 +337,11 @@ def contribution_series_oracle(weights, normal):
 # ----------------------------------------------------------------------
 
 def abbv_terms(components):
-    """Closed-form contribution of each fixed component, in input order:
-    ints. A component's stored ``lam`` is the count of negative weights
-    that ``contribution`` takes."""
-    return tuple(c.normal.contribution(c.lam) for c in components)
+    """Closed-form contribution of each component, in input order: ints."""
+    return tuple(contribution(c.weights, c.normal) for c in components)
 
 
 def abbv_sum(components):
     """Sum of all localization contributions, an int; zero for realizable
-    data. Anything with ``weights`` and ``normal`` is a component here."""
-    return sum(contribution(c.weights, c.normal) for c in components)
+    data."""
+    return sum(abbv_terms(components))

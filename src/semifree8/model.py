@@ -321,11 +321,13 @@ def oriented(data):
     None when the data, as given or reversed, has no unique minimum and
     maximum (the reversal can lose them only when types contradict
     weights)."""
-    shape = data.shape
-    if shape and data.extremes[0].complex_dim > data.extremes[1].complex_dim:
-        data = reverse_action(data)
-    if shape is None or data.shape is None:
+    if data.shape is None:
         return None
+    shape, rev = dim_pair(data)
+    if rev:
+        data = reverse_action(data)
+        if data.shape is None:
+            return None
     lo, hi = data.extremes
     return shape, data, lo, hi, data.interior
 
