@@ -44,8 +44,8 @@ from .dh import (
     half_volume_isolated_pair,
     positivity_check,
     total_volume,
+    _total_volume,
 )
-from .localization import abbv_terms
 from .model import (
     CheckItem,
     ComponentType,
@@ -146,13 +146,16 @@ def sphere_constraints(data):
     Rules are stated for the orientation with the smaller extreme at the
     bottom, so the action is reversed first when needed.
     """
-    rep = ConstraintReport()
     o = oriented(data)
-    if o is None:
-        return rep
-    (d1, d2), data, lo, hi, inner = o
+    return ConstraintReport() if o is None else _sphere_constraints(*o)
+
+
+def _sphere_constraints(shape, data, lo, hi, inner):
+    """sphere_constraints on the tuple ``oriented`` returns."""
+    rep = ConstraintReport()
+    d1, d2 = shape
     lam2 = [c for c in inner if c.type is ComponentType.POINT and c.lam == 2]
-    levels = sorted({c.level for c in data})
+    levels = data.levels
     if d2 == 4 and lam2 and _gap_empty(levels, 0, hi.level):
         rep.append(_area_item("sphere-area-max", hi, 2, "maximum"))
     if d2 == 4 and lam2 and _gap_empty(levels, lo.level, 0):
@@ -184,11 +187,15 @@ def sphere_constraints(data):
 # ----------------------------------------------------------------------
 
 def sphere_index_rules(data):
-    rep = ConstraintReport()
+    """The Fano-index rules, stated like the sphere-area rules for the
+    smaller extreme at the bottom."""
     o = oriented(data)
-    if o is None:
-        return rep
-    shape, data, lo, hi, inner = o
+    return ConstraintReport() if o is None else _sphere_index_rules(*o)
+
+
+def _sphere_index_rules(shape, data, lo, hi, inner):
+    """sphere_index_rules on the tuple ``oriented`` returns."""
+    rep = ConstraintReport()
     cands = index_candidates(data)
     iota = None
     if cands:
@@ -257,15 +264,18 @@ def _bundle_halves(data):
 def verification_report(data):
     """Everything this package can check about one dataset, in one report.
 
-    The rules stated for the smaller extreme at the bottom read the data
-    oriented once, so a report reverses the action at most once."""
+    Past the structural gate every component stores its localization term
+    (``abbv_term``, the closed form ``abbv_terms`` computes). The rules
+    stated for the smaller extreme at the bottom read the tuple of one
+    ``oriented`` call, so a report orients once and reverses the action at
+    most once."""
     rep = validate(data)
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
     failed = [it.id for it in rep if it.id in STRUCTURAL and it.verdict != "PASS"]
     if failed:
         rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed" % ", ".join(failed)))
         return rep
-    terms = abbv_terms(data)
+    terms = [c.abbv_term for c in data.components]
     total = sum(terms)
     rep.append(pass_fail("abbv-vanishing", total == 0, "contributions %s sum to %s"
                          % ([str(t) for t in terms], total)))
@@ -274,11 +284,11 @@ def verification_report(data):
         if item is not None:
             rep.append(item)
     o = oriented(data)
-    upright = data if o is None else o[1]
-    rep.extend(sphere_constraints(upright))
-    rep.extend(sphere_index_rules(upright))
+    if o is not None:
+        rep.extend(_sphere_constraints(*o))
+        rep.extend(_sphere_index_rules(*o))
     rep.extend(positivity_check(dh_profile(data)))
-    vol = total_volume(upright)
+    vol = None if o is None else _total_volume(*o)
     rep.append(CheckItem("total-volume", "INFO",
                          "c1^4 = %s" % vol if vol is not None else "not computable by halves"))
     return rep

@@ -168,7 +168,7 @@ def _end(data, end):
     its interval, formula and argument tuple, all read from that end; ()
     when nothing is pinned."""
     ext = [c for c in data if end * c.weights[0 if end == 1 else -1] >= 0]
-    levels = sorted({end * c.level for c in data})
+    levels = data.levels if end == 1 else [-v for v in reversed(data.levels)]
     if len(ext) != 1 or len(levels) < 2:
         return ()
     ext, base = ext[0], end * ext[0].level
@@ -274,16 +274,18 @@ def total_volume(data):
     configuration is one of the two patterns whose halves are both
     pinned; otherwise None (not computable by halves)."""
     o = oriented(data)
-    if o is None:
-        return None
-    (d1, d2), _, lo, hi, inner = o
-    if (d1, d2) == (4, 4):
+    return None if o is None else _total_volume(*o)
+
+
+def _total_volume(shape, data, lo, hi, inner):
+    """total_volume on the tuple ``oriented`` returns."""
+    if shape == (4, 4):
         k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
         if None in k2s or not all(c.type is ComponentType.POINT and c.lam == 2
                                   for c in inner):
             return None
         return half_volume_cp2(k2s[0]) + half_volume_cp2(k2s[1])
-    if (d1, d2) == (0, 4):
+    if shape == (0, 4):
         lams = [c.lam for c in inner]
         if (lams.count(1) != 1 or not set(lams) <= {1, 2}
                 or any(c.type is not ComponentType.POINT for c in inner)):

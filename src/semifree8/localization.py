@@ -21,6 +21,12 @@ them two independent ways:
 An int and a Fraction compare exactly, so the two routes are held equal
 with ``==``.
 
+``abbv_terms`` is the public closed-form route, and reads of each
+component only ``weights`` and ``normal``. A well-typed
+``model.FixedComponent`` stores the same closed form, computed once when
+it is built, as ``abbv_term``; ``classify.verification_report`` reads those
+stored terms instead of calling ``abbv_terms``.
+
 The two routes are kept separate on purpose and tested against each
 other; neither is ever defined in terms of the other. Only the oracle
 reads the component rings of :mod:`semifree8.rings`, so each oracle

@@ -12,23 +12,29 @@ vocabulary (components, Betti numbers via localization of homology,
 structural validation, the self-intersection/signature test, action
 reversal and fixed-point-data equivalence).
 
-A component computes its Morse half-index ``lam``, its ``level``, its
-``complex_dim`` and its structural facts when it is built: ``mismatch``
-(``_normal_mismatch``, the reason its normal data does not fit its type
-and weights, or None) and ``omega`` (``omega_coefficients``, set when it
-fits), which ``validate`` reads; the members of ``ComponentType`` carry
-their complex dimension, Betti numbers and tangent Chern class as plain
-attributes. A dataset computes what every rule reads of it when it is
-built: its unique minimum and maximum, its interior components, its
-Betti vector and its sorted pair of extremal dimensions
-(``FixedPointData.extremes``, ``interior``, ``betti`` and ``shape``). The
-rules read these values and ``omega`` instead of deriving them again. No
-derived value of a component or a dataset is a record field, and none
-refers back to its dataset, so equality, hashing and repr see the type,
-weights and normal data of a component and the components of a dataset
-only. The reversed dataset is not stored: ``oriented`` builds it on each
-call that needs it, which only data with the larger extreme at the bottom
-does, and ``classify.verification_report`` orients once per report.
+Every per-component value a rule reads is computed once, when the
+component is built: its Morse half-index ``lam``, its ``level``, its
+``complex_dim``, its structural facts ``mismatch`` (``_normal_mismatch``,
+the reason its normal data does not fit its type and weights, or None)
+and ``omega`` (``omega_coefficients``, set when it fits), its closed-form
+localization term ``abbv_term`` (None when it does not fit), its
+``sort_key``, its ``fingerprint``, its ``betti_row`` (what it adds to
+b0..b8), its ``off_weights`` (weights outside {-1, 0, 1}) and its
+``zeros_fit`` flag (zero count equal to complex_dim); the members of
+``ComponentType`` carry their complex dimension, Betti numbers and
+tangent Chern class as plain attributes. A dataset computes what every
+rule reads of it when it is built: its unique minimum and maximum, its
+interior components, its Betti vector (the sum of the rows), its sorted
+pair of extremal dimensions and its sorted distinct levels
+(``FixedPointData.extremes``, ``interior``, ``betti``, ``shape`` and
+``levels``). The rules only add these values up and never derive them
+again. No derived value of a component or a dataset is a record field,
+and none refers back to its dataset, so equality, hashing and repr see
+the type, weights and normal data of a component and the components of a
+dataset only. The reversed dataset is not stored: ``oriented`` builds it
+on each call that needs it, which only data with the larger extreme at
+the bottom does, and ``classify.verification_report`` orients once per
+report.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from operator import index
+from operator import attrgetter, index
 
 from .localization import (
     FourDimExtremalNormal,
@@ -76,8 +82,15 @@ class FixedComponent(Record):
     ``level`` the moment map value, normalized to minus the weight sum,
     ``complex_dim`` the complex dimension of the type, ``mismatch`` why the
     normal data does not fit the type and weights (``_normal_mismatch``, None
-    when it fits) and ``omega`` the restriction of [w] when it fits
-    (``omega_coefficients``, None for a point or an ill-typed component)."""
+    when it fits), ``omega`` the restriction of [w] when it fits
+    (``omega_coefficients``, None for a point or an ill-typed component),
+    ``abbv_term`` the closed-form localization term when it fits
+    (``normal.contribution(lam)``, else None), ``sort_key`` the dataset order
+    (level, type, weights), ``fingerprint`` the (type, weights) pair followed
+    by the normal's fingerprint, ``betti_row`` the five even Betti numbers
+    of the type shifted up by lam, ``off_weights`` the weights outside
+    {-1, 0, 1} and ``zeros_fit`` whether the zero weights number
+    complex_dim. All are set here, once."""
 
     _fields = ("type", "weights", "normal")
 
@@ -94,28 +107,31 @@ class FixedComponent(Record):
         why = _normal_mismatch(self)
         set_field(self, "mismatch", why)
         set_field(self, "omega", None if why else omega_coefficients(self))
-
-    def sort_key(self):
-        return (self.level, self.type._value_, self.weights)
+        set_field(self, "abbv_term", None if why else normal.contribution(self.lam))
+        set_field(self, "sort_key", (self.level, type._value_, ws))
+        set_field(self, "fingerprint", (type._value_, ws) + normal.fingerprint)
+        set_field(self, "betti_row", ((0,) * self.lam + type.betti + (0,) * 4)[:5])
+        set_field(self, "off_weights", tuple(w for w in ws if not -1 <= w <= 1))
+        set_field(self, "zeros_fit", ws.count(0) == type.complex_dim)
 
 
 class FixedPointData(Record):
     """``extremes`` is (minimum, maximum): the one component with no
     negative weight and the one with lam = 4 - dim_C, each None when not
     unique; ``interior`` the components other than those two; ``betti`` the
-    even Betti numbers (b0, b2, b4, b6, b8) by localization, where each
-    component adds the Betti numbers of its type, shifted up by lam;
-    ``shape`` the real dimensions of the two extremes, sorted, None when
-    either is not unique."""
+    even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
+    components' ``betti_row``s; ``shape`` the real dimensions of the two
+    extremes, sorted, None when either is not unique; ``levels`` the
+    distinct levels of the components, sorted."""
 
     _fields = ("components",)
 
     def __init__(self, components):
-        comps = sorted(components, key=FixedComponent.sort_key)
+        comps = sorted(components, key=attrgetter("sort_key"))
         # ties only repr(normal) orders; a shared component ties with itself
         if any(a is not b and a.weights == b.weights and a.type is b.type
                and a.normal != b.normal for a, b in zip(comps, comps[1:])):
-            comps.sort(key=lambda c: (c.sort_key(), repr(c.normal)))
+            comps.sort(key=lambda c: (c.sort_key, repr(c.normal)))
         comps = tuple(comps)
         set_field(self, "components", comps)
         mins = [c for c in comps if c.lam == 0]
@@ -126,11 +142,9 @@ class FixedPointData(Record):
         set_field(self, "shape", None if lo is None or hi is None else
                   tuple(sorted((2 * lo.complex_dim, 2 * hi.complex_dim))))
         set_field(self, "interior", tuple(c for c in comps if c is not lo and c is not hi))
-        b = [0, 0, 0, 0, 0]
-        for c in comps:
-            for j, x in enumerate(c.type.betti[:5 - c.lam], c.lam):
-                b[j] += x
-        set_field(self, "betti", tuple(b))
+        set_field(self, "betti", tuple(map(sum, zip((0, 0, 0, 0, 0),
+                                                    *[c.betti_row for c in comps]))))
+        set_field(self, "levels", tuple(sorted({c.level for c in comps})))
 
     def __iter__(self):
         return iter(self.components)
@@ -238,10 +252,10 @@ class CheckItem(Record):
     _fields = ("id", "verdict", "detail")
 
     def __init__(self, id, verdict, detail=""):
-        set_field(self, "id", id)
-        set_field(self, "verdict", verdict)   # PASS / FAIL / WARN / INFO
-        set_field(self, "detail", detail)
-        set_field(self, "rule", rule_statement(id))   # unknown ids raise
+        # verdict is PASS / FAIL / WARN / INFO; an unknown id raises, as in
+        # rule_statement (every statement is a nonempty string)
+        self.__dict__.update(id=id, verdict=verdict, detail=detail,
+                             rule=RULES.get(id) or rule_statement(id))
 
     def line(self):
         tail = " (%s)" % self.detail if self.detail else ""
@@ -413,10 +427,9 @@ def validate(data):
     comps = data.components
     bad, zeros_ok, n_min, mismatched, nonpositive = set(), True, 0, [], []
     for c in comps:
-        ws = c.weights                  # sorted: a weight outside {-1, 0, 1} sits at an end
-        if ws[0] < -1 or ws[3] > 1:
-            bad.update(w for w in ws if not -1 <= w <= 1)
-        zeros_ok = zeros_ok and ws.count(0) == c.complex_dim
+        if c.off_weights:
+            bad.update(c.off_weights)
+        zeros_ok = zeros_ok and c.zeros_fit
         n_min += not c.lam
         if c.mismatch is not None:
             mismatched.append("%s: %s" % (c.type._value_, c.mismatch))
@@ -493,7 +506,7 @@ def reverse_action(data):
 
 def fingerprint(data):
     """Sorted component fingerprints; equal exactly when fp_equivalent."""
-    return tuple(sorted((c.type._value_, c.weights) + c.normal.fingerprint for c in data))
+    return tuple(sorted([c.fingerprint for c in data]))
 
 
 def fp_equivalent(a, b):

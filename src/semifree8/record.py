@@ -23,7 +23,10 @@ Traceback (most recent call last):
 AttributeError: cannot assign to field 'a'
 
 An attribute outside ``_fields`` (a value an ``__init__`` derives from the
-fields) is invisible to all three.
+fields) is invisible to all three. An ``__init__`` may also set all its
+values in one ``self.__dict__.update(...)`` call, which bypasses
+``__setattr__`` just as ``set_field`` does; ``model.CheckItem``, built
+some twenty times per verification report, does.
 """
 
 set_field = object.__setattr__

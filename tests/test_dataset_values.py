@@ -1,15 +1,16 @@
 """The per-dataset values, computed once, against the scans they replaced.
 
 `FixedPointData` computes its unique minimum and maximum, its interior
-components, its Betti vector and its sorted pair of extremal dimensions
-(`shape`) when it is built, as attributes that are not record fields;
+components, its Betti vector, its sorted pair of extremal dimensions
+(`shape`) and its sorted distinct levels (`levels`) when it is built, as
+attributes that are not record fields;
 `dim_pair` and `oriented` read them on each call, and `oriented` builds
 the reversed dataset only when the minimum is the larger extreme. The
 oracle is the earlier route: scan the components on every call, and
 rebuild the reversed dataset for every orientation. Equality, hashing,
 repr and the record fields must not see the stored values: a copy whose
-stored shape is overwritten still equals, hashes and prints as the
-dataset.
+stored shape, Betti vector and levels are overwritten still equals,
+hashes and prints as the dataset.
 
 The components of a dataset are sorted by (level, type, weights) and, only
 where that key ties and the normal data differ, by the normal's repr. The
@@ -112,6 +113,7 @@ def check_against_oracle(data):
         assert all(a is b for a, b in zip(data.interior, oracle_interior(data)))
         assert betti_vector(data) == oracle_betti(data)
         assert data.shape == oracle_shape(data)
+        assert data.levels == tuple(sorted({c.level for c in data}))
         got, want = oriented(data), oracle_oriented(data)
         assert (got is None) == (want is None)
         if got is not None:
@@ -125,6 +127,8 @@ def check_against_oracle(data):
     assert repr(data) == "FixedPointData(components=%r)" % (data.components,)
     assert hash(data) == hash((data.components,))
     set_field(fresh, "shape", (2, 2) if data.shape is None else None)
+    set_field(fresh, "betti", (9, 9, 9, 9, 9))
+    set_field(fresh, "levels", (99,))
     assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
 
 

@@ -10,10 +10,22 @@ every well-typed component in a box and on all the package's own data.
 A component's ``mismatch`` and ``omega``, set when it is built, must be
 what ``_normal_mismatch`` and ``omega_coefficients`` say of it on every
 component of the benchmark's families and edits corpora.
+
+So must every other value a component or a dataset stores when it is
+built, against the code that computed it on each call before, on every
+component of those corpora, each document as given and reversed: the
+localization term against ``contribution`` (None when ill typed), the
+fingerprint against the normal's tail behind type and weights, the sort
+key against ``test_dataset_values.oracle_sort_key``, the Betti row against
+``betti_contribution``, the weights outside {-1, 0, 1} and the zero-count
+flag against scans of the weights, and a dataset's summed rows and
+``levels`` against ``kirwan_betti`` and the sorted distinct levels. None
+of them may be seen by equality, hashing or repr.
 """
 
 import importlib.util
 import json
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -36,10 +48,15 @@ from semifree8.model import (
     FixedComponent,
     FixedPointData,
     _normal_mismatch,
+    betti_contribution,
     fingerprint,
+    kirwan_betti,
     omega_coefficients,
     reverse_action,
 )
+from semifree8.record import set_field
+
+from test_dataset_values import oracle_sort_key
 
 # ----------------------------------------------------------------------
 # the replaced ladders
@@ -217,3 +234,70 @@ def test_component_facts_are_the_functions_on_the_corpora():
                 assert c.omega is None, c
                 ill_typed += 1
     assert well_typed > 10000 and ill_typed > 1000
+
+
+@cache
+def corpus_data():
+    """Every loadable document of the benchmark's families corpus (seed 1)
+    and edits corpora (seeds 1-8), each as given and reversed."""
+    corpus = bench_corpus()
+    texts = [text for _, text in corpus.families_corpus(semifree8, 1)]
+    for seed in range(1, 9):
+        texts += [text for _, text in corpus.edits_corpus(semifree8, seed, EDITS_PER_SEED)]
+    out = []
+    for text in texts:
+        try:
+            data = loads_data(text)
+        except DataError:
+            continue
+        out += [data, reverse_action(data)]
+    return tuple(out)
+
+
+# a value of the stored kind that no component stores
+STORED = {"abbv_term": -99, "sort_key": (99, "x", ()), "fingerprint": ("x",),
+          "betti_row": (9, 9, 9, 9, 9), "off_weights": (9,), "zeros_fit": None}
+
+
+def test_stored_component_values_are_the_code_they_replace():
+    well_typed = ill_typed = 0
+    for data in corpus_data():
+        for c in data:
+            assert c.fingerprint == (c.type.value, c.weights) + c.normal.fingerprint, c
+            assert c.fingerprint == oracle_fingerprint(c), c
+            assert c.sort_key + (repr(c.normal),) == oracle_sort_key(c), c
+            assert c.betti_row == tuple(betti_contribution(c.type, c.lam, i)
+                                        for i in (0, 2, 4, 6, 8)), c
+            assert c.off_weights == tuple(w for w in c.weights if w not in (-1, 0, 1)), c
+            assert c.zeros_fit is (c.weights.count(0) == c.complex_dim), c
+            if c.mismatch is None:
+                assert c.abbv_term == contribution(c.weights, c.normal), c
+                assert type(c.abbv_term) is int
+                well_typed += 1
+            else:
+                assert c.abbv_term is None, c
+                ill_typed += 1
+    assert well_typed > 20000 and ill_typed > 2000
+
+
+def test_stored_dataset_values_are_the_code_they_replace():
+    for data in corpus_data():
+        assert data.betti == tuple(kirwan_betti(data, i) for i in (0, 2, 4, 6, 8)), data
+        assert data.betti == tuple(map(sum, zip(*[c.betti_row for c in data]))), data
+        assert data.levels == tuple(sorted({c.level for c in data})), data
+        assert fingerprint(data) == tuple(sorted(map(oracle_fingerprint, data))), data
+
+
+def test_stored_component_values_are_invisible_to_the_record():
+    seen = 0
+    for data in catalog().values():
+        for c in reverse_action(data).components + data.components:
+            twin = FixedComponent(c.type, c.weights, c.normal)
+            for name, value in STORED.items():
+                set_field(twin, name, value)
+            assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+            assert hash(c) == hash((c.type, c.weights, c.normal))
+            assert repr(c) == "FixedComponent(type=%r, weights=%r, normal=%r)" % (
+                c.type, c.weights, c.normal)
+            seen += 1
+    assert seen == 40

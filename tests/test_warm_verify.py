@@ -22,17 +22,30 @@ component's stored ``omega``: on a warm pass ``reverse_action`` runs once
 for each document whose minimum is the larger extreme, and
 ``omega_coefficients`` only inside ``FixedComponent.__init__``, for the
 components that reversal builds.
+
+Every per-component term is stored when the component is built, and a
+report orients once: on a warm pass ``model.oriented`` runs once per
+``verification_report`` (four times before the rules took the oriented
+tuple), and no localization ``contribution`` (the function or a normal's
+method) and no ``betti_contribution`` runs outside
+``FixedComponent.__init__``.
 """
 
 import fractions
 import sys
 from collections import Counter
 
-from semifree8 import dataio, dh
+from semifree8 import dataio, dh, localization
 from semifree8.classify import catalog, match_fp_class, verification_report
 from semifree8.dataio import dumps_data, loads_data
 from semifree8.localization import _Normal
-from semifree8.model import FixedComponent, omega_coefficients, reverse_action
+from semifree8.model import (
+    FixedComponent,
+    betti_contribution,
+    omega_coefficients,
+    oriented,
+    reverse_action,
+)
 from semifree8.polynomial import Poly
 from test_density_memo import family_members
 
@@ -114,6 +127,46 @@ def test_warm_pass_reverses_once_and_reads_stored_omega():
     assert reversed_docs == 46
     assert calls["reverse_action"] == reversed_docs
     assert calls["omega"] == 0 and calls["omega inside __init__"] > 0
+
+
+TERMS = {code: name for name, code in
+         [("contribution", localization.contribution.__code__),
+          ("betti_contribution", betti_contribution.__code__)]
+         + [("contribution", cls.contribution.__code__) for cls in _Normal.__subclasses__()]}
+
+
+def test_warm_report_orients_once_and_reads_stored_terms():
+    docs = documents()
+    assert len(docs) == 464
+    for d in docs:
+        verification_report(d)
+        match_fp_class(d)
+    calls = Counter()
+    init = FixedComponent.__init__.__code__
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is oriented.__code__:
+            calls["oriented"] += 1
+        elif code in TERMS:
+            inside = frame.f_back.f_code is init
+            calls[TERMS[code] + (" inside __init__" if inside else "")] += 1
+
+    sys.setprofile(profile)
+    try:
+        for d in docs:
+            verification_report(d)
+        reports = calls["oriented"]
+        for d in docs:
+            match_fp_class(d)
+    finally:
+        sys.setprofile(None)
+    assert reports == len(docs)
+    # reversing for a report builds components, each computing its term
+    assert calls["contribution inside __init__"] > 0
+    assert calls["contribution"] == calls["betti_contribution"] == 0
 
 
 BUILDERS = {cls.__init__.__code__: cls.__name__
