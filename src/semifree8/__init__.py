@@ -2,6 +2,11 @@
 Hamiltonian circle actions on closed symplectic 8-manifolds with second
 Betti number one.
 
+The per-shape enumeration (``enumerate_case``, ``enumerate_all``,
+``admissible_dim_pairs``, ...) lives in ``semifree8.enumeration`` and is
+loaded on first use of one of its names, so importing the package, or
+running any command but ``enumerate``, does not compile it.
+
 All arithmetic is exact (integers, rationals, polynomials over the
 rationals); nothing here floats, and the constructors refuse a float,
 string or Fraction where an integer belongs rather than truncate it.
@@ -10,19 +15,13 @@ string or Fraction where an integer belongs rather than truncate it.
 __version__ = "0.1.0"
 
 from .classify import (
-    ADMISSIBLE_SHAPES,
     ClassifyError,
-    EnumerationResult,
     Family,
     FanoClassification,
     FanoFamilyRecord,
-    Rejection,
-    admissible_dim_pairs,
     catalog,
     classify_fano,
     default_fano_table,
-    enumerate_all,
-    enumerate_case,
     fano_table_hash,
     index_from_extremal,
     match_fp_class,
@@ -60,4 +59,19 @@ from .model import (
     validate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the per-shape enumeration loads on first use of one of its names
+_ENUMERATION_NAMES = (
+    "ADMISSIBLE_SHAPES", "EnumerationResult", "Rejection", "admissible_dim_pairs",
+    "enumerate_all", "enumerate_case",
+)
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + list(_ENUMERATION_NAMES))
+
+
+def __getattr__(name):
+    # PEP 562: reached only for names this module does not define
+    if name in _ENUMERATION_NAMES:
+        from . import enumeration
+        return getattr(enumeration, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -29,13 +29,10 @@ import sys
 
 from . import __version__
 from .classify import (
-    ADMISSIBLE_SHAPES,
     ClassifyError,
-    admissible_dim_pairs,
     catalog,
     classify_fano,
     default_fano_table,
-    enumerate_case,
     fano_table_hash,
     match_fp_class,
     verification_report,
@@ -117,6 +114,9 @@ def _family_lines(f):
 
 
 def _cmd_enumerate(args):
+    # here, not at the top: no other command compiles the enumeration
+    from .enumeration import ADMISSIBLE_SHAPES, admissible_dim_pairs, enumerate_case
+
     shape = _parse_shape(args.shape)
     shapes = list(ADMISSIBLE_SHAPES) if shape is None else [shape]
     results = [enumerate_case(s, args.max_b4) for s in shapes]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from semifree8 import classify
+from semifree8 import enumeration
 from semifree8.classify import (
     ADMISSIBLE_SHAPES,
     ClassifyError,
@@ -302,7 +302,7 @@ def test_catalog_runs_no_sweep(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the catalog ran the enumeration")
     for name in ("enumerate_case", "_sweep", "_certified", "_interior_skeletons"):
-        monkeypatch.setattr(classify, name, refuse)
+        monkeypatch.setattr(enumeration, name, refuse)
     assert list(catalog()) == list(_CASE_OF)
 
 

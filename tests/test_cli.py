@@ -5,10 +5,11 @@ import sys
 
 import pytest
 
-from semifree8 import classify
-from semifree8.classify import B4_MAX_LIMIT, catalog, default_fano_table
+from semifree8 import enumeration
+from semifree8.classify import catalog, default_fano_table
 from semifree8.cli import main
 from semifree8.dataio import dump_data, dumps_data, load_data
+from semifree8.enumeration import B4_MAX_LIMIT
 
 
 def run(capsys, *argv):
@@ -223,7 +224,7 @@ def test_output_byte_stable(capsys):
 def test_enumerate_rejects_a_huge_cutoff_before_sweeping(monkeypatch, capsys, b4_max):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep started")
-    monkeypatch.setattr(classify, "_sweep", no_sweep)
+    monkeypatch.setattr(enumeration, "_sweep", no_sweep)
     for shape in ("all", "4,4"):
         code, out, err = run(capsys, "enumerate", "--shape", shape, "--max-b4", b4_max)
         assert code == 2 and not out

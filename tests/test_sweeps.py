@@ -1,4 +1,5 @@
-"""`classify._sweep`: the solved innermost axis gives the rows and the
+"""`enumeration._sweep`: the solved innermost axis, and in the (0,4)
+surface chain the solved next-to-innermost one, give the rows and the
 survivors of the full loop over the box. The sweeps' survivor checks hold
 under ``python -O`` too."""
 
@@ -8,23 +9,25 @@ import sys
 
 import pytest
 
-from semifree8 import classify
-from semifree8.classify import ADMISSIBLE_SHAPES, Rejection, _sweep, enumerate_case
+from semifree8 import enumeration
+from semifree8.enumeration import ADMISSIBLE_SHAPES, Rejection, _sweep, enumerate_case
 
 from test_cold_start import SRC
 
 # a density cap that no longer matches the (0,4) family table's n2 range
 CAP_MOVED = """
 import sys
-from semifree8 import classify
+from semifree8 import enumeration
 print("optimize", sys.flags.optimize)
-classify.b4_cap = lambda shape: 3
-classify.enumerate_case((0, 4))
+enumeration.b4_cap = lambda shape: 3
+enumeration.enumerate_case((0, 4))
 """
+
+SURFACE = "shape (0, 4) with Morse-index-2 sphere"
 
 
 def test_survivor_check_fails_on_a_moved_cap(monkeypatch):
-    monkeypatch.setattr(classify, "b4_cap", lambda shape: 3)
+    monkeypatch.setattr(enumeration, "b4_cap", lambda shape: 3)
     with pytest.raises(AssertionError):
         enumerate_case((0, 4))
 
@@ -43,21 +46,44 @@ def test_survivor_check_fails_under_python_O():
 def test_solved_sweeps_match_the_full_loop(monkeypatch, b4_max):
     seen = []
 
-    def both_ways(label, axes, first_failure, solve=None):
+    def both_ways(label, axes, first_failure, solve=None, solve_mid=None):
         full = _sweep(label, axes, first_failure)
         if solve is not None:
             assert _sweep(label, axes, first_failure, solve) == full, label
-        seen.append((label, solve is not None))
+        if solve_mid is not None:
+            assert _sweep(label, axes, first_failure, solve, solve_mid) == full, label
+        seen.append((label[:12], solve is not None, solve_mid is not None))
         return full
 
-    monkeypatch.setattr(classify, "_sweep", both_ways)
+    monkeypatch.setattr(enumeration, "_sweep", both_ways)
     for shape in ADMISSIBLE_SHAPES:
         enumerate_case(shape, b4_max)
     # (0,6) has one axis and no solved variable; both (0,4) branches,
-    # (2,4) and (4,4) solve their innermost one
-    assert [(label[:12], solved) for label, solved in seen] == [
-        ("shape (0, 4)", True), ("shape (0, 4)", True), ("shape (0, 6)", False),
-        ("shape (2, 4)", True), ("shape (4, 4)", True)]
+    # (2,4) and (4,4) solve their innermost one, and the (0,4) branch with
+    # a surface, swept first, the next one too
+    assert seen == [
+        ("shape (0, 4)", True, True), ("shape (0, 4)", True, False),
+        ("shape (0, 6)", False, False), ("shape (2, 4)", True, False),
+        ("shape (4, 4)", True, False)]
+
+
+def test_surface_branch_runs_first_failure_per_block(monkeypatch):
+    # at b4_max 14, solving the innermost axis alone ran first_failure
+    # 13,962 times in the (0,4) surface branch, once or twice per value of
+    # a1; solving a1 too runs it at most three times per (n2, k') block,
+    # 689 times over the 429 blocks
+    calls = []
+
+    def counted(label, axes, first_failure, solve=None, solve_mid=None):
+        def counting(*choice):
+            calls.append(label)
+            return first_failure(*choice)
+        return _sweep(label, axes, counting, solve, solve_mid)
+
+    monkeypatch.setattr(enumeration, "_sweep", counted)
+    enumerate_case((0, 4), 14)
+    surface = sum(1 for label in calls if label.startswith(SURFACE))
+    assert 0 < surface <= 1000
 
 
 def _chain(outer, v):
@@ -91,3 +117,57 @@ def test_admitted_value_first_then_batch_counts():
         Rejection("synthetic", "abbv-vanishing", "v = 1; 8 parameter choices rejected"),
         Rejection("synthetic", "monotone-positive", "outer = 1; 1 parameter choices rejected"),
     ]
+
+
+def _two_rules(outer, m, v):
+    # the first rule fixes v = m, the second fixes m = 0; past both, the
+    # third rejects every outer value but 2
+    if v != m:
+        return "abbv-vanishing", "v = %d, m = %d", (v, m)
+    if m != 0:
+        return "surface-degree-relation", "m = %d", (m,)
+    if outer != 2:
+        return "monotone-positive", "outer = %d", (outer,)
+    return None
+
+
+@pytest.mark.parametrize("mid", [range(0, 4), range(-2, 3), range(-3, 1), range(1, 4),
+                                 range(-1, 2)])
+@pytest.mark.parametrize("inner", [range(0, 4), range(-2, 3), range(-3, 1), range(1, 4),
+                                   range(-5, -2)])
+def test_admitted_mid_value_keeps_its_place(mid, inner):
+    # the admitted mid value 0 is first, in the middle, last or outside its
+    # range, and its admitted innermost value likewise; the second-rule
+    # batch (v = m for m != 0, where v is in range) must keep its first-fire
+    # place relative to the first-rule batch and the admitted choices
+    axes = (range(1, 4), mid, inner)
+    solved = _sweep("synthetic", axes, _two_rules,
+                    solve=lambda outer, m: (m,), solve_mid=lambda outer: (0,))
+    full = _sweep("synthetic", axes, _two_rules)
+    assert solved == full
+    rows, survivors = full
+    assert survivors == ([(2, 0, 0)] if 0 in mid and 0 in inner else [])
+    assert sum(int(r.detail.split("; ")[1].split()[0]) for r in rows) == (
+        3 * len(mid) * len(inner) - len(survivors))
+
+
+def test_second_rule_batch_fires_before_the_first_rule_batch():
+    # with mid = inner = [1, 2], the first choice (1, 1) passes the first
+    # rule and fails the second, so the second rule's row comes first
+    rows, survivors = _sweep("synthetic", (range(0, 1), range(1, 3), range(1, 3)),
+                             _two_rules, solve=lambda outer, m: (m,),
+                             solve_mid=lambda outer: (0,))
+    assert survivors == []
+    assert rows == [
+        Rejection("synthetic", "surface-degree-relation",
+                  "m = 1; 2 parameter choices rejected"),
+        Rejection("synthetic", "abbv-vanishing", "v = 2, m = 1; 2 parameter choices rejected"),
+    ]
+
+
+def test_a_batched_survivor_is_an_error():
+    # a solve_mid that leaves out the mid value 0 batches the survivor
+    # (2, 0, 0) as the first choice of the second-rule batch
+    with pytest.raises(AssertionError, match="solve_mid left out"):
+        _sweep("synthetic", (range(2, 3), range(0, 2), range(-1, 2)), _two_rules,
+               solve=lambda outer, m: (m,), solve_mid=lambda outer: (1,))

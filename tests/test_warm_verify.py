@@ -28,7 +28,8 @@ report orients once: on a warm pass ``model.oriented`` runs once per
 ``verification_report`` (four times before the rules took the oriented
 tuple), and no localization ``contribution`` (the function or a normal's
 method) and no ``betti_contribution`` runs outside
-``FixedComponent.__init__``.
+``FixedComponent.__init__``. ``match_fp_class`` orients nothing: it
+reads the data as given.
 """
 
 import fractions
@@ -164,6 +165,8 @@ def test_warm_report_orients_once_and_reads_stored_terms():
     finally:
         sys.setprofile(None)
     assert reports == len(docs)
+    # match_fp_class reads the data as given: it orients nothing
+    assert calls["oriented"] == reports
     # reversing for a report builds components, each computing its term
     assert calls["contribution inside __init__"] > 0
     assert calls["contribution"] == calls["betti_contribution"] == 0
