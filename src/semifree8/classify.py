@@ -569,13 +569,22 @@ _X8M_VOLUME = next(r.c1_fourth for r in default_fano_table() if r.name == "X8m")
 
 
 def fano_table_hash(records=None):
-    import hashlib      # here, not at the top: only the table hash reads it
+    # CPython's built-in sha256 (_sha2 from 3.12, _sha256 before): hashlib
+    # would load OpenSSL's libcrypto, which costs a command more than hashing
+    # this table of about 600 bytes. Imported here: only the table hash reads it
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     records = default_fano_table() if records is None else records
     doc = [{name: getattr(r, name) for name in r._fields}
            for r in sorted(records, key=lambda r: r.name)]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # the enumerated families of each index >= 3; all of them have one b4

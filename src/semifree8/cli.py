@@ -244,8 +244,10 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if doc is not None:
-        doc = dict({"version": __version__, "table_sha256": fano_table_hash(),
-                    "command": args.command}, **doc)
+        head = {"version": __version__, "command": args.command}
+        if "table_sha256" not in doc:
+            head["table_sha256"] = fano_table_hash()
+        doc = dict(head, **doc)
         if args.json:
             lines = [json.dumps(doc, indent=2, sort_keys=True)]
         else:

@@ -11,7 +11,9 @@ function, ``_sweep``, runs it over the box. The chain opens with the
 localization sum, which fixes the innermost parameter, so ``_sweep``
 solves for that parameter instead of looping over it; in the (0,4)
 surface chain the surface degree relation then fixes the next one, and
-``_sweep`` solves for that too.
+``_sweep`` solves for that too. No solver reads n2, the number of
+Morse-index-4 points, so ``_sweep`` plans each block of the box once and
+replays the plan for every n2.
 
 A sweep returns the table's family with the n2 range its survivors give,
 re-certified on every instantiated member through the full rule chain
@@ -130,17 +132,18 @@ def _ensure(ok, *why):
 
 def _steps(outer, inner, solve, mid=None, passing=None):
     """The choices first_failure runs on in one block of the box, in loop
-    order, as (position, choice, count, solver): solver is None for one
-    admitted choice, else "solve" or "solve_mid", for the first choice of
-    a batch of count choices that all fail the rule that solver solves.
+    order and without their n2 value, as (position, choice, count, solver):
+    solver is None for one admitted choice, else "solve" or "solve_mid",
+    for the first choice of a batch of count choices that all fail the
+    rule that solver solves.
 
-    The block is the innermost axis after ``outer``, or the last two axes
-    when ``mid`` is given. Values solve does not admit fail the chain's
-    first rule, so they form one batch over the whole block; with
-    ``passing``, the mid values solve_mid yields, admitted values after any
-    other mid value fail the second rule and form a second batch. Each
-    batch runs at its first choice in loop order, where its rule first
-    fires in the full loop.
+    outer holds the values of the axes between n2 and the block. The block
+    is the innermost axis, or the last two axes when ``mid`` is given.
+    Values solve does not admit fail the chain's first rule, so they form
+    one batch over the whole block; with ``passing``, the mid values
+    solve_mid yields, admitted values after any other mid value fail the
+    second rule and form a second batch. Each batch runs at its first
+    choice in loop order, where its rule first fires in the full loop.
     """
     steps, first, second = [], None, None
     heads = ((0, outer),) if mid is None else enumerate(outer + (m,) for m in mid)
@@ -165,28 +168,40 @@ def _steps(outer, inner, solve, mid=None, passing=None):
 def _sweep(label, axes, first_failure, solve=None, solve_mid=None):
     """Run one rule chain over a parameter box: (rejection rows, survivors).
 
-    axes are the swept ranges, outermost first. first_failure(*choice)
-    returns None for a survivor, else (rule_id, witness_format, args) for
-    the first rule the choice breaks. Rejections are tallied per rule, the
-    witness formatted only when its rule first fires, and rows come out in
-    first-fire order.
+    axes are the swept ranges, outermost first; with more than one, the
+    first is n2. first_failure(*choice) returns None for a survivor, else
+    (rule_id, witness_format, args) for the first rule the choice breaks.
+    Rejections are tallied per rule, the witness formatted only when its
+    rule first fires, and rows come out in first-fire order.
 
     solve(*head), when given, yields the innermost values that the chain's
-    first rule admits after the other axes' values, each once and in the
-    axis order; every other innermost value fails that rule.
-    solve_mid(*outer), when given as well, yields the next-to-innermost
-    values at which an admitted innermost value can pass the chain's
-    second rule; at every other one it fails that rule. first_failure runs
-    on the admitted choices one by one and on the first choice of each
-    batch (``_steps``), which gives the rows of the full loop.
+    first rule admits after the values of the axes between n2 and the
+    innermost one, each once and in the axis order; every other innermost
+    value fails that rule. solve_mid(*head), when given as well, yields
+    the next-to-innermost values at which an admitted innermost value can
+    pass the chain's second rule, after the axes between n2 and that one;
+    at every other one it fails that rule. first_failure runs on the
+    admitted choices one by one and on the first choice of each batch
+    (``_steps``), which gives the rows of the full loop.
+
+    No solver reads n2: the signature ties c2 to b4, so each
+    Morse-index-4 point adds as much to c2 as to the localization sum, and
+    n2 cancels from both solved rules. Each block is planned once, at the
+    first n2, and the plan is replayed at every other n2.
     """
     bins = {}
     survivors = []
     *outer_axes, inner = axes
     mid = outer_axes.pop() if solve_mid is not None else None
+    plans = {}
     for outer in product(*outer_axes):
-        passing = None if mid is None else set(solve_mid(*outer))
-        for _, choice, n, solver in _steps(outer, inner, solve, mid, passing):
+        n2, head = outer[:1], outer[1:]
+        plan = plans.get(head)
+        if plan is None:
+            passing = None if mid is None else set(solve_mid(*head))
+            plan = plans[head] = _steps(head, inner, solve, mid, passing)
+        for _, tail, n, solver in plan:
+            choice = n2 + tail
             failure = first_failure(*choice)
             if failure is None:
                 _ensure(solver is None, "%s left out an admitted value at %s" % (solver, choice))
@@ -348,7 +363,7 @@ def _enum_24(b4_max, box):
     # the localization sum fixes the degree sum: s = k'^2 - 1
     rows, survivors = _sweep(
         label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)),
-        first_failure, solve=lambda n2, kp: (kp * kp - 1,))
+        first_failure, solve=lambda kp: (kp * kp - 1,))
     _ensure(survivors == [(0, 2, 3)])
     return [_certified("2,4")], rows
 
@@ -376,7 +391,7 @@ def _enum_04(b4_max, box):
             # the localization sum reads k'^2 = 1
             rows, survivors = _sweep(
                 label, (range(0, b4_max), range(-box, box + 1)),
-                first_failure, solve=lambda n2: (-1, 1))
+                first_failure, solve=lambda: (-1, 1))
             rejections.extend(rows)
             top_n2 = max((n2 for n2, _ in survivors), default=-1)
             _ensure(top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1))
@@ -406,8 +421,8 @@ def _enum_04(b4_max, box):
             rows, survivors = _sweep(
                 label, (range(0, b4_max - 1), range(-box, box + 1), range(-12, 13),
                         range(-24, 25)),
-                first_failure, solve=lambda n2, kp, a1: (a1 + 1 - kp * kp,),
-                solve_mid=lambda n2, kp: (3 - kp * kp,))
+                first_failure, solve=lambda kp, a1: (a1 + 1 - kp * kp,),
+                solve_mid=lambda kp: (3 - kp * kp,))
             rejections.extend(rows)
             _ensure(survivors == [(0, 0, 3, 4)])
             families.append(_certified("0,4/with-surface"))
@@ -436,7 +451,7 @@ def _enum_44(b4_max, box):
 
     rows, survivors = _sweep(
         label, (range(0, max(0, b4_max - 2) + 1), range(-box, box + 1), range(-box, box + 1)),
-        first_failure, solve=lambda n2, k1: (-1, 1) if k1 * k1 == 1 else ())
+        first_failure, solve=lambda k1: (-1, 1) if k1 * k1 == 1 else ())
     neg_top_n2 = max((n2 for n2, k1, _ in survivors if k1 == -1), default=-1)
     pos_ok = any(k1 != -1 for _, k1, _ in survivors)
     _ensure(pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2)))
@@ -452,8 +467,8 @@ _ENUMERATORS = {
 }
 
 ADMISSIBLE_SHAPES = tuple(_ENUMERATORS)
-# the sweeps grow about as b4_max^2: enumerate_all took 0.06, 0.28, 1.0 s at
-# b4_max 30, 60, 120 and 66 s at this limit (Python 3.11, shared 2-vCPU VM)
+# the sweeps grow about as b4_max^2: enumerate_all took 0.02, 0.05, 0.14 s at
+# b4_max 30, 60, 120 and 7.8 s at this limit (Python 3.11, shared 2-vCPU VM)
 B4_MAX_LIMIT = 1000
 
 

@@ -1,5 +1,8 @@
 """Case analysis: rules, per-shape enumeration, catalog, Fano filter."""
 
+import hashlib
+import json
+
 import pytest
 
 from semifree8 import enumeration
@@ -420,3 +423,20 @@ def test_index_witness_pins_b4(name, index, b4, pinned):
 def test_table_hash_is_frozen():
     assert fano_table_hash() == (
         "e661168bf4295831e5840503b59fd277c2f12b7eb5b1cb4e6bbf198548433f66")
+
+
+def test_table_hash_matches_hashlib():
+    # the built-in sha256 gives hashlib's digest of the canonical blob, for
+    # the default table and for a reordered table with one record edited
+    table = default_fano_table()
+    edited = [FanoFamilyRecord(r.name, r.fano_index, r.b4 + 1, r.c1_fourth, r.genus,
+                               r.finite_automorphisms) if r.name == "W5" else r
+              for r in reversed(table)]
+    digests = []
+    for records in (table, edited):
+        doc = sorted(({name: getattr(r, name) for name in r._fields} for r in records),
+                     key=lambda row: row["name"])
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        digests.append(hashlib.sha256(blob).hexdigest())
+        assert fano_table_hash(records) == digests[-1]
+    assert fano_table_hash() == digests[0] != digests[1]

@@ -4,8 +4,9 @@ Every command runs in a new process, so each module the import pulls in
 is compiled and executed on every call. The package needs neither the
 dataclass machinery (with `inspect` and the rest that `dataclasses`
 imports) nor the component rings, which only the independent oracles
-read: those import `semifree8.rings` when they run. Nor does it need
-`hashlib` until a command prints the family table's hash.
+read: those import `semifree8.rings` when they run. No command loads
+`hashlib`'s OpenSSL binding `_hashlib` either: the family table's hash in
+every header comes from CPython's built-in sha256.
 
 The per-shape enumeration is `semifree8.enumeration`: importing the
 package or the front end does not load it, and neither does any command
@@ -43,13 +44,14 @@ print("oracles ok")
 
 ENUMERATION = "semifree8.enumeration"
 
-# one command in this process, then whether it loaded the enumeration
+# one command in this process, then whether it loaded the enumeration and
+# OpenSSL's hash binding
 RUN_COMMAND = """
 import contextlib, io, sys
 from semifree8.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, %r in sys.modules)
+print(code, %r in sys.modules, "_hashlib" in sys.modules)
 """ % ENUMERATION
 
 
@@ -94,4 +96,4 @@ def test_package_import_leaves_out_the_enumeration():
 ])
 def test_only_enumerate_loads_the_enumeration(tmp_path, argv, loads):
     (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
-    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == ["0 %s" % loads]
+    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == ["0 %s False" % loads]

@@ -1,7 +1,10 @@
 """`enumeration._sweep`: the solved innermost axis, and in the (0,4)
 surface chain the solved next-to-innermost one, give the rows and the
-survivors of the full loop over the box. The sweeps' survivor checks hold
-under ``python -O`` too."""
+survivors of the full loop over the box, with each block planned once for
+every n2. The sweeps' survivor checks hold under ``python -O`` too.
+
+In the synthetic chains below the outermost axis stands where n2 stands
+in the real ones: no solver reads it."""
 
 import os
 import subprocess
@@ -86,6 +89,23 @@ def test_surface_branch_runs_first_failure_per_block(monkeypatch):
     assert 0 < surface <= 1000
 
 
+@pytest.mark.parametrize("b4_max, most", [(14, 150), (30, 300)])
+def test_each_block_is_planned_once_for_all_n2(monkeypatch, b4_max, most):
+    # no solver reads n2, so one plan per k' (per k1 in (4,4)) serves every
+    # n2: 101 plans at b4_max 14 and 197 at 30 over the five shapes, where
+    # a plan per (n2, k') block made 1,335 and 5,751
+    plans = []
+    steps = enumeration._steps
+
+    def counted(*args):
+        plans.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(enumeration, "_steps", counted)
+    enumeration.enumerate_all(b4_max)
+    assert 0 < len(plans) <= most
+
+
 def _chain(outer, v):
     if v != 0:
         return "abbv-vanishing", "v = %d", (v,)
@@ -100,7 +120,7 @@ def test_admitted_value_keeps_its_place(inner):
     # range; at outer = 1 it fails a later rule, which must keep its place
     # relative to the batch of values the first rule rejects
     axes = (range(1, 3), inner)
-    solved = _sweep("synthetic", axes, _chain, solve=lambda outer: (0, 99))
+    solved = _sweep("synthetic", axes, _chain, solve=lambda: (0, 99))
     assert solved == _sweep("synthetic", axes, _chain)
     rows, survivors = solved
     assert survivors == []
@@ -111,7 +131,7 @@ def test_admitted_value_keeps_its_place(inner):
 
 def test_admitted_value_first_then_batch_counts():
     rows, survivors = _sweep("synthetic", (range(0, 2), range(0, 5)), _chain,
-                             solve=lambda outer: (0,))
+                             solve=lambda: (0,))
     assert survivors == [(0, 0)]
     assert rows == [
         Rejection("synthetic", "abbv-vanishing", "v = 1; 8 parameter choices rejected"),
@@ -142,7 +162,7 @@ def test_admitted_mid_value_keeps_its_place(mid, inner):
     # place relative to the first-rule batch and the admitted choices
     axes = (range(1, 4), mid, inner)
     solved = _sweep("synthetic", axes, _two_rules,
-                    solve=lambda outer, m: (m,), solve_mid=lambda outer: (0,))
+                    solve=lambda m: (m,), solve_mid=lambda: (0,))
     full = _sweep("synthetic", axes, _two_rules)
     assert solved == full
     rows, survivors = full
@@ -155,8 +175,8 @@ def test_second_rule_batch_fires_before_the_first_rule_batch():
     # with mid = inner = [1, 2], the first choice (1, 1) passes the first
     # rule and fails the second, so the second rule's row comes first
     rows, survivors = _sweep("synthetic", (range(0, 1), range(1, 3), range(1, 3)),
-                             _two_rules, solve=lambda outer, m: (m,),
-                             solve_mid=lambda outer: (0,))
+                             _two_rules, solve=lambda m: (m,),
+                             solve_mid=lambda: (0,))
     assert survivors == []
     assert rows == [
         Rejection("synthetic", "surface-degree-relation",
@@ -170,4 +190,4 @@ def test_a_batched_survivor_is_an_error():
     # (2, 0, 0) as the first choice of the second-rule batch
     with pytest.raises(AssertionError, match="solve_mid left out"):
         _sweep("synthetic", (range(2, 3), range(0, 2), range(-1, 2)), _two_rules,
-               solve=lambda outer, m: (m,), solve_mid=lambda outer: (1,))
+               solve=lambda m: (m,), solve_mid=lambda: (1,))
