@@ -511,11 +511,15 @@ def _is_x8_family(data):
 
 
 @cache
-def _catalog_fingerprints():
-    # (class, fingerprint) of each entry, then of each reversed entry, in catalog
-    # order; fingerprints commute with reversal, an involution, so matching
-    # the data against both lists matches both orientations of the data
-    entries = [(case, d) for (_, case, _, _), d in zip(_CATALOG, catalog().values())]
+def _catalog_fingerprints(shape):
+    # (class, fingerprint) of each entry of this shape, then of each reversed
+    # one, in catalog order; fingerprints commute with reversal, an
+    # involution, so matching the data against both lists matches both
+    # orientations of the data. Equal fingerprints mean equal types and
+    # weights, hence equal shapes, and reversal keeps the sorted shape, so
+    # no entry of another shape can match.
+    entries = [(case, _FAMILIES[key].builder(n2)) for _, case, key, n2 in _CATALOG
+               if _FAMILIES[key].shape == shape]
     return tuple((case, fingerprint(d)) for case, d in entries) + tuple(
         (case, fingerprint(reverse_action(d))) for case, d in entries)
 
@@ -523,9 +527,13 @@ def _catalog_fingerprints():
 def match_fp_class(data):
     """Which catalog class the data belongs to: 'a' through 'd', or
     'unclassified'. Reversing the action is allowed; the case-d entry is
-    matched modulo its undetermined c2 split."""
+    matched modulo its undetermined c2 split. Only the catalog entries of
+    the data's shape are built and compared, once per shape and process;
+    data with no unique extremes has no shape and matches none."""
+    if data.shape is None:
+        return "unclassified"
     fp = fingerprint(data)
-    for case, entry_fp in _catalog_fingerprints():
+    for case, entry_fp in _catalog_fingerprints(data.shape):
         if fp == entry_fp:
             return case
     if _is_x8_family(data):

@@ -23,7 +23,8 @@ b0..b8), its ``off_weights`` (weights outside {-1, 0, 1}) and its
 ``zeros_fit`` flag (zero count equal to complex_dim); the members of
 ``ComponentType`` carry their complex dimension, Betti numbers and
 tangent Chern class as plain attributes. A dataset computes what every
-rule reads of it when it is built: its unique minimum and maximum, its
+rule reads of it when it is built, in one pass over its sorted
+components: its unique minimum and maximum, its
 interior components, its Betti vector (the sum of the rows), its sorted
 pair of extremal dimensions and its sorted distinct levels
 (``FixedPointData.extremes``, ``interior``, ``betti``, ``shape`` and
@@ -122,29 +123,61 @@ class FixedPointData(Record):
     even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
     components' ``betti_row``s; ``shape`` the real dimensions of the two
     extremes, sorted, None when either is not unique; ``levels`` the
-    distinct levels of the components, sorted."""
+    distinct levels of the components, sorted. All five come from one pass
+    over the sorted components, which also finds the key ties that only
+    the normals' repr orders."""
 
     _fields = ("components",)
 
     def __init__(self, components):
         comps = sorted(components, key=attrgetter("sort_key"))
-        # ties only repr(normal) orders; a shared component ties with itself
-        if any(a is not b and a.weights == b.weights and a.type is b.type
-               and a.normal != b.normal for a, b in zip(comps, comps[1:])):
+        # one pass over the sorted components finds the extremes, the Betti
+        # sum, the distinct levels (in order: the level leads the sort key)
+        # and whether two distinct components tie on the key, which only
+        # repr(normal) orders; a shared component ties with itself
+        lo = hi = level = prev = None
+        n_lo = n_hi = b0 = b2 = b4 = b6 = b8 = 0
+        levels = []
+        tied = False
+        for c in comps:
+            lam = c.lam
+            if not lam:
+                lo = c
+                n_lo += 1
+            if lam == 4 - c.complex_dim:
+                hi = c
+                n_hi += 1
+            r0, r2, r4, r6, r8 = c.betti_row
+            b0 += r0
+            b2 += r2
+            b4 += r4
+            b6 += r6
+            b8 += r8
+            key = c.sort_key
+            if key[0] != level:
+                level = key[0]
+                levels.append(level)
+            elif (not tied and key == prev.sort_key and c is not prev
+                  and c.normal != prev.normal):
+                tied = True
+            prev = c
+        if tied:
             comps.sort(key=lambda c: (c.sort_key, repr(c.normal)))
+        if n_lo != 1:
+            lo = None
+        if n_hi != 1:
+            hi = None
         comps = tuple(comps)
         set_field(self, "components", comps)
-        mins = [c for c in comps if c.lam == 0]
-        maxs = [c for c in comps if c.lam == 4 - c.complex_dim]
-        lo = mins[0] if len(mins) == 1 else None
-        hi = maxs[0] if len(maxs) == 1 else None
         set_field(self, "extremes", (lo, hi))
-        set_field(self, "shape", None if lo is None or hi is None else
-                  tuple(sorted((2 * lo.complex_dim, 2 * hi.complex_dim))))
-        set_field(self, "interior", tuple(c for c in comps if c is not lo and c is not hi))
-        set_field(self, "betti", tuple(map(sum, zip((0, 0, 0, 0, 0),
-                                                    *[c.betti_row for c in comps]))))
-        set_field(self, "levels", tuple(sorted({c.level for c in comps})))
+        if lo is None or hi is None:
+            set_field(self, "shape", None)
+        else:
+            d, e = 2 * lo.complex_dim, 2 * hi.complex_dim
+            set_field(self, "shape", (d, e) if d <= e else (e, d))
+        set_field(self, "interior", tuple([c for c in comps if c is not lo and c is not hi]))
+        set_field(self, "betti", (b0, b2, b4, b6, b8))
+        set_field(self, "levels", tuple(levels))
 
     def __iter__(self):
         return iter(self.components)
@@ -254,8 +287,12 @@ class CheckItem(Record):
     def __init__(self, id, verdict, detail=""):
         # verdict is PASS / FAIL / WARN / INFO; an unknown id raises, as in
         # rule_statement (every statement is a nonempty string)
-        self.__dict__.update(id=id, verdict=verdict, detail=detail,
-                             rule=RULES.get(id) or rule_statement(id))
+        rule = RULES.get(id) or rule_statement(id)
+        values = self.__dict__
+        values["id"] = id
+        values["verdict"] = verdict
+        values["detail"] = detail
+        values["rule"] = rule
 
     def line(self):
         tail = " (%s)" % self.detail if self.detail else ""

@@ -23,10 +23,11 @@ Traceback (most recent call last):
 AttributeError: cannot assign to field 'a'
 
 An attribute outside ``_fields`` (a value an ``__init__`` derives from the
-fields) is invisible to all three. An ``__init__`` may also set all its
-values in one ``self.__dict__.update(...)`` call, which bypasses
-``__setattr__`` just as ``set_field`` does; ``model.CheckItem``, built
-some twenty times per verification report, does.
+fields) is invisible to all three. An ``__init__`` may also write its
+values straight into ``self.__dict__``, one item assignment each, which
+bypasses ``__setattr__`` just as ``set_field`` does and builds no keyword
+dict; ``model.CheckItem``, built some twenty times per verification
+report, does.
 """
 
 set_field = object.__setattr__

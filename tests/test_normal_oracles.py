@@ -19,8 +19,16 @@ fingerprint against the normal's tail behind type and weights, the sort
 key against ``test_dataset_values.oracle_sort_key``, the Betti row against
 ``betti_contribution``, the weights outside {-1, 0, 1} and the zero-count
 flag against scans of the weights, and a dataset's summed rows and
-``levels`` against ``kirwan_betti`` and the sorted distinct levels. None
-of them may be seen by equality, hashing or repr.
+``levels`` against ``kirwan_betti`` and the sorted distinct levels, its
+component order against ``oracle_sort_key``, its extremes and interior
+(by identity) against scans for the unique minimum and maximum, and its
+``shape`` against their sorted dimensions. None of them may be seen by
+equality, hashing or repr.
+
+``match_fp_class`` compares the data with the catalog entries of its own
+shape only: on the same corpora it must give the class that the matcher
+comparing with every entry gave, and a fresh process's first match must
+build only the entries of the data's shape.
 """
 
 import importlib.util
@@ -32,7 +40,7 @@ from pathlib import Path
 import pytest
 
 import semifree8
-from semifree8.classify import catalog, enumerate_all
+from semifree8.classify import _CATALOG, _is_x8_family, catalog, enumerate_all, match_fp_class
 from semifree8.dataio import DataError, document_for, dumps_data, loads_data
 from semifree8.localization import (
     FourDimExtremalNormal,
@@ -56,7 +64,8 @@ from semifree8.model import (
 )
 from semifree8.record import set_field
 
-from test_dataset_values import oracle_sort_key
+from test_cold_start import run_child
+from test_dataset_values import check_order, oracle_sort_key
 
 # ----------------------------------------------------------------------
 # the replaced ladders
@@ -281,11 +290,29 @@ def test_stored_component_values_are_the_code_they_replace():
 
 
 def test_stored_dataset_values_are_the_code_they_replace():
+    ties = 0
     for data in corpus_data():
+        # the order, down to which equal component lands where, from the
+        # given order, its reversal and an interleaving
+        check_order(data.components)
+        ties += any(a.sort_key == b.sort_key and repr(a.normal) != repr(b.normal)
+                    for a, b in zip(data.components, data.components[1:]))
+        mins = [c for c in data if c.lam == 0]
+        maxs = [c for c in data if c.lam == 4 - c.complex_dim]
+        lo = mins[0] if len(mins) == 1 else None
+        hi = maxs[0] if len(maxs) == 1 else None
+        assert data.extremes[0] is lo and data.extremes[1] is hi, data
+        interior = [c for c in data if c is not lo and c is not hi]
+        assert len(data.interior) == len(interior), data
+        assert all(a is b for a, b in zip(data.interior, interior)), data
+        assert data.shape == (None if lo is None or hi is None else tuple(
+            sorted((2 * lo.complex_dim, 2 * hi.complex_dim)))), data
         assert data.betti == tuple(kirwan_betti(data, i) for i in (0, 2, 4, 6, 8)), data
         assert data.betti == tuple(map(sum, zip(*[c.betti_row for c in data]))), data
         assert data.levels == tuple(sorted({c.level for c in data})), data
         assert fingerprint(data) == tuple(sorted(map(oracle_fingerprint, data))), data
+    # the edits corpora hold datasets whose order the normals' repr decides
+    assert ties > 500
 
 
 def test_stored_component_values_are_invisible_to_the_record():
@@ -301,3 +328,60 @@ def test_stored_component_values_are_invisible_to_the_record():
                 c.type, c.weights, c.normal)
             seen += 1
     assert seen == 40
+
+
+@cache
+def all_catalog_fingerprints():
+    entries = [(case, d) for (_, case, _, _), d in zip(_CATALOG, catalog().values())]
+    return [(case, fingerprint(d)) for case, d in entries] + [
+        (case, fingerprint(reverse_action(d))) for case, d in entries]
+
+
+def oracle_match_fp_class(data):
+    """The matcher that compared the data with every catalog entry."""
+    fp = fingerprint(data)
+    for case, entry_fp in all_catalog_fingerprints():
+        if fp == entry_fp:
+            return case
+    return "d" if _is_x8_family(data) else "unclassified"
+
+
+def test_same_shape_matching_is_the_all_entries_route():
+    cases = {}
+    for data in corpus_data():
+        case = match_fp_class(data)
+        assert case == oracle_match_fp_class(data), data
+        cases[case] = cases.get(case, 0) + 1
+    assert set(cases) == {"a", "b", "c", "d", "unclassified"}, cases
+
+
+# the class of one document and the family builders the first match of a
+# fresh process called
+COUNT_BUILDERS = """
+import sys
+from semifree8 import classify
+from semifree8.dataio import loads_data
+data = loads_data(sys.argv[1])
+builders = {f.builder.__code__ for f in classify._FAMILIES.values()}
+calls = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code in builders:
+        calls.append(frame.f_code.co_name)
+sys.setprofile(count)
+case = classify.match_fp_class(data)
+sys.setprofile(None)
+print(case, len(calls))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_first_match_builds_the_entries_of_one_shape(name):
+    data = catalog()[name]
+    same_shape = sum(other.shape == data.shape for other in catalog().values())
+    case = next(case for entry, case, _, _ in _CATALOG if entry == name)
+    for doc in (data, reverse_action(data)):
+        assert run_child(COUNT_BUILDERS, dumps_data(doc)) == ["%s %d" % (case, same_shape)]
+    # without its maximum the data has no shape and builds no entry
+    headless = FixedPointData(data.components[:-1])
+    assert headless.shape is None
+    assert run_child(COUNT_BUILDERS, dumps_data(headless)) == ["unclassified 0"]

@@ -19,6 +19,7 @@ from semifree8.model import (
     ComponentType,
     FixedComponent,
     FixedPointData,
+    pass_fail,
     point_component,
 )
 
@@ -63,6 +64,8 @@ def test_statements_are_distinct():
 def test_unknown_id_raises():
     with pytest.raises(ValueError, match="unknown check id"):
         CheckItem("no-such-rule", "PASS")
+    with pytest.raises(ValueError, match="unknown check id"):
+        pass_fail("no-such-rule", True, "")
     with pytest.raises(ValueError, match="unknown check id"):
         Rejection("candidate", "no-such-rule", "detail")
 
