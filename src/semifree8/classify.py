@@ -38,7 +38,7 @@ from .dh import (
     half_volume_cp2,
     half_volume_isolated_pair,
     positivity_check,
-    _total_volume,
+    total_volume,
 )
 from .model import (
     CheckItem,
@@ -52,7 +52,6 @@ from .model import (
     cp3_extremal,
     fourdim_interior,
     fingerprint,
-    omega_coefficients,
     oriented,
     pass_fail,
     point_component,
@@ -89,15 +88,14 @@ class ClassifyError(ValueError):
 def index_candidates(data):
     """(source, value) pairs for the Fano index read off the extremes.
 
-    An extreme's stored ``omega`` is the restriction of [w]; an ill-typed
-    extreme stores none, so its Chern data is read as given, and where that
-    gives no coefficient the index cannot be read and ClassifyError says
-    why."""
+    An extreme's stored ``omega`` is the restriction of [w], an ill-typed
+    extreme's read off its Chern data as given; where that gives no
+    coefficient the index cannot be read and ClassifyError says why."""
     out = []
     lo, hi = data.extremes
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
         if comp is not None and comp.complex_dim >= 1:
-            coeffs = omega_coefficients(comp) if comp.mismatch else comp.omega
+            coeffs = comp.omega
             if not coeffs:
                 raise ClassifyError("no Fano index can be read off the %s: %s"
                                     % (label, comp.mismatch))
@@ -151,14 +149,11 @@ def sphere_constraints(data):
     Rules are stated for the orientation with the smaller extreme at the
     bottom, so the action is reversed first when needed.
     """
-    o = oriented(data)
-    return ConstraintReport() if o is None else _sphere_constraints(*o)
-
-
-def _sphere_constraints(shape, data, lo, hi, inner):
-    """sphere_constraints on the tuple ``oriented`` returns."""
     rep = ConstraintReport()
-    d1, d2 = shape
+    data = oriented(data)
+    if data is None:
+        return rep
+    (d1, d2), (lo, hi), inner = data.shape, data.extremes, data.interior
     lam2 = [c for c in inner if c.type is ComponentType.POINT and c.lam == 2]
     levels = data.levels
     if d2 == 4 and lam2 and _gap_empty(levels, 0, hi.level):
@@ -194,13 +189,11 @@ def _sphere_constraints(shape, data, lo, hi, inner):
 def sphere_index_rules(data):
     """The Fano-index rules, stated like the sphere-area rules for the
     smaller extreme at the bottom."""
-    o = oriented(data)
-    return ConstraintReport() if o is None else _sphere_index_rules(*o)
-
-
-def _sphere_index_rules(shape, data, lo, hi, inner):
-    """sphere_index_rules on the tuple ``oriented`` returns."""
     rep = ConstraintReport()
+    data = oriented(data)
+    if data is None:
+        return rep
+    shape, (lo, hi), inner = data.shape, data.extremes, data.interior
     cands = index_candidates(data)
     iota = None
     if cands:
@@ -271,9 +264,9 @@ def verification_report(data):
 
     Past the structural gate every component stores its localization term
     (``abbv_term``, the closed form ``abbv_terms`` computes). The rules
-    stated for the smaller extreme at the bottom read the tuple of one
-    ``oriented`` call, so a report orients once and reverses the action at
-    most once."""
+    stated for the smaller extreme at the bottom get the upright dataset of
+    one ``oriented`` call, which their own ``oriented`` calls return as it
+    is, so a report reverses the action at most once."""
     rep = validate(data)
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
     failed = [it.id for it in rep if it.id in STRUCTURAL and it.verdict != "PASS"]
@@ -288,12 +281,12 @@ def verification_report(data):
     for item in (_lambda2_exclusion(data), _bundle_halves(data)):
         if item is not None:
             rep.append(item)
-    o = oriented(data)
-    if o is not None:
-        rep.extend(_sphere_constraints(*o))
-        rep.extend(_sphere_index_rules(*o))
+    up = oriented(data)
+    if up is not None:
+        rep.extend(sphere_constraints(up))
+        rep.extend(sphere_index_rules(up))
     rep.extend(positivity_check(dh_profile(data)))
-    vol = None if o is None else _total_volume(*o)
+    vol = None if up is None else total_volume(up)
     rep.append(CheckItem("total-volume", "INFO",
                          "c1^4 = %s" % vol if vol is not None else "not computable by halves"))
     return rep
@@ -500,14 +493,12 @@ def _is_x8_family(data):
     with six interior components and X8m's volume by halves. The (4,4)
     branch of total_volume already asks for two ruled planes and only
     index-4 interior points, and its halves sum to X8m's c1^4 exactly when
-    the split sums to 8. The data is read as given: ``oriented`` reverses
-    only when the minimum is the larger extreme, never on a (4,4) shape,
-    so the stored shape, extremes and interior are the oriented ones, and
-    the volume is read off them without orienting again."""
+    the split sums to 8. ``oriented`` reverses only when the minimum is the
+    larger extreme, never on a (4,4) shape, so the shape and interior as
+    given are the oriented ones and total_volume reverses nothing."""
     if data.shape != (4, 4) or len(data.interior) != 6:
         return False
-    lo, hi = data.extremes
-    return _total_volume(data.shape, data, lo, hi, data.interior) == _X8M_VOLUME
+    return total_volume(data) == _X8M_VOLUME
 
 
 @cache

@@ -41,13 +41,13 @@ corpus meets 180 distinct pairs and 44 distinct certificates, the edits
 corpus 22 and 20, ``enumerate_all(30)`` 24 and 20; each cache keeps at most
 ``CACHE_SIZE`` entries, least recently used first out.
 
-The first ``positivity_check`` of a profile looks its pieces up in the
-certificate cache and keeps the items on the profile, outside its fields
-(``DHProfile.certificates``). A profile that ``dh_profile`` has returned
-before is the cached object itself, so every later check of it, the warm
-path of ``verification_report``, reads its ``dh-positivity`` items from
-there and hashes or compares no ``Poly`` or ``Fraction``. ``_certificate``
-stays the one place where a distinct piece is certified.
+A profile certifies its pieces when it is built: ``DHProfile.items`` holds
+their ``dh-positivity`` items, looked up in the certificate cache. A
+profile that ``dh_profile`` has returned before is the cached object
+itself, so ``positivity_check`` on it, the warm path of
+``verification_report``, reads those items and hashes or compares no
+``Poly`` or ``Fraction``. ``_certificate`` stays the one place where a
+distinct piece is certified.
 """
 
 from __future__ import annotations
@@ -149,12 +149,18 @@ class DHPiece(Record):
 
 
 class DHProfile(Record):
+    """``items`` are the pieces' ``dh-positivity`` items, certified when the
+    profile is built (``_certificate``), or the one INFO item saying that
+    no piece is pinned; not a record field."""
+
     _fields = ("pieces", "warnings")
-    certificates = None     # the pieces' dh-positivity items, once checked
 
     def __init__(self, pieces, warnings):
         set_field(self, "pieces", pieces)
         set_field(self, "warnings", warnings)   # WARN-level CheckItems about seams
+        set_field(self, "items", tuple([_certificate(pc.poly, pc.lo, pc.hi) for pc in pieces])
+                  or (CheckItem("dh-positivity", "INFO",
+                                "no density piece is pinned for this configuration"),))
 
 
 CACHE_SIZE = 1024      # entries per cache, past every distinct count above
@@ -233,8 +239,11 @@ def dh_profile(data):
 # and fails in positive_on_open as it would uncached
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _certificate(poly, lo, hi):
-    """The dh-positivity item of one piece."""
-    ok, detail = positive_on_open(poly, lo, hi)
+    """The dh-positivity item of one piece. Only data that fails the
+    structural gate pins a piece against level order (lo >= hi, as on a
+    plane with no nonzero weight between two points); it fails, so that
+    building the profile of any loadable document raises nothing."""
+    ok, detail = positive_on_open(poly, lo, hi) if lo < hi else (False, "empty interval")
     return pass_fail("dh-positivity", ok, "%s on (%s, %s): %s" % (poly.fmt("L"), lo, hi, detail))
 
 
@@ -245,24 +254,14 @@ def clear_caches():
 
 
 def positivity_check(profile):
-    """PASS iff every known density piece is positive on its open interval.
+    """PASS iff every known density piece is positive on its open interval:
+    the profile's certified ``items``, then its seam ``warnings``.
 
     Like every typed rule (``signature_check``, ``abbv_sum``,
-    ``sphere_constraints``), it expects data past the structural gate
-    (``model.STRUCTURAL``) and may raise on data that fails it;
-    ``verification_report`` never calls it there."""
-    rep = ConstraintReport()
-    if not profile.pieces:
-        rep.append(CheckItem("dh-positivity", "INFO",
-                             "no density piece is pinned for this configuration"))
-        return rep
-    items = profile.certificates
-    if items is None:
-        items = tuple([_certificate(pc.poly, pc.lo, pc.hi) for pc in profile.pieces])
-        set_field(profile, "certificates", items)
-    rep.extend(items)
-    rep.extend(profile.warnings)
-    return rep
+    ``sphere_constraints``), the density layer expects data past the
+    structural gate (``model.STRUCTURAL``) and may raise on data that fails
+    it; ``verification_report`` never calls it there."""
+    return ConstraintReport(profile.items + profile.warnings)
 
 
 # ----------------------------------------------------------------------
@@ -271,14 +270,12 @@ def positivity_check(profile):
 
 def total_volume(data):
     """Integral of the fourth power of the symplectic class, when the
-    configuration is one of the two patterns whose halves are both
-    pinned; otherwise None (not computable by halves)."""
-    o = oriented(data)
-    return None if o is None else _total_volume(*o)
-
-
-def _total_volume(shape, data, lo, hi, inner):
-    """total_volume on the tuple ``oriented`` returns."""
+    configuration, oriented, is one of the two patterns whose halves are
+    both pinned; otherwise None (not computable by halves)."""
+    data = oriented(data)
+    if data is None:
+        return None
+    shape, (lo, hi), inner = data.shape, data.extremes, data.interior
     if shape == (4, 4):
         k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
         if None in k2s or not all(c.type is ComponentType.POINT and c.lam == 2

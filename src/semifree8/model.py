@@ -14,28 +14,30 @@ reversal and fixed-point-data equivalence).
 
 Every per-component value a rule reads is computed once, when the
 component is built: its Morse half-index ``lam``, its ``level``, its
-``complex_dim``, its structural facts ``mismatch`` (``_normal_mismatch``,
-the reason its normal data does not fit its type and weights, or None)
-and ``omega`` (``omega_coefficients``, set when it fits), its closed-form
-localization term ``abbv_term`` (None when it does not fit), its
-``sort_key``, its ``fingerprint``, its ``betti_row`` (what it adds to
-b0..b8), its ``off_weights`` (weights outside {-1, 0, 1}) and its
-``zeros_fit`` flag (zero count equal to complex_dim); the members of
+``complex_dim``, its structural fact ``mismatch`` (``_normal_mismatch``,
+the reason its normal data does not fit its type and weights, or None),
+its ``omega`` (``omega_coefficients``, the Chern data read as given, so
+an ill-typed component has one too), its closed-form localization term
+``abbv_term`` (None when it does not fit), its total ``sort_key`` (the
+normal's repr breaks ties), its ``fingerprint``, its ``betti_row`` (what
+it adds to b0..b8), its ``off_weights`` (weights outside {-1, 0, 1}) and
+its ``zeros_fit`` flag (zero count equal to complex_dim); the members of
 ``ComponentType`` carry their complex dimension, Betti numbers and
-tangent Chern class as plain attributes. A dataset computes what every
-rule reads of it when it is built, in one pass over its sorted
-components: its unique minimum and maximum, its
-interior components, its Betti vector (the sum of the rows), its sorted
-pair of extremal dimensions and its sorted distinct levels
-(``FixedPointData.extremes``, ``interior``, ``betti``, ``shape`` and
-``levels``). The rules only add these values up and never derive them
-again. No derived value of a component or a dataset is a record field,
-and none refers back to its dataset, so equality, hashing and repr see
-the type, weights and normal data of a component and the components of a
-dataset only. The reversed dataset is not stored: ``oriented`` builds it
-on each call that needs it, which only data with the larger extreme at
-the bottom does, and ``classify.verification_report`` orients once per
-report.
+tangent Chern class as plain attributes. A dataset sorts its components
+once, on that key, and computes what every rule reads of it in one pass
+over them: its unique minimum and maximum, its interior components, its
+Betti vector (the sum of the rows), its sorted pair of extremal
+dimensions and its sorted distinct levels (``FixedPointData.extremes``,
+``interior``, ``betti``, ``shape`` and ``levels``). The rules only add
+these values up and never derive them again. No derived value of a
+component or a dataset is a record field, and none refers back to its
+dataset, so equality, hashing and repr see the type, weights and normal
+data of a component and the components of a dataset only. The reversed
+dataset is not stored: ``oriented`` builds it on each call that needs
+it, which only data with the larger extreme at the bottom does.
+``classify.verification_report`` orients once and hands the rules the
+upright dataset, which each rule's own ``oriented`` call returns as it
+is.
 
 The public constructors take integers only: weights and Chern data go
 through ``operator.index``, so a float, string or Fraction raises
@@ -83,11 +85,12 @@ class FixedComponent(Record):
     ``level`` the moment map value, normalized to minus the weight sum,
     ``complex_dim`` the complex dimension of the type, ``mismatch`` why the
     normal data does not fit the type and weights (``_normal_mismatch``, None
-    when it fits), ``omega`` the restriction of [w] when it fits
-    (``omega_coefficients``, None for a point or an ill-typed component),
-    ``abbv_term`` the closed-form localization term when it fits
+    when it fits), ``omega`` the restriction of [w] (``omega_coefficients``,
+    None for a point; on an ill-typed component, its Chern data read as
+    given), ``abbv_term`` the closed-form localization term when it fits
     (``normal.contribution(lam)``, else None), ``sort_key`` the dataset order
-    (level, type, weights), ``fingerprint`` the (type, weights) pair followed
+    (level, type, weights, repr of the normal), a total order on unequal
+    components, ``fingerprint`` the (type, weights) pair followed
     by the normal's fingerprint, ``betti_row`` the five even Betti numbers
     of the type shifted up by lam, ``off_weights`` the weights outside
     {-1, 0, 1} and ``zeros_fit`` whether the zero weights number
@@ -107,9 +110,9 @@ class FixedComponent(Record):
         set_field(self, "complex_dim", type.complex_dim)
         why = _normal_mismatch(self)
         set_field(self, "mismatch", why)
-        set_field(self, "omega", None if why else omega_coefficients(self))
+        set_field(self, "omega", omega_coefficients(self))
         set_field(self, "abbv_term", None if why else normal.contribution(self.lam))
-        set_field(self, "sort_key", (self.level, type._value_, ws))
+        set_field(self, "sort_key", (self.level, type._value_, ws, repr(normal)))
         set_field(self, "fingerprint", (type._value_, ws) + normal.fingerprint)
         set_field(self, "betti_row", ((0,) * self.lam + type.betti + (0,) * 4)[:5])
         set_field(self, "off_weights", tuple(w for w in ws if not -1 <= w <= 1))
@@ -123,22 +126,19 @@ class FixedPointData(Record):
     even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
     components' ``betti_row``s; ``shape`` the real dimensions of the two
     extremes, sorted, None when either is not unique; ``levels`` the
-    distinct levels of the components, sorted. All five come from one pass
-    over the sorted components, which also finds the key ties that only
-    the normals' repr orders."""
+    distinct levels of the components, sorted. The components are sorted
+    once, on their total ``sort_key``, and all five come from one pass over
+    them."""
 
     _fields = ("components",)
 
     def __init__(self, components):
-        comps = sorted(components, key=attrgetter("sort_key"))
+        comps = tuple(sorted(components, key=attrgetter("sort_key")))
         # one pass over the sorted components finds the extremes, the Betti
-        # sum, the distinct levels (in order: the level leads the sort key)
-        # and whether two distinct components tie on the key, which only
-        # repr(normal) orders; a shared component ties with itself
-        lo = hi = level = prev = None
+        # sum and the distinct levels (in order: the level leads the sort key)
+        lo = hi = level = None
         n_lo = n_hi = b0 = b2 = b4 = b6 = b8 = 0
         levels = []
-        tied = False
         for c in comps:
             lam = c.lam
             if not lam:
@@ -153,21 +153,13 @@ class FixedPointData(Record):
             b4 += r4
             b6 += r6
             b8 += r8
-            key = c.sort_key
-            if key[0] != level:
-                level = key[0]
+            if c.level != level:
+                level = c.level
                 levels.append(level)
-            elif (not tied and key == prev.sort_key and c is not prev
-                  and c.normal != prev.normal):
-                tied = True
-            prev = c
-        if tied:
-            comps.sort(key=lambda c: (c.sort_key, repr(c.normal)))
         if n_lo != 1:
             lo = None
         if n_hi != 1:
             hi = None
-        comps = tuple(comps)
         set_field(self, "components", comps)
         set_field(self, "extremes", (lo, hi))
         if lo is None or hi is None:
@@ -366,21 +358,21 @@ def dim_pair(data):
 
 
 def oriented(data):
-    """(shape, data, minimum, maximum, interior) with the smaller extreme at
-    the bottom: the dataset's stored values, or those of its reversal when
-    the minimum is the larger extreme, the one case that builds a dataset.
-    None when the data, as given or reversed, has no unique minimum and
-    maximum (the reversal can lose them only when types contradict
-    weights)."""
+    """The dataset with the smaller extreme at the bottom: the data itself,
+    or its reversal when the minimum is the larger extreme, the one case
+    that builds a dataset. None when the data, as given or reversed, has no
+    unique minimum and maximum (the reversal can lose them only when types
+    contradict weights). Well-typed data reverses to upright data, so
+    orienting the result again returns it as it is; data whose types
+    contradict its weights can reverse to data that is upside down too,
+    and that reversal is returned as it is."""
     if data.shape is None:
         return None
-    shape, rev = dim_pair(data)
-    if rev:
+    if dim_pair(data)[1]:
         data = reverse_action(data)
         if data.shape is None:
             return None
-    lo, hi = data.extremes
-    return shape, data, lo, hi, data.interior
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -388,9 +380,10 @@ def oriented(data):
 # ----------------------------------------------------------------------
 
 def omega_coefficients(comp):
-    """[w] restricted to a well-typed component, in its generator basis,
-    or None for a point: c1(TF) + c1(NF), since c1 of the ambient tangent
-    bundle splits as the Whitney sum of the two."""
+    """[w] restricted to a component, in its generator basis, or None for a
+    point: c1(TF) + c1(NF), since c1 of the ambient tangent bundle splits
+    as the Whitney sum of the two. An ill-typed component's Chern data is
+    read as given, and may give fewer coefficients than its type has."""
     if comp.type is ComponentType.POINT:
         return None
     return tuple(t + n for t, n in zip(comp.type.tangent_c1, comp.normal.first_chern))
@@ -409,7 +402,7 @@ def area_realizable(comp, area):
     Past the structural gate every extreme with a restriction has one
     coefficient: a four-dimensional split (P1xP1) component has weights
     -1 and +1, so it is never an extreme. It reads the stored ``omega``,
-    None for a point and for an ill-typed component."""
+    None for a point."""
     coeffs = comp.omega
     if area <= 0 or coeffs is None:
         return False

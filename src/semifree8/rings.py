@@ -2,11 +2,13 @@
 
 Four families cover everything this package meets: complex projective
 spaces CP^n (n <= 4), the product of two projective lines, a point, and
-the ring of a projectivized rank-2 bundle over CP^2 which shows up as the
-reduced space near a four-dimensional extremum. All generators sit in
-real degree 2. Elements are dictionaries mapping exponent tuples to
-coefficients with hand-coded reduction rules; there is no general
-Groebner machinery because none is needed.
+the ring of a projectivized rank-2 bundle over CP^2 which shows up as
+the reduced space near a four-dimensional extremum. The first three are
+truncated: each generator vanishes above a fixed power, so one class
+serves them. All generators sit in real degree 2. Elements are
+dictionaries mapping exponent tuples to coefficients with hand-coded
+reduction rules; there is no general Groebner machinery because none is
+needed.
 
 Coefficients are Fraction by default. A polynomial coefficient (the
 adjoined variable of :mod:`semifree8.polynomial`) is allowed so that
@@ -200,45 +202,22 @@ class RingClass:
 # the four ring families
 # ----------------------------------------------------------------------
 
-class _CPn(GradedRing):
-    def __init__(self, n):
-        if not 1 <= n <= 4:
-            raise ValueError("projective space dimension out of range: %d" % n)
-        self.n = n
-        self.gens = ("h",)
-        self.top = n
-        self.name = "CP%d" % n
+class _Truncated(GradedRing):
+    """Generators g_i cut off above degree caps[i], and the one top
+    monomial, the product of the g_i^caps[i], integrating to 1: CP^n is one
+    generator capped at n, P1xP1 two capped at 1, a point none."""
+
+    def __init__(self, name, gens, caps):
+        self.name = name
+        self.gens = gens
+        self.caps = caps
+        self.top = sum(caps)
 
     def reduce_mono(self, mono):
-        return {} if mono[0] > self.n else {mono: 1}
+        return {} if any(e > c for e, c in zip(mono, self.caps)) else {mono: 1}
 
     def integral_mono(self, mono):
-        assert mono == (self.n,)
-        return Fraction(1)
-
-
-class _P1xP1(GradedRing):
-    gens = ("x", "y")
-    top = 2
-    name = "P1xP1"
-
-    def reduce_mono(self, mono):
-        return {} if mono[0] > 1 or mono[1] > 1 else {mono: 1}
-
-    def integral_mono(self, mono):
-        assert mono == (1, 1)
-        return Fraction(1)
-
-
-class _Point(GradedRing):
-    gens = ()
-    top = 0
-    name = "point"
-
-    def reduce_mono(self, mono):
-        return {mono: 1}
-
-    def integral_mono(self, mono):
+        assert mono == self.caps
         return Fraction(1)
 
 
@@ -286,8 +265,8 @@ class _Projectivized(GradedRing):
         return Fraction(1)
 
 
-_point_ring = _Point()
-_p1xp1_ring = _P1xP1()
+_point_ring = _Truncated("point", (), ())
+_p1xp1_ring = _Truncated("P1xP1", ("x", "y"), (1, 1))
 _cpn_rings = {}
 
 
@@ -296,8 +275,10 @@ def ring_point():
 
 
 def ring_cpn(n):
+    if not 1 <= n <= 4:
+        raise ValueError("projective space dimension out of range: %d" % n)
     if n not in _cpn_rings:
-        _cpn_rings[n] = _CPn(n)
+        _cpn_rings[n] = _Truncated("CP%d" % n, ("h",), (n,))
     return _cpn_rings[n]
 
 

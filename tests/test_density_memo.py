@@ -8,8 +8,8 @@ be the same three ways:
 
 * with every cache emptied before each document (cold),
 * after the whole corpus has run once (warm), when each profile answers
-  with the items of its first check, with no certificate lookup and no
-  Sturm chain built, and
+  with the items certified when it was built, with no certificate lookup
+  and no Sturm chain built, and
 * from `positive_on_open` on freshly built `Poly`s, which carry no Sturm
   chain, with the items formatted as the layer did before it was cached.
 
@@ -114,8 +114,8 @@ def test_cold_warm_and_fresh_reports_agree(monkeypatch):
         warm = dh_profile(data)
         assert warm == profile
         assert positivity_check(warm).lines() == got
-    # a warm profile carries the items of its first check: the warm loop
-    # looks up no certificate and builds no Sturm chain
+    # a warm profile carries the items certified when it was built: the
+    # warm loop looks up no certificate and builds no Sturm chain
     assert dh._certificate.cache_info() == before
     assert builds == []
     for profile, got in cold:
@@ -142,16 +142,18 @@ def test_documents_sharing_an_end_share_its_piece():
     one, other = fam.instantiate(6, split=(3, 5)), fam.instantiate(7, split=(3, 6))
     assert dh._end(one, 1) == dh._end(other, 1) and dh._end(one, -1) != dh._end(other, -1)
     dh.clear_caches()
-    first, second = dh_profile(one), dh_profile(other)
+    first = dh_profile(one)
+    before = dh._certificate.cache_info()
+    second = dh_profile(other)
+    after = dh._certificate.cache_info()
     assert first != second
     assert first.pieces[0] == second.pieces[0]
     assert first.pieces[1] != second.pieces[1]
-    positivity_check(first)
-    before = dh._certificate.cache_info()
-    positivity_check(second)
-    after = dh._certificate.cache_info()
-    # the shared end's certificate is read back, the other end's is made
+    # building the second profile reads the shared end's certificate back
+    # and makes the other end's
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    assert positivity_check(second).items == list(second.items + second.warnings)
+    assert dh._certificate.cache_info() == after
 
 
 def test_an_endpoint_of_another_type_is_not_a_hit():

@@ -20,6 +20,7 @@ from semifree8.dh import (
     dh_isolated_min,
     dh_near_cp2,
     dh_profile,
+    positivity_check,
     ruled_plane_k2,
 )
 from semifree8.model import CheckItem, ComponentType, fingerprint, reverse_action
@@ -187,3 +188,13 @@ def test_loadable_documents_against_oracle(doc):
     except DataError:
         return
     check_against_oracle(data)
+
+
+def test_piece_against_level_order_fails_when_certified():
+    # the maximum end of PLANE_INSIDE pins a piece on (0, -1): the profile
+    # certifies it when it is built, and its empty interval fails instead of
+    # raising
+    data = loads_data(json.dumps(PLANE_INSIDE))
+    items = positivity_check(dh_profile(data)).items
+    assert [it.verdict for it in items] == ["PASS", "FAIL"]
+    assert items[1].detail.endswith(" on (0, -1): empty interval")

@@ -9,18 +9,20 @@ for names and an inlined degree sum), and the two routes must agree on
 every well-typed component in a box and on all the package's own data.
 A component's ``mismatch`` and ``omega``, set when it is built, must be
 what ``_normal_mismatch`` and ``omega_coefficients`` say of it on every
-component of the benchmark's families and edits corpora.
+component of the benchmark's families and edits corpora, ill-typed ones
+included.
 
 So must every other value a component or a dataset stores when it is
 built, against the code that computed it on each call before, on every
 component of those corpora, each document as given and reversed: the
 localization term against ``contribution`` (None when ill typed), the
-fingerprint against the normal's tail behind type and weights, the sort
-key against ``test_dataset_values.oracle_sort_key``, the Betti row against
+fingerprint against the normal's tail behind type and weights, the total
+sort key against ``test_dataset_values.oracle_sort_key``, the Betti row against
 ``betti_contribution``, the weights outside {-1, 0, 1} and the zero-count
 flag against scans of the weights, and a dataset's summed rows and
 ``levels`` against ``kirwan_betti`` and the sorted distinct levels, its
-component order against ``oracle_sort_key``, its extremes and interior
+component order against ``oracle_sort_key`` (more than 500 datasets hold
+components that only the normal's repr orders), its extremes and interior
 (by identity) against scans for the unique minimum and maximum, and its
 ``shape`` against their sorted dimensions. None of them may be seen by
 equality, hashing or repr.
@@ -236,11 +238,10 @@ def test_component_facts_are_the_functions_on_the_corpora():
             continue
         for c in data:
             assert c.mismatch == _normal_mismatch(c), c
+            assert c.omega == omega_coefficients(c), c
             if c.mismatch is None:
-                assert c.omega == omega_coefficients(c), c
                 well_typed += 1
             else:
-                assert c.omega is None, c
                 ill_typed += 1
     assert well_typed > 10000 and ill_typed > 1000
 
@@ -264,7 +265,7 @@ def corpus_data():
 
 
 # a value of the stored kind that no component stores
-STORED = {"abbv_term": -99, "sort_key": (99, "x", ()), "fingerprint": ("x",),
+STORED = {"abbv_term": -99, "sort_key": (99, "x", (), "x"), "fingerprint": ("x",),
           "betti_row": (9, 9, 9, 9, 9), "off_weights": (9,), "zeros_fit": None}
 
 
@@ -274,7 +275,7 @@ def test_stored_component_values_are_the_code_they_replace():
         for c in data:
             assert c.fingerprint == (c.type.value, c.weights) + c.normal.fingerprint, c
             assert c.fingerprint == oracle_fingerprint(c), c
-            assert c.sort_key + (repr(c.normal),) == oracle_sort_key(c), c
+            assert c.sort_key == oracle_sort_key(c), c
             assert c.betti_row == tuple(betti_contribution(c.type, c.lam, i)
                                         for i in (0, 2, 4, 6, 8)), c
             assert c.off_weights == tuple(w for w in c.weights if w not in (-1, 0, 1)), c
@@ -295,7 +296,7 @@ def test_stored_dataset_values_are_the_code_they_replace():
         # the order, down to which equal component lands where, from the
         # given order, its reversal and an interleaving
         check_order(data.components)
-        ties += any(a.sort_key == b.sort_key and repr(a.normal) != repr(b.normal)
+        ties += any(a.sort_key[:3] == b.sort_key[:3] and a.sort_key != b.sort_key
                     for a, b in zip(data.components, data.components[1:]))
         mins = [c for c in data if c.lam == 0]
         maxs = [c for c in data if c.lam == 4 - c.complex_dim]

@@ -200,8 +200,8 @@ def test_failing_density_piece_builds_one_chain(monkeypatch):
     fam = [f for f in enumerate_case((4, 4)).families if f.key == "4,4/negative"][0]
     data = fam.instantiate(12, split=(8, 6))        # k2 = 8 passes K2_CAP
     dh.clear_caches()               # no piece built by an earlier test
-    profile = dh_profile(data)
     builds = count_chain_builds(monkeypatch)
+    profile = dh_profile(data)      # certifies its pieces
     report = positivity_check(profile)
     verdicts = [it.verdict for it in report if it.id == "dh-positivity"]
     assert sorted(verdicts) == ["FAIL", "PASS"]

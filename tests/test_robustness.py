@@ -19,10 +19,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semifree8 import cli
+from semifree8 import model
 from semifree8.classify import (
     ClassifyError,
     _gap_empty,
     catalog,
+    index_candidates,
     index_from_extremal,
     match_fp_class,
     sphere_constraints,
@@ -30,7 +32,8 @@ from semifree8.classify import (
     verification_report,
 )
 from semifree8.dataio import DataError, dumps_data, loads_data
-from semifree8.model import RULES, ConstraintReport, reverse_action
+from semifree8.dh import total_volume
+from semifree8.model import RULES, ConstraintReport, dim_pair, oriented, reverse_action
 
 TYPES = ("point", "cp1", "cp2", "p1xp1", "cp3")
 FP_CLASSES = {"a", "b", "c", "d", "unclassified"}
@@ -136,6 +139,45 @@ def test_sphere_rules_on_data_without_oriented_extremes():
     assert sphere_index_rules(data).items == []
     assert match_fp_class(data) == "unclassified"
     assert verification_report(data).items[-1].id == "typed-rules"
+
+
+# as given, a plane is the unique minimum under a sphere maximum, shape
+# (2,4); reversed, a six-dimensional minimum sits under a plane maximum,
+# shape (4,6): the reversal is upside down too, which only data whose types
+# contradict their weights can be
+UPSIDE_DOWN_BOTH_WAYS = {"dimension": 8, "b2": 1, "components": [
+    {"type": "cp2", "weights": [0, 0, 0, 1],
+     "normal": {"kind": "fourdim_extremal", "c1": 0, "c2": 0}},
+    {"type": "cp3", "weights": [-1, -1, 0, 0], "normal": {"kind": "sixdim", "c1": 1}},
+    {"type": "cp2", "weights": [-1, 0, 1, 1],
+     "normal": {"kind": "fourdim_extremal", "c1": 0, "c2": 0}},
+    {"type": "cp1", "weights": [-1, -1, -1, 1],
+     "normal": {"kind": "surface", "summands": [[0, -1], [0, -1], [0, 1]]}},
+]}
+
+
+def test_data_whose_reversal_is_upside_down_too(monkeypatch):
+    data = loads_data(json.dumps(UPSIDE_DOWN_BOTH_WAYS))
+    rev = reverse_action(data)
+    assert (dim_pair(data), dim_pair(rev)) == (((2, 4), True), ((4, 6), True))
+    # oriented reverses once and returns the reversal as it is, upside down
+    reversals = []
+    monkeypatch.setattr(model, "reverse_action",
+                        lambda d: reversals.append(d) or reverse_action(d))
+    assert oriented(data) == rev and oriented(rev) == data
+    assert reversals == [data, rev]
+    monkeypatch.undo()
+    for d in (data, rev):
+        assert not verification_report(d).ok
+        assert [(it.id, it.verdict) for it in sphere_index_rules(d)] == [
+            ("index-consistency", "FAIL")]
+        assert total_volume(d) is None
+        assert match_fp_class(d) == "unclassified"
+    assert index_candidates(data) == [("minimum", 3), ("maximum", 2)]
+    assert index_candidates(rev) == [("minimum", 5), ("maximum", 3)]
+    for doc in (UPSIDE_DOWN_BOTH_WAYS, json.loads(dumps_data(rev))):
+        code, out, err = _verify(json.dumps(doc))
+        assert (code, err) == (1, "") and "INFO typed-rules" in out
 
 
 def test_mismatched_component_is_flagged_once():

@@ -1,7 +1,7 @@
 """The warm verify path does no Fraction or Poly key work.
 
-Once a document's density profile has been checked, verifying it again
-reads the profile's certificate items off the profile, and the
+Once a document's density profile has been built, verifying it again
+reads the profile's certified items off the profile, and the
 localization terms are ints. So after one warm-up pass,
 ``verification_report`` plus ``match_fp_class`` over the same documents
 make no call into the ``fractions`` module and no call to ``Poly.__eq__``
@@ -24,12 +24,14 @@ for each document whose minimum is the larger extreme, and
 components that reversal builds.
 
 Every per-component term is stored when the component is built, and a
-report orients once: on a warm pass ``model.oriented`` runs once per
-``verification_report`` (four times before the rules took the oriented
-tuple), and no localization ``contribution`` (the function or a normal's
-method) and no ``betti_contribution`` runs outside
-``FixedComponent.__init__``. ``match_fp_class`` orients nothing: it
-reads the data as given.
+report orients once and hands each rule the upright dataset: on a warm
+pass ``verification_report`` calls ``sphere_constraints``,
+``sphere_index_rules`` and ``total_volume`` once each, and
+``reverse_action`` once for a document whose minimum is the larger
+extreme and never for an upright one, and no localization
+``contribution`` (the function or a normal's method) and no
+``betti_contribution`` runs outside ``FixedComponent.__init__``.
+``match_fp_class`` reverses nothing: it reads the data as given.
 """
 
 import fractions
@@ -37,14 +39,19 @@ import sys
 from collections import Counter
 
 from semifree8 import dataio, dh, localization
-from semifree8.classify import catalog, match_fp_class, verification_report
+from semifree8.classify import (
+    catalog,
+    match_fp_class,
+    sphere_constraints,
+    sphere_index_rules,
+    verification_report,
+)
 from semifree8.dataio import dumps_data, loads_data
 from semifree8.localization import _Normal
 from semifree8.model import (
     FixedComponent,
     betti_contribution,
     omega_coefficients,
-    oriented,
     reverse_action,
 )
 from semifree8.polynomial import Poly
@@ -134,9 +141,14 @@ TERMS = {code: name for name, code in
          [("contribution", localization.contribution.__code__),
           ("betti_contribution", betti_contribution.__code__)]
          + [("contribution", cls.contribution.__code__) for cls in _Normal.__subclasses__()]}
+RULES = {code: name for name, code in
+         [("sphere_constraints", sphere_constraints.__code__),
+          ("sphere_index_rules", sphere_index_rules.__code__),
+          ("total_volume", dh.total_volume.__code__),
+          ("reverse_action", reverse_action.__code__)]}
 
 
-def test_warm_report_orients_once_and_reads_stored_terms():
+def test_warm_report_reverses_at_most_once_and_reads_stored_terms():
     docs = documents()
     assert len(docs) == 464
     for d in docs:
@@ -149,24 +161,35 @@ def test_warm_report_orients_once_and_reads_stored_terms():
         if event != "call":
             return
         code = frame.f_code
-        if code is oriented.__code__:
-            calls["oriented"] += 1
+        if code in RULES:
+            calls[RULES[code]] += 1
         elif code in TERMS:
             inside = frame.f_back.f_code is init
             calls[TERMS[code] + (" inside __init__" if inside else "")] += 1
 
+    per_report = []
     sys.setprofile(profile)
     try:
         for d in docs:
+            before = calls.copy()
             verification_report(d)
-        reports = calls["oriented"]
+            per_report.append(calls - before)
+        reversals = calls["reverse_action"]
         for d in docs:
             match_fp_class(d)
     finally:
         sys.setprofile(None)
-    assert reports == len(docs)
-    # match_fp_class reads the data as given: it orients nothing
-    assert calls["oriented"] == reports
+    for d, got in zip(docs, per_report):
+        # each rule once, and one reversal for a reversed document, none for
+        # an upright one, however many rules orient it
+        assert got["sphere_constraints"] == got["sphere_index_rules"] == 1, d
+        assert got["total_volume"] == 1, d
+        assert got["reverse_action"] == needs_reversal(d), d
+    assert reversals == 46
+    # match_fp_class reads the data as given: its total_volume calls (the
+    # X8m test) reverse nothing
+    assert calls["total_volume"] > len(docs)
+    assert calls["reverse_action"] == reversals
     # reversing for a report builds components, each computing its term
     assert calls["contribution inside __init__"] > 0
     assert calls["contribution"] == calls["betti_contribution"] == 0

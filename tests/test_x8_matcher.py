@@ -27,10 +27,10 @@ from test_robustness import documents
 
 
 def oracle_is_x8_family(data):
-    o = oriented(data)
-    if o is None or o[0] != (4, 4):
+    data = oriented(data)
+    if data is None or data.shape != (4, 4):
         return False
-    _, _, lo, hi, inner = o
+    (lo, hi), inner = data.extremes, data.interior
     if len(inner) != 6 or any(c.type is not ComponentType.POINT or c.lam != 2
                               for c in inner):
         return False
