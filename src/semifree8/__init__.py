@@ -2,10 +2,19 @@
 Hamiltonian circle actions on closed symplectic 8-manifolds with second
 Betti number one.
 
-The per-shape enumeration (``enumerate_case``, ``enumerate_all``,
-``admissible_dim_pairs``, ...) lives in ``semifree8.enumeration`` and is
-loaded on first use of one of its names, so importing the package, or
-running any command but ``enumerate``, does not compile it.
+Three parts that no verification runs live in modules of their own,
+each loaded on first use of one of its names, so importing the package
+compiles none of them and each command compiles only what it runs:
+
+* the per-shape enumeration (``enumerate_case``, ``enumerate_all``,
+  ``admissible_dim_pairs``, ...), in ``semifree8.enumeration``, which only
+  ``enumerate`` loads;
+* the volume filter on the Fano table (``classify_fano``,
+  ``FanoClassification``), in ``semifree8.fano``, which only
+  ``classify-fano`` loads;
+* the series oracle of the localization sum
+  (``contribution_series_oracle``), in ``semifree8.rings``, which no
+  command loads.
 
 All arithmetic is exact (integers, rationals, polynomials over the
 rationals); nothing here floats, and the constructors refuse a float,
@@ -17,10 +26,8 @@ __version__ = "0.1.0"
 from .classify import (
     ClassifyError,
     Family,
-    FanoClassification,
     FanoFamilyRecord,
     catalog,
-    classify_fano,
     default_fano_table,
     fano_table_hash,
     index_from_extremal,
@@ -40,7 +47,6 @@ from .localization import (
     abbv_sum,
     abbv_terms,
     contribution,
-    contribution_series_oracle,
 )
 from .model import (
     ComponentType,
@@ -58,20 +64,18 @@ from .model import (
     surface_component,
     validate,
 )
+from .record import serve_lazily as _serve_lazily
 
-# the per-shape enumeration loads on first use of one of its names
-_ENUMERATION_NAMES = (
-    "ADMISSIBLE_SHAPES", "EnumerationResult", "Rejection", "admissible_dim_pairs",
-    "enumerate_all", "enumerate_case",
-)
+# name -> the module that defines it, loaded on first use (see above)
+_SERVED = {
+    **dict.fromkeys((
+        "ADMISSIBLE_SHAPES", "EnumerationResult", "Rejection", "admissible_dim_pairs",
+        "enumerate_all", "enumerate_case",
+    ), "enumeration"),
+    **dict.fromkeys(("FanoClassification", "classify_fano"), "fano"),
+    "contribution_series_oracle": "rings",
+}
+__getattr__ = _serve_lazily(globals(), _SERVED)
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + list(_ENUMERATION_NAMES))
-
-
-def __getattr__(name):
-    # PEP 562: reached only for names this module does not define
-    if name in _ENUMERATION_NAMES:
-        from . import enumeration
-        return getattr(enumeration, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+                 + list(_SERVED))

@@ -13,16 +13,21 @@ to a module-level builder of its members.
 
 The final consumers are at the bottom: the catalog of known actions, each
 entry a member of a family in the table with its default free choices,
-the fixed-point-data matcher, the table of Fano families with large
-symmetry potential, and the volume filter that picks out the realizable
-ones, whose index witnesses read their b4 from the family table.
+the fixed-point-data matcher, and the table of Fano families with large
+symmetry potential and its hash.
 
-Every command compiles this module. The per-shape enumeration, which
-sweeps the parameter boxes and certifies the families, lives in
-``semifree8.enumeration``, which only ``semifree8 enumerate`` compiles;
-its public names (``enumerate_case``, ``enumerate_all``,
-``admissible_dim_pairs``, ``ADMISSIBLE_SHAPES``, ...) are served from
-here too, loading that module on first use.
+Every command but ``enumerate`` and ``classify-fano`` compiles this
+module and the modules it imports, and no others of the package. Two
+parts live elsewhere and are served from here too, each loaded on first
+use of one of its names:
+
+* the per-shape enumeration, which sweeps the parameter boxes and
+  certifies the families (``enumerate_case``, ``enumerate_all``,
+  ``admissible_dim_pairs``, ``ADMISSIBLE_SHAPES``, ...), in
+  ``semifree8.enumeration``, which only ``semifree8 enumerate`` compiles;
+* the volume filter on the Fano table (``classify_fano``,
+  ``FanoClassification``), in ``semifree8.fano``, which only
+  ``semifree8 classify-fano`` compiles.
 """
 
 from __future__ import annotations
@@ -31,21 +36,12 @@ import json
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .dh import (
-    K2_CAP,
-    b4_cap,
-    dh_profile,
-    half_volume_cp2,
-    half_volume_isolated_pair,
-    positivity_check,
-    total_volume,
-)
+from .dh import K2_CAP, dh_profile, positivity_check, total_volume
 from .model import (
     CheckItem,
     ComponentType,
     ConstraintReport,
     FixedPointData,
-    STRUCTURAL,
     area_realizable,
     betti_vector,
     cp2_extremal,
@@ -57,24 +53,20 @@ from .model import (
     point_component,
     reverse_action,
     signature_check,
+    structural_failures,
     surface_component,
     validate,
 )
-from .record import Record, set_field
+from .record import Record, serve_lazily, set_field
 
-# the names semifree8.enumeration defines that this module serves
-_ENUMERATION_NAMES = frozenset((
-    "ADMISSIBLE_SHAPES", "B4_MAX_LIMIT", "EnumerationResult", "Rejection",
-    "ShapeAssessment", "admissible_dim_pairs", "enumerate_all", "enumerate_case",
-))
-
-
-def __getattr__(name):
-    # PEP 562: reached only for names this module does not define
-    if name in _ENUMERATION_NAMES:
-        from . import enumeration
-        return getattr(enumeration, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+# the names of semifree8.enumeration and semifree8.fano served from here
+__getattr__ = serve_lazily(globals(), {
+    **dict.fromkeys((
+        "ADMISSIBLE_SHAPES", "B4_MAX_LIMIT", "EnumerationResult", "Rejection",
+        "ShapeAssessment", "admissible_dim_pairs", "enumerate_all", "enumerate_case",
+    ), "enumeration"),
+    **dict.fromkeys(("FanoClassification", "classify_fano"), "fano"),
+})
 
 
 class ClassifyError(ValueError):
@@ -147,8 +139,12 @@ def sphere_constraints(data):
     """All sphere-area rules whose hypotheses the data satisfies.
 
     Rules are stated for the orientation with the smaller extreme at the
-    bottom, so the action is reversed first when needed.
+    bottom, so the action is reversed first when needed. They read normal
+    bundle data, so data that is not ``well_typed`` raises ClassifyError.
     """
+    if not data.well_typed:
+        raise ClassifyError("sphere rules not applied: %s failed"
+                            % ", ".join(structural_failures(data)))
     rep = ConstraintReport()
     data = oriented(data)
     if data is None:
@@ -269,9 +265,9 @@ def verification_report(data):
     is, so a report reverses the action at most once."""
     rep = validate(data)
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
-    failed = [it.id for it in rep if it.id in STRUCTURAL and it.verdict != "PASS"]
-    if failed:
-        rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed" % ", ".join(failed)))
+    if not data.well_typed:
+        rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed"
+                             % ", ".join(structural_failures(data))))
         return rep
     terms = [c.abbv_term for c in data.components]
     total = sum(terms)
@@ -533,7 +529,7 @@ def match_fp_class(data):
 
 
 # ----------------------------------------------------------------------
-# Fano families with index at least 2 and their volume filter
+# Fano families with index at least 2
 # ----------------------------------------------------------------------
 
 class FanoFamilyRecord(Record):
@@ -584,109 +580,3 @@ def fano_table_hash(records=None):
            for r in sorted(records, key=lambda r: r.name)]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return sha256(blob).hexdigest()
-
-
-# the enumerated families of each index >= 3; all of them have one b4
-_INDEX_WITNESS = {
-    3: "the (0,4) shape with an interior Morse-index-2 sphere",
-    4: "the (0,0) shape and the positive (4,4) branch",
-    5: "the (0,6) and (2,4) shapes",
-}
-
-
-class FanoClassification(Record):
-    _fields = ("survivors", "traces", "table_hash")
-
-    def __init__(self, survivors, traces, table_hash):
-        set_field(self, "survivors", survivors)
-        set_field(self, "traces", traces)     # ((name, (CheckItem, ...)), ...)
-        set_field(self, "table_hash", table_hash)
-
-
-def classify_fano(records=None):
-    """Filter the Fano table down to the families that can carry an
-    effective semi-free circle action with isolated-or-small fixed sets.
-
-    Index-2 families must additionally match one of the two computable
-    moment-interval volumes; a positive-dimensional symmetry group is
-    required throughout. A table must list every required family, each
-    name once.
-    """
-    records = default_fano_table() if records is None else tuple(records)
-    names = set()
-    for r in records:
-        if r.name in names:
-            raise ClassifyError("duplicate family record %r in the table" % (r.name,))
-        names.add(r.name)
-    missing = [n for n in REQUIRED_FAMILY_NAMES if n not in names]
-    if missing:
-        raise ClassifyError("incomplete family table, missing: %s" % ", ".join(missing))
-    survivors = []
-    traces = []
-    for rec in sorted(records, key=lambda r: (-r.fano_index, r.name)):
-        items = []
-        alive = True
-        if rec.fano_index == 2 and rec.genus:
-            expect = 32 * (rec.genus - 1)
-            if expect != rec.c1_fourth:
-                items.append(CheckItem(
-                    "degree-genus", "WARN",
-                    "genus %d predicts c1^4 = %d, record says %d"
-                    % (rec.genus, expect, rec.c1_fourth)))
-            else:
-                items.append(CheckItem(
-                    "degree-genus", "PASS",
-                    "32*(%d - 1) = %d" % (rec.genus, rec.c1_fourth)))
-        if rec.fano_index not in (2, 3, 4, 5):
-            items.append(CheckItem(
-                "index-range", "FAIL", "index %d is outside 2..5" % rec.fano_index))
-            alive = False
-        if alive and rec.finite_automorphisms:
-            items.append(CheckItem(
-                "finite-automorphisms", "FAIL",
-                "the family has no positive-dimensional automorphisms"))
-            alive = False
-        if alive and rec.fano_index == 2:
-            # the isolated-minimum pattern (0,4) has plane coefficient b4;
-            # the two-plane pattern (4,4) splits b4 between its planes, and
-            # the half volume is affine in the coefficient, so any split
-            # gives the same total
-            vol_a = half_volume_isolated_pair() + half_volume_cp2(rec.b4)
-            vol_b = half_volume_cp2(rec.b4) + half_volume_cp2(0)
-            cap_a = b4_cap((0, 4))
-            hit_a = rec.c1_fourth == vol_a and rec.b4 <= cap_a
-            hit_b = rec.c1_fourth == vol_b and rec.b4 <= b4_cap((4, 4))
-            note = ""
-            if rec.b4 > cap_a:
-                note = " (isolated-minimum pattern needs b4 <= %d, here %d)" % (cap_a, rec.b4)
-            if hit_a or hit_b:
-                items.append(CheckItem(
-                    "volume-match", "PASS",
-                    "volume %d matches the %s pattern%s"
-                    % (rec.c1_fourth,
-                       "two-plane" if hit_b else "isolated-minimum", note)))
-            else:
-                items.append(CheckItem(
-                    "volume-match", "FAIL",
-                    "candidate volumes %d and %d, target %d%s"
-                    % (vol_a, vol_b, rec.c1_fourth, note)))
-                alive = False
-            items.append(CheckItem(
-                "index-parity-surface", "INFO",
-                "the odd-index surface pattern is excluded for index 2"))
-        if alive and rec.fano_index >= 3:
-            witness = _INDEX_WITNESS[rec.fano_index]
-            (b4_there,) = {f.b4_base for f in _FAMILIES.values() if f.iota == rec.fano_index}
-            items.append(CheckItem(
-                "index-range", "PASS",
-                "index %d realized by %s" % (rec.fano_index, witness)))
-            if rec.b4 != b4_there:
-                items.append(CheckItem(
-                    "index-range", "WARN",
-                    "that pattern pins b4 = %d, record has b4 = %d"
-                    % (b4_there, rec.b4)))
-        if alive:
-            survivors.append(rec.name)
-        traces.append((rec.name, tuple(items)))
-    return FanoClassification(tuple(survivors), tuple(traces),
-                              fano_table_hash(records))

@@ -31,7 +31,6 @@ from . import __version__
 from .classify import (
     ClassifyError,
     catalog,
-    classify_fano,
     default_fano_table,
     fano_table_hash,
     match_fp_class,
@@ -152,6 +151,9 @@ def _cmd_enumerate(args):
 # ----------------------------------------------------------------------
 
 def _cmd_classify_fano(args):
+    # here, not at the top: no other command compiles the volume filter
+    from .fano import classify_fano
+
     records = load_table(args.table) if args.table else default_fano_table()
     result = classify_fano(records)
     doc = {"table_sha256": result.table_hash, "survivors": list(result.survivors),

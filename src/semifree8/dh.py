@@ -257,10 +257,10 @@ def positivity_check(profile):
     """PASS iff every known density piece is positive on its open interval:
     the profile's certified ``items``, then its seam ``warnings``.
 
-    Like every typed rule (``signature_check``, ``abbv_sum``,
-    ``sphere_constraints``), the density layer expects data past the
-    structural gate (``model.STRUCTURAL``) and may raise on data that fails
-    it; ``verification_report`` never calls it there."""
+    Like ``abbv_sum``, the density layer expects data past the structural
+    gate (``model.STRUCTURAL``) and may raise on data that fails it;
+    ``verification_report`` never calls it there. (``signature_check`` and
+    ``sphere_constraints`` refuse such data with a named ValueError.)"""
     return ConstraintReport(profile.items + profile.warnings)
 
 

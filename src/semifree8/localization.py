@@ -13,13 +13,15 @@ them two independent ways:
   ``abbv_terms`` and ``abbv_sum`` do integer arithmetic only, and
 * a series oracle that builds the equivariant Euler class exactly as a
   Laurent polynomial with coefficients in the component's cohomology
-  ring and inverts it, returning a ``Fraction``. The inversion is exact,
-  not truncated: after factoring out the leading unit the remainder is
-  nilpotent, so the geometric series terminates after at most
-  dim_C(F) + 1 terms.
+  ring and inverts it, returning a ``Fraction``.
 
-An int and a Fraction compare exactly, so the two routes are held equal
-with ``==``.
+This module holds the closed forms. The oracle lives in
+:mod:`semifree8.rings`, next to the rings it reads (``LaurentSeries``,
+``equivariant_euler``, ``equivariant_euler_fourdim`` and
+``contribution_series_oracle``); those names still import from here,
+which loads that module on first use, so importing the package or running
+any command compiles only the closed forms. An int and a Fraction compare
+exactly, so the two routes are held equal with ``==``.
 
 ``abbv_terms`` is the public closed-form route, and reads of each
 component only ``weights`` and ``normal``. A well-typed
@@ -28,18 +30,19 @@ it is built, as ``abbv_term``; ``classify.verification_report`` reads those
 stored terms instead of calling ``abbv_terms``.
 
 The two routes are kept separate on purpose and tested against each
-other; neither is ever defined in terms of the other. Only the oracle
-reads the component rings of :mod:`semifree8.rings`, so each oracle
-function imports them when called, and importing the package leaves them
-out.
+other; neither is ever defined in terms of the other.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 
-from .record import Record, set_field
+from .record import Record, serve_lazily, set_field
+
+# the series oracle's names, served from semifree8.rings (see above)
+__getattr__ = serve_lazily(globals(), dict.fromkeys((
+    "LaurentSeries", "contribution_series_oracle", "equivariant_euler",
+    "equivariant_euler_fourdim"), "rings"))
 
 
 # ----------------------------------------------------------------------
@@ -192,150 +195,6 @@ class SixDimNormal(_Normal):
 def contribution(weights, normal):
     """Closed-form localization contribution of one component, an int."""
     return normal.contribution(sum(1 for w in weights if w < 0))
-
-
-# ----------------------------------------------------------------------
-# Laurent series over a component ring, and the oracle
-# ----------------------------------------------------------------------
-
-class LaurentSeries:
-    """Finite Laurent polynomial in the equivariant parameter t.
-
-    Coefficients live in a fixed component ring. Only what the oracle
-    needs: multiplication, inversion of units, coefficient extraction.
-    """
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def monomial(cls, ring, power, coeff):
-        from .rings import RingClass
-        return cls(ring, {power: coeff if isinstance(coeff, RingClass) else ring.scalar(coeff)})
-
-    def coefficient(self, k):
-        return self.terms.get(k, self.ring.zero())
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return LaurentSeries(self.ring, {k: v * other for k, v in self.terms.items()})
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                cur = out.get(k)
-                out[k] = v1 * v2 if cur is None else cur + v1 * v2
-        return LaurentSeries(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, self.ring.zero()) + v
-        return LaurentSeries(self.ring, out)
-
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
-
-    def inverse(self):
-        """Exact inverse of a unit series s*t^r*(1 - nilpotent)."""
-        if not self.terms:
-            raise ZeroDivisionError("cannot invert the zero series")
-        r = max(self.terms)
-        lead = self.terms[r]
-        s = lead.graded_piece(0)
-        if lead != s or s not in (self.ring.one(), -self.ring.one()):
-            raise ValueError("leading coefficient must be +-1 for inversion")
-        sgn = Fraction(1) if s == self.ring.one() else Fraction(-1)
-        # n = 1 - sgn * t^-r * self has strictly positive ring degree,
-        # hence is nilpotent and the geometric series below is exact
-        unit = LaurentSeries.monomial(self.ring, -r, sgn) * self
-        n = LaurentSeries.monomial(self.ring, 0, 1) - unit
-        acc = LaurentSeries.monomial(self.ring, 0, 1)
-        powr = LaurentSeries.monomial(self.ring, 0, 1)
-        for _ in range(self.ring.top):
-            powr = powr * n
-            acc = acc + powr
-        return LaurentSeries.monomial(self.ring, -r, sgn) * acc
-
-
-def _split_classes(normal):
-    from .rings import ring_cpn, ring_p1xp1
-    if len(normal.minus) == 1:
-        ring = ring_cpn(2)
-        u = normal.minus[0] * ring.gen(0)
-        v = normal.plus[0] * ring.gen(0)
-    else:
-        ring = ring_p1xp1()
-        x, y = ring.gen(0), ring.gen(1)
-        u = normal.minus[0] * x + normal.minus[1] * y
-        v = normal.plus[0] * x + normal.plus[1] * y
-    return u, v
-
-
-def equivariant_euler_fourdim(normal, sign):
-    """Equivariant Euler class t^2 + sign*c1*h*t + c2*h^2 on CP^2.
-
-    ``sign`` is the common sign of the two nonzero weights.
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    from .rings import ring_cpn
-    ring = ring_cpn(2)
-    h = ring.gen(0)
-    return LaurentSeries(ring, {
-        2: ring.one(),
-        1: sign * normal.c1 * h,
-        0: normal.c2 * (h * h),
-    })
-
-
-def equivariant_euler(weights, normal):
-    """The equivariant Euler class of the normal bundle, built exactly."""
-    from .rings import ring_cpn, ring_point
-    nonzero = [w for w in weights if w]
-    if isinstance(normal, PointNormal):
-        ring = ring_point()
-        out = LaurentSeries.monomial(ring, 0, 1)
-        for w in nonzero:
-            out = out * LaurentSeries.monomial(ring, 1, w)
-        return out
-    if isinstance(normal, SurfaceNormal):
-        ring = ring_cpn(1)
-        u = ring.gen(0)
-        out = LaurentSeries.monomial(ring, 0, 1)
-        for a, w in normal.summands:
-            out = out * LaurentSeries(ring, {1: ring.scalar(w), 0: a * u})
-        return out
-    if isinstance(normal, FourDimExtremalNormal):
-        signs = set(nonzero)
-        if len(signs) != 1:
-            raise ValueError("extremal 4-dim component needs two equal weights")
-        return equivariant_euler_fourdim(normal, signs.pop())
-    if isinstance(normal, FourDimSplitNormal):
-        u, v = _split_classes(normal)
-        ring = u.ring
-        down = LaurentSeries(ring, {1: -ring.one(), 0: u})
-        up = LaurentSeries(ring, {1: ring.one(), 0: v})
-        return down * up
-    if isinstance(normal, SixDimNormal):
-        ring = ring_cpn(3)
-        (w,) = nonzero
-        return LaurentSeries(ring, {1: ring.scalar(w), 0: normal.c1 * ring.gen(0)})
-    raise TypeError("unknown normal bundle data: %r" % (normal,))
-
-
-def contribution_series_oracle(weights, normal):
-    """Independent route: invert the equivariant Euler class, take t^-4.
-
-    Returns a Fraction, which must equal the int of :func:`contribution`
-    everywhere. Kept free of any reference to the closed forms.
-    """
-    e = equivariant_euler(weights, normal)
-    inv = e.inverse()
-    return inv.coefficient(-4).integrate()
 
 
 # ----------------------------------------------------------------------

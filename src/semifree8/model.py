@@ -27,16 +27,18 @@ tangent Chern class as plain attributes. A dataset sorts its components
 once, on that key, and computes what every rule reads of it in one pass
 over them: its unique minimum and maximum, its interior components, its
 Betti vector (the sum of the rows), its sorted pair of extremal
-dimensions and its sorted distinct levels (``FixedPointData.extremes``,
-``interior``, ``betti``, ``shape`` and ``levels``). The rules only add
-these values up and never derive them again. No derived value of a
-component or a dataset is a record field, and none refers back to its
-dataset, so equality, hashing and repr see the type, weights and normal
-data of a component and the components of a dataset only. The reversed
-dataset is not stored: ``oriented`` builds it on each call that needs
-it, which only data with the larger extreme at the bottom does.
-``classify.verification_report`` orients once and hands the rules the
-upright dataset, which each rule's own ``oriented`` call returns as it
+dimensions, its sorted distinct levels and whether it passes the
+structural checks (``FixedPointData.extremes``, ``interior``, ``betti``,
+``shape``, ``levels`` and ``well_typed``). The rules only add these
+values up and never derive them again; the rules that read normal bundle
+data refuse data that is not well typed with a named ``ValueError``. No
+derived value of a component or a dataset is a record field, and none
+refers back to its dataset, so equality, hashing and repr see the type,
+weights and normal data of a component and the components of a dataset
+only. The reversed dataset is not stored: ``oriented`` builds it on each
+call that needs it, which only data with the larger extreme at the bottom
+does. ``classify.verification_report`` orients once and hands the rules
+the upright dataset, which each rule's own ``oriented`` call returns as it
 is.
 
 The public constructors take integers only: weights and Chern data go
@@ -126,8 +128,11 @@ class FixedPointData(Record):
     even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
     components' ``betti_row``s; ``shape`` the real dimensions of the two
     extremes, sorted, None when either is not unique; ``levels`` the
-    distinct levels of the components, sorted. The components are sorted
-    once, on their total ``sort_key``, and all five come from one pass over
+    distinct levels of the components, sorted; ``well_typed`` whether the
+    data passes the ``STRUCTURAL`` checks (no component has an off-range
+    weight, every ``zeros_fit`` holds and no ``mismatch`` is set), which the
+    rules that read normal bundle data require. The components are sorted
+    once, on their total ``sort_key``, and all six come from one pass over
     them."""
 
     _fields = ("components",)
@@ -139,7 +144,10 @@ class FixedPointData(Record):
         lo = hi = level = None
         n_lo = n_hi = b0 = b2 = b4 = b6 = b8 = 0
         levels = []
+        well_typed = True
         for c in comps:
+            well_typed = (well_typed and not c.off_weights and c.zeros_fit
+                          and c.mismatch is None)
             lam = c.lam
             if not lam:
                 lo = c
@@ -170,6 +178,7 @@ class FixedPointData(Record):
         set_field(self, "interior", tuple([c for c in comps if c is not lo and c is not hi]))
         set_field(self, "betti", (b0, b2, b4, b6, b8))
         set_field(self, "levels", tuple(levels))
+        set_field(self, "well_typed", well_typed)
 
     def __iter__(self):
         return iter(self.components)
@@ -450,6 +459,21 @@ def _normal_mismatch(comp):
 STRUCTURAL = ("semi-free", "weight-zeros", "normal-variant")
 
 
+class IllTypedError(ValueError):
+    """Raised when a rule that reads normal bundle data is called on data
+    that fails the structural gate."""
+
+
+def structural_failures(data):
+    """The ids of the ``STRUCTURAL`` checks the data fails, in that order:
+    empty exactly when ``data.well_typed``."""
+    comps = data.components
+    return [check_id for check_id, ok in zip(STRUCTURAL, (
+        not any(c.off_weights for c in comps),
+        all(c.zeros_fit for c in comps),
+        all(c.mismatch is None for c in comps))) if not ok]
+
+
 def validate(data):
     """Structural checks every dataset must pass before any classification:
     one pass over the components, then each check formats the detail of
@@ -510,7 +534,11 @@ def signature_check(data):
     Only meaningful when every component has dimension at most four; a
     six-dimensional component takes the dataset outside the scope of the
     self-intersection argument and the check reports PASS with a note.
+    Data that is not ``well_typed`` raises IllTypedError.
     """
+    if not data.well_typed:
+        raise IllTypedError("signature-self-intersection not applied: %s failed"
+                            % ", ".join(structural_failures(data)))
     if any(c.complex_dim == 3 for c in data):
         return CheckItem("signature-self-intersection", "PASS",
                          "six-dimensional component present, argument not applicable")

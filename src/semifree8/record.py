@@ -28,9 +28,33 @@ values straight into ``self.__dict__``, one item assignment each, which
 bypasses ``__setattr__`` just as ``set_field`` does and builds no keyword
 dict; ``model.CheckItem``, built some twenty times per verification
 report, does.
+
+``serve_lazily`` builds the PEP 562 module ``__getattr__`` by which a
+module serves names that another module of the package defines, loading
+that module on first use.
 """
 
+from importlib import import_module
+
 set_field = object.__setattr__
+
+
+def serve_lazily(namespace, served):
+    """The ``__getattr__`` of the module whose globals are ``namespace``:
+    each name of ``served`` (name -> module of this package) comes from its
+    module, imported on first use. The name is then bound in ``namespace``,
+    so later lookups, and whatever reads the module's ``__dict__``, find it
+    there."""
+
+    def __getattr__(name):
+        # PEP 562: reached only for names the module does not hold
+        if name not in served:
+            raise AttributeError("module %r has no attribute %r" % (namespace["__name__"], name))
+        value = getattr(import_module("." + served[name], namespace["__package__"]), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
 
 
 class Record:

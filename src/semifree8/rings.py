@@ -19,6 +19,19 @@ push-forward densities can be computed symbolically, e.g.
 >>> w = 2 * R.gen(0) + Poly.x() * R.gen(1)    # 2*eta + x*xi
 >>> (w ** 3).integrate().fmt()
 '12*x + 6*x^2 + x^3'
+
+The rings also carry the localization oracle: ``LaurentSeries`` over a
+component ring, the equivariant Euler class of each normal-bundle variant
+(``equivariant_euler``), and ``contribution_series_oracle``, which
+inverts that class and reads off the t^-4 coefficient. The inversion is
+exact, not truncated: after factoring out the leading unit the remainder
+is nilpotent, so the geometric series ends after at most dim_C(F) + 1
+terms. The closed forms of :mod:`semifree8.localization` are the production route;
+this one shares no code with them, and the tests hold the two equal. No
+command runs the oracle, so no command compiles this module: its public
+names still import from :mod:`semifree8.localization` (and
+``contribution_series_oracle`` from the package), which load it on first
+use.
 """
 
 from __future__ import annotations
@@ -26,6 +39,13 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import index
 
+from .localization import (
+    FourDimExtremalNormal,
+    FourDimSplitNormal,
+    PointNormal,
+    SixDimNormal,
+    SurfaceNormal,
+)
 from .polynomial import Poly
 
 
@@ -288,3 +308,143 @@ def ring_p1xp1():
 
 def ring_projectivized(k2):
     return _Projectivized(k2)
+
+
+# ----------------------------------------------------------------------
+# Laurent series over a component ring, and the localization oracle
+# ----------------------------------------------------------------------
+
+class LaurentSeries:
+    """Finite Laurent polynomial in the equivariant parameter t.
+
+    Coefficients live in a fixed component ring. Only what the oracle
+    needs: multiplication, inversion of units, coefficient extraction.
+    """
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    @classmethod
+    def monomial(cls, ring, power, coeff):
+        return cls(ring, {power: coeff if isinstance(coeff, RingClass) else ring.scalar(coeff)})
+
+    def coefficient(self, k):
+        return self.terms.get(k, self.ring.zero())
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentSeries):
+            return LaurentSeries(self.ring, {k: v * other for k, v in self.terms.items()})
+        out = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = k1 + k2
+                cur = out.get(k)
+                out[k] = v1 * v2 if cur is None else cur + v1 * v2
+        return LaurentSeries(self.ring, out)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, self.ring.zero()) + v
+        return LaurentSeries(self.ring, out)
+
+    def __sub__(self, other):
+        return self + (other * Fraction(-1))
+
+    def inverse(self):
+        """Exact inverse of a unit series s*t^r*(1 - nilpotent)."""
+        if not self.terms:
+            raise ZeroDivisionError("cannot invert the zero series")
+        r = max(self.terms)
+        lead = self.terms[r]
+        s = lead.graded_piece(0)
+        if lead != s or s not in (self.ring.one(), -self.ring.one()):
+            raise ValueError("leading coefficient must be +-1 for inversion")
+        sgn = Fraction(1) if s == self.ring.one() else Fraction(-1)
+        # n = 1 - sgn * t^-r * self has strictly positive ring degree,
+        # hence is nilpotent and the geometric series below is exact
+        unit = LaurentSeries.monomial(self.ring, -r, sgn) * self
+        n = LaurentSeries.monomial(self.ring, 0, 1) - unit
+        acc = LaurentSeries.monomial(self.ring, 0, 1)
+        powr = LaurentSeries.monomial(self.ring, 0, 1)
+        for _ in range(self.ring.top):
+            powr = powr * n
+            acc = acc + powr
+        return LaurentSeries.monomial(self.ring, -r, sgn) * acc
+
+
+def _split_classes(normal):
+    if len(normal.minus) == 1:
+        ring = ring_cpn(2)
+        u = normal.minus[0] * ring.gen(0)
+        v = normal.plus[0] * ring.gen(0)
+    else:
+        ring = ring_p1xp1()
+        x, y = ring.gen(0), ring.gen(1)
+        u = normal.minus[0] * x + normal.minus[1] * y
+        v = normal.plus[0] * x + normal.plus[1] * y
+    return u, v
+
+
+def equivariant_euler_fourdim(normal, sign):
+    """Equivariant Euler class t^2 + sign*c1*h*t + c2*h^2 on CP^2.
+
+    ``sign`` is the common sign of the two nonzero weights.
+    """
+    if sign not in (-1, 1):
+        raise ValueError("sign must be -1 or +1")
+    ring = ring_cpn(2)
+    h = ring.gen(0)
+    return LaurentSeries(ring, {
+        2: ring.one(),
+        1: sign * normal.c1 * h,
+        0: normal.c2 * (h * h),
+    })
+
+
+def equivariant_euler(weights, normal):
+    """The equivariant Euler class of the normal bundle, built exactly."""
+    nonzero = [w for w in weights if w]
+    if isinstance(normal, PointNormal):
+        ring = ring_point()
+        out = LaurentSeries.monomial(ring, 0, 1)
+        for w in nonzero:
+            out = out * LaurentSeries.monomial(ring, 1, w)
+        return out
+    if isinstance(normal, SurfaceNormal):
+        ring = ring_cpn(1)
+        u = ring.gen(0)
+        out = LaurentSeries.monomial(ring, 0, 1)
+        for a, w in normal.summands:
+            out = out * LaurentSeries(ring, {1: ring.scalar(w), 0: a * u})
+        return out
+    if isinstance(normal, FourDimExtremalNormal):
+        signs = set(nonzero)
+        if len(signs) != 1:
+            raise ValueError("extremal 4-dim component needs two equal weights")
+        return equivariant_euler_fourdim(normal, signs.pop())
+    if isinstance(normal, FourDimSplitNormal):
+        u, v = _split_classes(normal)
+        ring = u.ring
+        down = LaurentSeries(ring, {1: -ring.one(), 0: u})
+        up = LaurentSeries(ring, {1: ring.one(), 0: v})
+        return down * up
+    if isinstance(normal, SixDimNormal):
+        ring = ring_cpn(3)
+        (w,) = nonzero
+        return LaurentSeries(ring, {1: ring.scalar(w), 0: normal.c1 * ring.gen(0)})
+    raise TypeError("unknown normal bundle data: %r" % (normal,))
+
+
+def contribution_series_oracle(weights, normal):
+    """Independent route: invert the equivariant Euler class, take t^-4.
+
+    Returns a Fraction, which must equal the int of :func:`contribution`
+    everywhere. Kept free of any reference to the closed forms.
+    """
+    e = equivariant_euler(weights, normal)
+    inv = e.inverse()
+    return inv.coefficient(-4).integrate()

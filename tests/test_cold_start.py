@@ -3,15 +3,19 @@
 Every command runs in a new process, so each module the import pulls in
 is compiled and executed on every call. The package needs neither the
 dataclass machinery (with `inspect` and the rest that `dataclasses`
-imports) nor the component rings, which only the independent oracles
-read: those import `semifree8.rings` when they run. No command loads
-`hashlib`'s OpenSSL binding `_hashlib` either: the family table's hash in
-every header comes from CPython's built-in sha256.
+imports) nor the component rings: those hold the series oracle, which
+no command runs. No command loads `hashlib`'s OpenSSL binding `_hashlib`
+either: the family table's hash in every header comes from CPython's
+built-in sha256.
 
-The per-shape enumeration is `semifree8.enumeration`: importing the
-package or the front end does not load it, and neither does any command
-but `enumerate`. Its names still import from `semifree8` and
-`semifree8.classify`, which load it on first use.
+Three modules stay out of `import semifree8`: the per-shape enumeration
+`semifree8.enumeration`, which only `enumerate` loads, the Fano volume
+filter `semifree8.fano`, which only `classify-fano` loads, and
+`semifree8.rings`, which no command loads. Their public names still
+import from where they did (`semifree8`, `semifree8.classify`,
+`semifree8.localization`), which load the module on first use and bind
+the name there, so a later lookup, or a tracer that patches the names a
+module holds, finds it in that module's namespace.
 """
 
 import os
@@ -43,16 +47,39 @@ print("oracles ok")
 
 
 ENUMERATION = "semifree8.enumeration"
+FILTER = "semifree8.fano"
+RINGS = "semifree8.rings"
 
-# one command in this process, then whether it loaded the enumeration and
-# OpenSSL's hash binding
+# one command in this process, then whether it loaded the enumeration,
+# OpenSSL's hash binding, the volume filter and the rings
 RUN_COMMAND = """
 import contextlib, io, sys
 from semifree8.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, %r in sys.modules, "_hashlib" in sys.modules)
-""" % ENUMERATION
+print(code, *(name in sys.modules for name in %r))
+""" % ((ENUMERATION, "_hashlib", FILTER, RINGS),)
+
+# (module, old place, name) of each public name served from another module
+MOVED = (
+    [(FILTER, old, name) for name in ("classify_fano", "FanoClassification")
+     for old in ("semifree8", "semifree8.classify")]
+    + [(RINGS, old, "contribution_series_oracle")
+       for old in ("semifree8", "semifree8.localization")]
+    + [(RINGS, "semifree8.localization", name)
+       for name in ("LaurentSeries", "equivariant_euler", "equivariant_euler_fourdim")])
+
+# each moved name, looked up in its old place: held there before? the
+# object of its new module? bound there after?
+RESOLVE = """
+import sys
+import semifree8
+for new, old, name in %r:
+    served = sys.modules[old]
+    before = name in vars(served)
+    value = getattr(served, name)
+    print(before, value is getattr(sys.modules[new], name), vars(served).get(name) is value)
+""" % (MOVED,)
 
 
 def run_child(code, *argv, cwd=None):
@@ -69,20 +96,24 @@ def test_cli_import_footprint():
     assert lines[1:] == ["oracles ok"]
     added = set(lines[0].split()) - set(bare.split())
     assert {"semifree8.cli", "semifree8.classify", "semifree8.localization"} <= added
-    assert not added & {"dataclasses", "hashlib", "inspect", "semifree8.rings",
-                        ENUMERATION}, sorted(added)
+    assert not added & {"dataclasses", "hashlib", "inspect", ENUMERATION, FILTER,
+                        RINGS}, sorted(added)
 
 
 def test_package_import_leaves_out_the_enumeration():
     (names,) = run_child("import semifree8; " + LIST_MODULES)
     assert "semifree8.classify" in names.split()
-    assert ENUMERATION not in names.split()
+    assert not {ENUMERATION, FILTER, RINGS} & set(names.split())
     # the moved names still import from both old places, loading it then
     lines = run_child("import sys, semifree8\n"
                       "from semifree8.classify import enumerate_case\n"
                       "print(%r in sys.modules, semifree8.enumerate_case is enumerate_case, "
                       "'enumerate_case' in semifree8.__all__)" % ENUMERATION)
     assert lines == ["True True True"]
+    # so do the filter's and the oracle's, each bound where it was looked up
+    assert run_child(RESOLVE) == ["False True True"] * len(MOVED)
+    import semifree8
+    assert {name for _, old, name in MOVED if old == "semifree8"} <= set(semifree8.__all__)
 
 
 @pytest.mark.parametrize("argv, loads", [
@@ -95,5 +126,7 @@ def test_package_import_leaves_out_the_enumeration():
     (["enumerate", "--max-b4", "3"], True),
 ])
 def test_only_enumerate_loads_the_enumeration(tmp_path, argv, loads):
+    # only classify-fano loads the volume filter, and no command the rings
     (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
-    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == ["0 %s False" % loads]
+    filters = argv[0] == "classify-fano"
+    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == ["0 %s False %s False" % (loads, filters)]

@@ -23,9 +23,12 @@ flag against scans of the weights, and a dataset's summed rows and
 ``levels`` against ``kirwan_betti`` and the sorted distinct levels, its
 component order against ``oracle_sort_key`` (more than 500 datasets hold
 components that only the normal's repr orders), its extremes and interior
-(by identity) against scans for the unique minimum and maximum, and its
-``shape`` against their sorted dimensions. None of them may be seen by
-equality, hashing or repr.
+(by identity) against scans for the unique minimum and maximum, its
+``shape`` against their sorted dimensions, and its ``well_typed`` flag
+against the structural items ``validate`` fails. None of them may be seen
+by equality, hashing or repr. On the same corpora, the public rules that
+read normal bundle data refuse every dataset that is not well typed with
+their named error, never a raw Python error.
 
 ``match_fp_class`` compares the data with the catalog entries of its own
 shape only: on the same corpora it must give the class that the matcher
@@ -35,6 +38,7 @@ build only the entries of the data's shape.
 
 import importlib.util
 import json
+import re
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -42,7 +46,16 @@ from pathlib import Path
 import pytest
 
 import semifree8
-from semifree8.classify import _CATALOG, _is_x8_family, catalog, enumerate_all, match_fp_class
+from semifree8.classify import (
+    _CATALOG,
+    ClassifyError,
+    _is_x8_family,
+    catalog,
+    enumerate_all,
+    match_fp_class,
+    sphere_constraints,
+    sphere_index_rules,
+)
 from semifree8.dataio import DataError, document_for, dumps_data, loads_data
 from semifree8.localization import (
     FourDimExtremalNormal,
@@ -50,21 +63,26 @@ from semifree8.localization import (
     PointNormal,
     SixDimNormal,
     SurfaceNormal,
-    _split_classes,
     contribution,
 )
 from semifree8.model import (
+    STRUCTURAL,
     ComponentType,
     FixedComponent,
     FixedPointData,
+    IllTypedError,
     _normal_mismatch,
     betti_contribution,
     fingerprint,
     kirwan_betti,
     omega_coefficients,
     reverse_action,
+    signature_check,
+    structural_failures,
+    validate,
 )
 from semifree8.record import set_field
+from semifree8.rings import _split_classes
 
 from test_cold_start import run_child
 from test_dataset_values import check_order, oracle_sort_key
@@ -312,8 +330,35 @@ def test_stored_dataset_values_are_the_code_they_replace():
         assert data.betti == tuple(map(sum, zip(*[c.betti_row for c in data]))), data
         assert data.levels == tuple(sorted({c.level for c in data})), data
         assert fingerprint(data) == tuple(sorted(map(oracle_fingerprint, data))), data
+        failed = [it.id for it in validate(data) if it.id in STRUCTURAL and it.verdict != "PASS"]
+        assert structural_failures(data) == failed, data
+        assert data.well_typed == (not failed), data
     # the edits corpora hold datasets whose order the normals' repr decides
     assert ties > 500
+
+
+def test_typed_rules_refuse_ill_typed_data_by_name():
+    # the census: the public rules that read normal bundle data run on data
+    # past the structural gate, and on the rest raise their named error,
+    # which names the failed checks, never a raw Python error; the index
+    # rules read only the stored omega and raise ClassifyError at most
+    refused = 0
+    for data in corpus_data():
+        try:
+            sphere_index_rules(data)
+        except ClassifyError:
+            pass
+        if data.well_typed:
+            sphere_constraints(data)
+            signature_check(data)
+            continue
+        why = re.escape("not applied: %s failed" % ", ".join(structural_failures(data)))
+        with pytest.raises(ClassifyError, match="^sphere rules %s$" % why):
+            sphere_constraints(data)
+        with pytest.raises(IllTypedError, match="^signature-self-intersection %s$" % why):
+            signature_check(data)
+        refused += 1
+    assert refused > 6000
 
 
 def test_stored_component_values_are_invisible_to_the_record():

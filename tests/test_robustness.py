@@ -129,16 +129,26 @@ def test_plane_with_point_normal_has_no_fano_index():
 
 def test_sphere_rules_on_data_without_oriented_extremes():
     # a plane typed component with four nonzero weights: as given the plane
-    # is the unique minimum, reversed nothing is a unique maximum
+    # is the unique minimum, reversed nothing is a unique maximum; the sphere
+    # rules read normal data, so they refuse it by the check it fails
     data = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
         {"type": "cp2", "weights": [1, 1, 1, 1],
          "normal": {"kind": "fourdim_extremal", "c1": -1, "c2": 4}},
         {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
     ]}))
-    assert sphere_constraints(data).items == []
+    with pytest.raises(ClassifyError, match="^sphere rules not applied: weight-zeros failed$"):
+        sphere_constraints(data)
     assert sphere_index_rules(data).items == []
     assert match_fp_class(data) == "unclassified"
     assert verification_report(data).items[-1].id == "typed-rules"
+    # well typed, with two minima: no orientation, so no sphere rule applies
+    two_minima = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
+        {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
+        {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
+        {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
+    ]}))
+    assert two_minima.well_typed and oriented(two_minima) is None
+    assert sphere_constraints(two_minima).items == []
 
 
 # as given, a plane is the unique minimum under a sphere maximum, shape
