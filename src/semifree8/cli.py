@@ -7,9 +7,18 @@ Four subcommands:
     classify-fano [--table]  filter the Fano family table by realizability
     catalog [--name N]       the built-in datasets of the known actions
 
+One table, `_COMMANDS`, parses a command line. Its first word is the
+command, whose row gives the handler, the positional names and, for each
+option, the attribute it sets, its default and the converter of its value.
+`parse_args` reads the other words in order: options before or after the
+positional, as `--opt value` or `--opt=value`, the last of a repeated
+option winning, and `--json` on every command; `--` ends the options.
+`-h` or `--help` before any `--` prints the four usage lines and exits 0.
+
 Exit codes: 0 all checks pass, 1 some constraint fails, 2 malformed
-input (bad JSON, unknown names, inadmissible shapes, incomplete tables,
-tables that list a family twice, or `catalog --emit file` without --name).
+input (a command line that does not parse, bad JSON, unknown names,
+inadmissible shapes, incomplete tables, tables that list a family twice,
+or `catalog --emit file` without --name).
 
 One output path: each subcommand returns its exit code, its JSON document
 and its text lines, and writes nothing. `main` alone prints one of the two
@@ -23,9 +32,9 @@ for a fixed argument list is byte-stable.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .classify import (
@@ -82,12 +91,9 @@ def _cmd_verify(args):
 def _parse_shape(text):
     if text == "all":
         return None
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-        if len(parts) != 2:
-            raise ValueError
-    except ValueError:
-        raise ClassifyError("--shape takes 'all' or two integers like '0,4'")
+    parts = tuple(int(p) for p in text.split(","))
+    if len(parts) != 2:
+        raise ValueError(text)
     return parts
 
 
@@ -116,8 +122,7 @@ def _cmd_enumerate(args):
     # here, not at the top: no other command compiles the enumeration
     from .enumeration import ADMISSIBLE_SHAPES, admissible_dim_pairs, enumerate_case
 
-    shape = _parse_shape(args.shape)
-    shapes = list(ADMISSIBLE_SHAPES) if shape is None else [shape]
+    shapes = list(ADMISSIBLE_SHAPES) if args.shape is None else [args.shape]
     results = [enumerate_case(s, args.max_b4) for s in shapes]
     doc = {"b4_max": args.max_b4, "shapes": [{
         "shape": list(r.shape),
@@ -136,7 +141,7 @@ def _cmd_enumerate(args):
         for rej in r.rejections:
             lines.append("  rejected [%s] %s" % (rej.rule_id, rej.candidate))
             lines.append("    %s" % rej.detail)
-    if shape is None:
+    if args.shape is None:
         lines.append("shapes rejected outright:")
         for s, assessment in sorted(admissible_dim_pairs().items()):
             if not assessment.admissible:
@@ -172,6 +177,8 @@ def _cmd_classify_fano(args):
 # ----------------------------------------------------------------------
 
 def _cmd_catalog(args):
+    if args.emit not in ("report", "file"):
+        raise ClassifyError("--emit takes report or file")
     if args.emit == "file" and args.name is None:
         raise ClassifyError("--emit file needs --name")
     entries = catalog()
@@ -198,51 +205,67 @@ def _cmd_catalog(args):
 # entry point
 # ----------------------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="semifree8",
-        description="verification and enumeration of fixed point data of "
-                    "semi-free Hamiltonian circle actions on symplectic "
-                    "8-manifolds with second Betti number one")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON document")
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+semifree8 verify <file>           # run every check on a data file
+semifree8 enumerate [--shape 0,4] [--max-b4 N]
+semifree8 classify-fano [--table <file>]
+semifree8 catalog [--name <id>] [--emit report|file]"""
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run every check on a data file")
-    p.add_argument("path", help="JSON file with fixed point data")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="admissible families per shape")
-    p.add_argument("--shape", default="all",
-                   help="extremal dimensions 'd1,d2' or 'all' (default)")
-    p.add_argument("--max-b4", type=int, default=14, dest="max_b4",
-                   help="middle Betti number cutoff (default 14)")
-    p.set_defaults(func=_cmd_enumerate)
+class UsageError(ValueError):
+    """A command line that does not parse."""
 
-    p = sub.add_parser("classify-fano", parents=[common],
-                       help="filter the Fano family table by realizability")
-    p.add_argument("--table", default=None,
-                   help="JSON array overriding the built-in family table")
-    p.set_defaults(func=_cmd_classify_fano)
 
-    p = sub.add_parser("catalog", parents=[common],
-                       help="built-in datasets of the known actions")
-    p.add_argument("--name", default=None, help="entry to inspect")
-    p.add_argument("--emit", choices=("report", "file"), default="report",
-                   help="print a verification report or the data file itself")
-    p.set_defaults(func=_cmd_catalog)
-    return parser
+# command -> (handler, positional names, {option: (dest, default, converter)})
+_COMMANDS = {
+    "verify": (_cmd_verify, ("path",), {}),
+    "enumerate": (_cmd_enumerate, (), {"--shape": ("shape", None, _parse_shape),
+                                       "--max-b4": ("max_b4", 14, int)}),
+    "classify-fano": (_cmd_classify_fano, (), {"--table": ("table", None, str)}),
+    "catalog": (_cmd_catalog, (), {"--name": ("name", None, str),
+                                   "--emit": ("emit", "report", str)}),
+}
+
+
+def parse_args(argv):
+    """The namespace of one command line (its `command`, the handler `func`,
+    `json`, and each option's and positional's value), or None for help."""
+    if {"-h", "--help"} & set(argv[:argv.index("--")] if "--" in argv else argv):
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError("a command line starts with one of %s" % ", ".join(_COMMANDS))
+    func, positional, options = _COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0], func=func, json=False,
+                           **{dest: default for dest, default, _ in options.values()})
+    tokens, values = iter(argv[1:]), []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--":
+            values.extend(tokens)
+        elif token == "--json":
+            args.json = True
+        elif not token.startswith("--"):
+            values.append(token)
+        elif name not in options:
+            raise UsageError("unknown option %s for %s" % (token, argv[0]))
+        else:
+            dest, _, convert = options[name]
+            try:
+                setattr(args, dest, convert(value if eq else next(tokens)))
+            except (StopIteration, ValueError):
+                raise UsageError("%s needs a valid value (see --help)" % name) from None
+    if len(values) != len(positional):
+        raise UsageError("%s takes %d positional argument(s)" % (argv[0], len(positional)))
+    args.__dict__.update(zip(positional, values))
+    return args
 
 
 def main(argv=None):
     """Run one subcommand, print the form --json picks, return the exit code."""
-    args = build_parser().parse_args(argv)
     try:
-        code, doc, lines = args.func(args)
-    except (DataError, ClassifyError, OSError) as exc:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        code, doc, lines = args.func(args) if args else (0, None, _USAGE.splitlines())
+    except (UsageError, DataError, ClassifyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if doc is not None:

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, stability, round trips."""
 
 import json
+import pathlib
 import sys
 
 import pytest
@@ -229,6 +230,45 @@ def test_enumerate_rejects_a_huge_cutoff_before_sweeping(monkeypatch, capsys, b4
         code, out, err = run(capsys, "enumerate", "--shape", shape, "--max-b4", b4_max)
         assert code == 2 and not out
         assert err == "error: b4_max must be at most %d\n" % B4_MAX_LIMIT
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["verify"], ["verify", "a", "b"], ["enumerate", "--max-b4"],
+    ["enumerate", "--max-b4", "x"], ["catalog", "--emit", "bogus"], ["enumerate", "--nope"],
+    ["--json", "verify", "f"],
+])
+def test_command_line_that_does_not_parse(capsys, argv):
+    """A malformed command line is malformed input: exit 2, nothing on
+    stdout, one error line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("first, second", [
+    (["verify", "x8.json", "--json"], ["verify", "--json", "x8.json"]),
+    (["enumerate", "--max-b4=30"], ["enumerate", "--max-b4", "30"]),
+    (["catalog", "--emit=file", "--name", "x8-six-points"],
+     ["catalog", "--name", "x8-six-points", "--emit", "file"]),
+])
+def test_equivalent_spellings_print_the_same(tmp_path, monkeypatch, capsys, first, second):
+    (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    output = run(capsys, *first)
+    assert output[0] == 0 and output[1] and not output[2]
+    assert run(capsys, *second) == output
+
+
+def test_help_prints_the_readme_command_lines(capsys):
+    """-h and --help, alone or after a command, print the four command
+    lines of the README's command line block and exit 0."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    usage = [line for line in block.splitlines() if not line.startswith("semifree8 -h")]
+    assert [line.split()[1] for line in usage] == ["verify", "enumerate", "classify-fano",
+                                                   "catalog"]
+    for argv in (["-h"], ["--help"], ["verify", "--help"]):
+        assert run(capsys, *argv) == (0, "".join(line + "\n" for line in usage), "")
 
 
 def test_missing_file(capsys):

@@ -6,7 +6,8 @@ dataclass machinery (with `inspect` and the rest that `dataclasses`
 imports) nor the component rings: those hold the series oracle, which
 no command runs. No command loads `hashlib`'s OpenSSL binding `_hashlib`
 either: the family table's hash in every header comes from CPython's
-built-in sha256.
+built-in sha256. Nor does any command load `argparse` (with `gettext`):
+the front end parses its command line from its own table of commands.
 
 Three modules stay out of `import semifree8`: the per-shape enumeration
 `semifree8.enumeration`, which only `enumerate` loads, the Fano volume
@@ -51,14 +52,14 @@ FILTER = "semifree8.fano"
 RINGS = "semifree8.rings"
 
 # one command in this process, then whether it loaded the enumeration,
-# OpenSSL's hash binding, the volume filter and the rings
+# OpenSSL's hash binding, the volume filter, the rings and argparse
 RUN_COMMAND = """
 import contextlib, io, sys
 from semifree8.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, *(name in sys.modules for name in %r))
-""" % ((ENUMERATION, "_hashlib", FILTER, RINGS),)
+""" % ((ENUMERATION, "_hashlib", FILTER, RINGS, "argparse"),)
 
 # (module, old place, name) of each public name served from another module
 MOVED = (
@@ -96,8 +97,8 @@ def test_cli_import_footprint():
     assert lines[1:] == ["oracles ok"]
     added = set(lines[0].split()) - set(bare.split())
     assert {"semifree8.cli", "semifree8.classify", "semifree8.localization"} <= added
-    assert not added & {"dataclasses", "hashlib", "inspect", ENUMERATION, FILTER,
-                        RINGS}, sorted(added)
+    assert not added & {"argparse", "dataclasses", "gettext", "hashlib", "inspect",
+                        ENUMERATION, FILTER, RINGS}, sorted(added)
 
 
 def test_package_import_leaves_out_the_enumeration():
@@ -127,6 +128,8 @@ def test_package_import_leaves_out_the_enumeration():
 ])
 def test_only_enumerate_loads_the_enumeration(tmp_path, argv, loads):
     # only classify-fano loads the volume filter, and no command the rings
+    # or argparse
     (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
     filters = argv[0] == "classify-fano"
-    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == ["0 %s False %s False" % (loads, filters)]
+    assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == [
+        "0 %s False %s False False" % (loads, filters)]
