@@ -39,6 +39,7 @@ from functools import cache
 from .dh import K2_CAP, dh_profile, positivity_check, total_volume
 from .model import (
     CheckItem,
+    ClassifyError,
     ComponentType,
     ConstraintReport,
     FixedPointData,
@@ -51,9 +52,9 @@ from .model import (
     oriented,
     pass_fail,
     point_component,
+    require_well_typed,
     reverse_action,
     signature_check,
-    structural_failures,
     surface_component,
     validate,
 )
@@ -69,10 +70,6 @@ __getattr__ = serve_lazily(globals(), {
 })
 
 
-class ClassifyError(ValueError):
-    """Raised for inputs outside the scope of the case analysis."""
-
-
 # ----------------------------------------------------------------------
 # Fano index from the extremes
 # ----------------------------------------------------------------------
@@ -80,18 +77,16 @@ class ClassifyError(ValueError):
 def index_candidates(data):
     """(source, value) pairs for the Fano index read off the extremes.
 
-    An extreme's stored ``omega`` is the restriction of [w], an ill-typed
-    extreme's read off its Chern data as given; where that gives no
-    coefficient the index cannot be read and ClassifyError says why."""
+    An extreme that is not a point reads it off its stored ``omega``, the
+    restriction of [w], which past the structural gate has one coefficient
+    (a quadric surface is never an extreme). Data that is not
+    ``well_typed`` raises IllTypedError."""
+    require_well_typed(data, "fano-index")
     out = []
     lo, hi = data.extremes
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
         if comp is not None and comp.complex_dim >= 1:
-            coeffs = comp.omega
-            if not coeffs:
-                raise ClassifyError("no Fano index can be read off the %s: %s"
-                                    % (label, comp.mismatch))
-            out.append((label, abs(coeffs[0])))
+            out.append((label, abs(comp.omega[0])))
     if data.shape == (0, 0):
         four = [c for c in data.interior if c.complex_dim == 2]
         if len(four) == 1:
@@ -100,8 +95,10 @@ def index_candidates(data):
 
 
 def index_from_extremal(data):
-    """The Fano index of the ambient manifold, or an error when no rule
-    pins it (or two extremes disagree, which no realizable data does)."""
+    """The Fano index of the ambient manifold, or a ClassifyError when no
+    rule pins it (or two extremes disagree, which no realizable data does);
+    data that is not ``well_typed`` raises IllTypedError, as in
+    ``index_candidates``."""
     cands = index_candidates(data)
     if not cands:
         raise ClassifyError("no Fano-index rule applies to this configuration")
@@ -140,11 +137,9 @@ def sphere_constraints(data):
 
     Rules are stated for the orientation with the smaller extreme at the
     bottom, so the action is reversed first when needed. They read normal
-    bundle data, so data that is not ``well_typed`` raises ClassifyError.
+    bundle data, so data that is not ``well_typed`` raises IllTypedError.
     """
-    if not data.well_typed:
-        raise ClassifyError("sphere rules not applied: %s failed"
-                            % ", ".join(structural_failures(data)))
+    require_well_typed(data, "sphere rules")
     rep = ConstraintReport()
     data = oriented(data)
     if data is None:
@@ -184,7 +179,9 @@ def sphere_constraints(data):
 
 def sphere_index_rules(data):
     """The Fano-index rules, stated like the sphere-area rules for the
-    smaller extreme at the bottom."""
+    smaller extreme at the bottom. They read the extremes' Chern data, so
+    data that is not ``well_typed`` raises IllTypedError."""
+    require_well_typed(data, "index rules")
     rep = ConstraintReport()
     data = oriented(data)
     if data is None:
@@ -267,7 +264,7 @@ def verification_report(data):
     rep.append(CheckItem("betti-vector", "INFO", "b = %s" % (betti_vector(data),)))
     if not data.well_typed:
         rep.append(CheckItem("typed-rules", "INFO", "not applied: %s failed"
-                             % ", ".join(structural_failures(data))))
+                             % ", ".join(data.structural_failures)))
         return rep
     terms = [c.abbv_term for c in data.components]
     total = sum(terms)

@@ -162,8 +162,9 @@ _FIELDS = {"summands": _expect_summands, "c1": _expect_int, "c2": _expect_int,
            "finite_automorphisms": _expect_bool}
 _NORMALS = {cls.kind: (cls, [(name, _FIELDS[name]) for name in cls._fields])
             for cls in _Normal.__subclasses__()}
-# the table fields a record may leave out, for FanoFamilyRecord's defaults
-_OPTIONAL = ("genus", "finite_automorphisms")
+# the table fields a record may leave out: the last ones, which
+# FanoFamilyRecord's __init__ takes in _fields order, have defaults
+_OPTIONAL = FanoFamilyRecord._fields[-len(FanoFamilyRecord.__init__.__defaults__):]
 # the bound of the component cache, above the 1,597 distinct keys of the
 # edits seeds 1-8 (see the module docstring)
 _COMPONENTS = 4096

@@ -30,8 +30,8 @@ The layer keeps two caches, neither keyed on a document:
   that end, and per piece its interval, formula and argument (``k2`` for the
   ruled one), all that a profile reads of the data;
 * a piece's ``dh-positivity`` item, its text included, on ``(poly, lo,
-  hi)``, with the argument types in the key, so each distinct piece is
-  certified, and builds its Sturm chain, once per process.
+  hi)``, so each distinct piece is certified, and builds its Sturm
+  chains, once per process.
 
 Both keys are ints, Fractions, functions and ``Poly``s, whose equality and
 hash read exact values (a function's is its identity), and both cached
@@ -48,6 +48,12 @@ itself, so ``positivity_check`` on it, the warm path of
 ``verification_report``, reads those items and hashes or compares no
 ``Poly`` or ``Fraction``. ``_certificate`` stays the one place where a
 distinct piece is certified.
+
+``dh_profile`` reads only data past the structural gate
+(``model.require_well_typed``) and refuses the rest with
+``IllTypedError``, so every piece it pins has Fraction endpoints in level
+order. ``total_volume`` is the one reader here that answers for any
+loadable data.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .model import (
     ConstraintReport,
     oriented,
     pass_fail,
+    require_well_typed,
 )
 from .polynomial import Poly, positive_on_open
 from .record import Record, set_field
@@ -168,16 +175,15 @@ CACHE_SIZE = 1024      # entries per cache, past every distinct count above
 
 def _end(data, end):
     """What the formulas pin next to the minimum (end = 1) or maximum (end =
-    -1), read as the reversed action reads its minimum (levels as end *
-    level; the extreme's first, or last, sorted weight has sign end or is
-    zero), as one flat tuple: the end, the extreme's level, then per piece
-    its interval, formula and argument tuple, all read from that end; ()
-    when nothing is pinned."""
-    ext = [c for c in data if end * c.weights[0 if end == 1 else -1] >= 0]
+    -1) of ``data.extremes``, read as the reversed action reads its minimum
+    (levels as end * level), as one flat tuple: the end, the extreme's
+    level, then per piece its interval, formula and argument tuple, all
+    read from that end; () when nothing is pinned."""
+    ext = data.extremes[0 if end == 1 else 1]
     levels = data.levels if end == 1 else [-v for v in reversed(data.levels)]
-    if len(ext) != 1 or len(levels) < 2:
+    if ext is None or len(levels) < 2:
         return ()
-    ext, base = ext[0], end * ext[0].level
+    base = end * ext.level
     if ext.type is ComponentType.POINT:
         out = (end, base, base, levels[1], dh_isolated_min, ())
         if levels[1] - base == 2 and len(levels) >= 3:
@@ -231,19 +237,19 @@ def dh_profile(data):
     """All density pieces the three local formulas (cubic, blow-up, ruled)
     pin next to each extreme, read in place, with seam diagnostics. Data
     they do not cover gets fewer (possibly zero) pieces; nothing is
-    extrapolated."""
+    extrapolated. The formulas read normal bundle data, so data that is not
+    ``well_typed`` raises IllTypedError."""
+    require_well_typed(data, "density formulas")
     return _profile(_end(data, 1), _end(data, -1))
 
 
-# typed: an endpoint of another number type (a float, say) is its own key,
-# and fails in positive_on_open as it would uncached
-@lru_cache(maxsize=CACHE_SIZE, typed=True)
+@lru_cache(maxsize=CACHE_SIZE)
 def _certificate(poly, lo, hi):
-    """The dh-positivity item of one piece. Only data that fails the
-    structural gate pins a piece against level order (lo >= hi, as on a
-    plane with no nonzero weight between two points); it fails, so that
-    building the profile of any loadable document raises nothing."""
-    ok, detail = positive_on_open(poly, lo, hi) if lo < hi else (False, "empty interval")
+    """The dh-positivity item of one piece. Every piece of a well-typed
+    profile has Fraction endpoints with lo < hi: an extreme a formula reads
+    (a point or a plane) lies at the lowest level its end can hold, so
+    each piece runs up from it, in level order."""
+    ok, detail = positive_on_open(poly, lo, hi)
     return pass_fail("dh-positivity", ok, "%s on (%s, %s): %s" % (poly.fmt("L"), lo, hi, detail))
 
 
@@ -255,12 +261,9 @@ def clear_caches():
 
 def positivity_check(profile):
     """PASS iff every known density piece is positive on its open interval:
-    the profile's certified ``items``, then its seam ``warnings``.
-
-    Like ``abbv_sum``, the density layer expects data past the structural
-    gate (``model.STRUCTURAL``) and may raise on data that fails it;
-    ``verification_report`` never calls it there. (``signature_check`` and
-    ``sphere_constraints`` refuse such data with a named ValueError.)"""
+    the profile's certified ``items``, then its seam ``warnings``. It needs
+    no gate of its own: ``dh_profile``, which builds the profiles, refuses
+    data that is not ``well_typed``."""
     return ConstraintReport(profile.items + profile.warnings)
 
 
@@ -271,7 +274,12 @@ def positivity_check(profile):
 def total_volume(data):
     """Integral of the fourth power of the symplectic class, when the
     configuration, oriented, is one of the two patterns whose halves are
-    both pinned; otherwise None (not computable by halves)."""
+    both pinned; otherwise None (not computable by halves).
+
+    The one reader of normal bundle data that is not gated: it reads only
+    the extremes' ``ruled_k2``, which every normal states (None where it
+    does not apply), and the interior's types and indices, so it answers
+    for any loadable data; ``match_fp_class`` reads it on every document."""
     data = oriented(data)
     if data is None:
         return None

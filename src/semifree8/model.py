@@ -27,11 +27,17 @@ tangent Chern class as plain attributes. A dataset sorts its components
 once, on that key, and computes what every rule reads of it in one pass
 over them: its unique minimum and maximum, its interior components, its
 Betti vector (the sum of the rows), its sorted pair of extremal
-dimensions, its sorted distinct levels and whether it passes the
-structural checks (``FixedPointData.extremes``, ``interior``, ``betti``,
-``shape``, ``levels`` and ``well_typed``). The rules only add these
-values up and never derive them again; the rules that read normal bundle
-data refuse data that is not well typed with a named ``ValueError``. No
+dimensions, its sorted distinct levels and the ids of the ``STRUCTURAL``
+checks it fails (``FixedPointData.extremes``, ``interior``, ``betti``,
+``shape``, ``levels``, ``structural_failures`` and ``well_typed``). The
+rules only add these values up and never derive them again.
+
+``require_well_typed`` is the one structural gate. Every rule that reads
+normal bundle data calls it first, and on data that is not well typed it
+raises ``IllTypedError``, a ``ClassifyError`` (so a ``ValueError``) whose
+message names the failed checks; past it no rule keeps a branch for
+ill-typed data. ``dh.total_volume`` is the one reader of normal data that
+answers for any loadable dataset, and ``validate`` reports on any. No
 derived value of a component or a dataset is a record field, and none
 refers back to its dataset, so equality, hashing and repr see the type,
 weights and normal data of a component and the components of a dataset
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
+from itertools import compress
 from operator import attrgetter, index
 
 from .localization import (
@@ -128,12 +135,14 @@ class FixedPointData(Record):
     even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
     components' ``betti_row``s; ``shape`` the real dimensions of the two
     extremes, sorted, None when either is not unique; ``levels`` the
-    distinct levels of the components, sorted; ``well_typed`` whether the
-    data passes the ``STRUCTURAL`` checks (no component has an off-range
-    weight, every ``zeros_fit`` holds and no ``mismatch`` is set), which the
-    rules that read normal bundle data require. The components are sorted
-    once, on their total ``sort_key``, and all six come from one pass over
-    them."""
+    distinct levels of the components, sorted; ``structural_failures`` the
+    ids of the ``STRUCTURAL`` checks the data fails, in that order
+    ("semi-free" when a component has an off-range weight, "weight-zeros"
+    when a ``zeros_fit`` fails, "normal-variant" when a ``mismatch`` is
+    set); ``well_typed`` whether that is empty, which every rule that reads
+    normal bundle data requires (``require_well_typed``). The components
+    are sorted once, on their total ``sort_key``, and all seven come from
+    one pass over them."""
 
     _fields = ("components",)
 
@@ -144,10 +153,11 @@ class FixedPointData(Record):
         lo = hi = level = None
         n_lo = n_hi = b0 = b2 = b4 = b6 = b8 = 0
         levels = []
-        well_typed = True
+        off_range = zeros_off = mismatched = False     # truthy: that STRUCTURAL check fails
         for c in comps:
-            well_typed = (well_typed and not c.off_weights and c.zeros_fit
-                          and c.mismatch is None)
+            off_range = off_range or c.off_weights
+            zeros_off = zeros_off or not c.zeros_fit
+            mismatched = mismatched or c.mismatch
             lam = c.lam
             if not lam:
                 lo = c
@@ -178,7 +188,9 @@ class FixedPointData(Record):
         set_field(self, "interior", tuple([c for c in comps if c is not lo and c is not hi]))
         set_field(self, "betti", (b0, b2, b4, b6, b8))
         set_field(self, "levels", tuple(levels))
-        set_field(self, "well_typed", well_typed)
+        failures = tuple(compress(STRUCTURAL, (off_range, zeros_off, mismatched)))
+        set_field(self, "structural_failures", failures)
+        set_field(self, "well_typed", not failures)
 
     def __iter__(self):
         return iter(self.components)
@@ -459,19 +471,23 @@ def _normal_mismatch(comp):
 STRUCTURAL = ("semi-free", "weight-zeros", "normal-variant")
 
 
-class IllTypedError(ValueError):
+class ClassifyError(ValueError):
+    """Raised for inputs outside the scope of the case analysis."""
+
+
+class IllTypedError(ClassifyError):
     """Raised when a rule that reads normal bundle data is called on data
     that fails the structural gate."""
 
 
-def structural_failures(data):
-    """The ids of the ``STRUCTURAL`` checks the data fails, in that order:
-    empty exactly when ``data.well_typed``."""
-    comps = data.components
-    return [check_id for check_id, ok in zip(STRUCTURAL, (
-        not any(c.off_weights for c in comps),
-        all(c.zeros_fit for c in comps),
-        all(c.mismatch is None for c in comps))) if not ok]
+def require_well_typed(data, what):
+    """The structural gate: raise IllTypedError, naming the failed
+    ``STRUCTURAL`` checks, unless the data is well typed. Every rule that
+    reads normal bundle data calls it first, so nothing past it meets
+    ill-typed data."""
+    if data.structural_failures:
+        raise IllTypedError("%s not applied: %s failed"
+                            % (what, ", ".join(data.structural_failures)))
 
 
 def validate(data):
@@ -536,9 +552,7 @@ def signature_check(data):
     self-intersection argument and the check reports PASS with a note.
     Data that is not ``well_typed`` raises IllTypedError.
     """
-    if not data.well_typed:
-        raise IllTypedError("signature-self-intersection not applied: %s failed"
-                            % ", ".join(structural_failures(data)))
+    require_well_typed(data, "signature-self-intersection")
     if any(c.complex_dim == 3 for c in data):
         return CheckItem("signature-self-intersection", "PASS",
                          "six-dimensional component present, argument not applicable")

@@ -2,11 +2,11 @@
 
 A `Poly` is integer numerators q over one positive denominator den, in
 lowest terms; its Fraction `coeffs` are built only when read. Everything
-below runs on Python integers, no float is used, and each `Poly` builds
-its Sturm chain once, on first use: one chain per polynomial, nothing
-shared across polynomials and nothing cached here. Sharing is the density
-layer's (`semifree8.dh`): it keeps each distinct piece, so an equal
-polynomial met again reuses the chain its first copy built.
+below runs on Python integers, no float is used, and nothing is cached
+here: `count_roots_open` and `isolate_root` each build the Sturm chain of
+the polynomial they are given. Sharing is the density layer's
+(`semifree8.dh`): it certifies each distinct piece once per process, so a
+piece met again builds no chain.
 
 p(n/d) = d^deg * q(n/d) / (den * d^deg), and with a*x + b = (A*x + B)/D,
 p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i / (den * D^deg), by Horner's
@@ -47,7 +47,7 @@ class Poly:
     3
     """
 
-    __slots__ = ("_num", "_den", "_sturm")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=(), den=1):
         """sum_i coeffs[i] x^i / den; ints or Fractions over a positive int."""
@@ -59,7 +59,7 @@ class Poly:
         while num and not num[-1]:
             num.pop()
         g = gcd(den * lc, *num)
-        self._num, self._den, self._sturm = tuple(v // g for v in num), den * lc // g, None
+        self._num, self._den = tuple(v // g for v in num), den * lc // g
 
     @property
     def coeffs(self):
@@ -244,7 +244,7 @@ def count_roots_open(p, a, b):
     a, b = _rational(a), _rational(b)
     if not a < b:
         raise ValueError("need a < b")
-    chain = p._sturm = p._sturm or _sturm_chain(p)     # built once per polynomial
+    chain = _sturm_chain(p)
     # V(a) - V(b) counts the roots in (a, b], so a root at b is taken off
     at_b = not _value_times_den(chain[0], b.numerator, b.denominator)
     return (_sign_changes(chain, a.numerator, a.denominator)
@@ -258,7 +258,7 @@ def isolate_root(p, a, b):
     lo, hi = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
     w, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
     if (hi - lo) * w_den > w * d:
-        chain = p._sturm = p._sturm or _sturm_chain(p)
+        chain = _sturm_chain(p)
         v_lo = _sign_changes(chain, lo, d)
         while (hi - lo) * w_den > w * d:
             lo, hi, d = 2 * lo, 2 * hi, 2 * d

