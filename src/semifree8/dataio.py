@@ -33,6 +33,14 @@ of records, one per deformation family:
 Every record is read and written under its ``_fields`` names, a normal's
 led by its ``kind``; a tuple is a JSON list, a component type its name.
 
+Every key of a node must name one of its fields, or at the top level a
+header key. Any other key, a misspelled optional field say, raises
+"unknown key" with the key in its path. A document checks its keys after
+its header and component list, a component after its type, a normal
+after its kind, and a record after its fields. A node with as many keys
+as fields holds no other key, so a well-formed data document pays one
+length compare per node.
+
 The loader checks document structure only. Mathematical consistency
 (semi-freeness, matching weights and normal kinds, Betti budgets) is the
 job of the verification rules, so a structurally valid file describing an
@@ -170,6 +178,14 @@ _OPTIONAL = FanoFamilyRecord._fields[-len(FanoFamilyRecord.__init__.__defaults__
 _COMPONENTS = 4096
 
 
+def _refuse_unknown_keys(node, known):
+    """Raise at the first key of node outside known: a misspelled optional
+    field would read as its default, and any other key as if absent."""
+    for key in node:
+        if key not in known:
+            raise DataError("unknown key %r" % (key,), key)
+
+
 def _read_normal(node):
     """The kind and field values of a normal node, each field read by its
     reader: the normal's part of the component cache's key."""
@@ -178,9 +194,12 @@ def _read_normal(node):
     kind = node.get("kind")
     if type(kind) is not str or kind not in _NORMALS:
         raise DataError("unknown normal kind %r" % (kind,), "kind")
+    cls, fields = _NORMALS[kind]
+    if len(node) != 1 + len(fields):
+        _refuse_unknown_keys(node, ("kind",) + cls._fields)
     args = []
     try:
-        for name, read in _NORMALS[kind][1]:
+        for name, read in fields:
             args.append(read(node.get(name)))
     except DataError as exc:
         _prefix(exc, name)
@@ -200,6 +219,8 @@ def _parse_component(node):
     if type(tname) is not str or tname not in _TYPES:
         raise DataError("unknown component type %r (expected one of %s)"
                         % (tname, ", ".join(sorted(_TYPES))), "type")
+    if len(node) != len(FixedComponent._fields):
+        _refuse_unknown_keys(node, FixedComponent._fields)
     weights = node.get("weights")
     if not (type(weights) is list and len(weights) == 4 and type(weights[0])
             is type(weights[1]) is type(weights[2]) is type(weights[3]) is int):
@@ -224,6 +245,8 @@ def _parse_record(node):
             fields[name] = _at(name, _FIELDS[name], node[name])
         elif name not in _OPTIONAL:
             raise DataError("record is missing the %r field" % (name,))
+    if len(fields) != len(node):
+        _refuse_unknown_keys(node, FanoFamilyRecord._fields)
     return FanoFamilyRecord(**fields)
 
 
@@ -253,6 +276,8 @@ def parse_document(doc):
     comps = doc.get("components")
     if type(comps) is not list or not comps:
         raise DataError("components must be a non-empty list", "components")
+    if len(doc) != len(_HEADER) + 1:
+        _refuse_unknown_keys(doc, [key for key, _, _ in _HEADER] + ["components"])
     return FixedPointData(_at("components", _read_each, _parse_component, comps))
 
 

@@ -11,9 +11,11 @@ function, ``_sweep``, runs it over the box. The chain opens with the
 localization sum, which fixes the innermost parameter, so ``_sweep``
 solves for that parameter instead of looping over it; in the (0,4)
 surface chain the surface degree relation then fixes the next one, and
-``_sweep`` solves for that too. No solver reads n2, the number of
-Morse-index-4 points, so ``_sweep`` plans each block of the box once and
-replays the plan for every n2.
+``_sweep`` solves for that too. One walk over the box without n2 splits
+it into the admitted choices and one batch per solved rule. No solver
+reads n2, the number of Morse-index-4 points, so at every n2 the chain
+runs once per batch and once per admitted choice, and the work grows
+linearly in b4_max.
 
 A sweep returns the table's family with the n2 range its survivors give,
 re-certified on every instantiated member through the full rule chain
@@ -27,8 +29,8 @@ never compile it.
 
 from __future__ import annotations
 
-from itertools import product
-from operator import index, itemgetter
+from itertools import combinations_with_replacement, product
+from operator import index
 
 from .classify import _FAMILIES, ClassifyError, Family, surface_tail, verification_report
 from .dh import K2_CAP, b4_cap
@@ -87,12 +89,7 @@ def _assess_shape(d1, d2):
 
 def admissible_dim_pairs():
     """Assessment of all ten extremal dimension pairs."""
-    out = {}
-    for d1 in (0, 2, 4, 6):
-        for d2 in (0, 2, 4, 6):
-            if d1 <= d2:
-                out[(d1, d2)] = _assess_shape(d1, d2)
-    return out
+    return {pair: _assess_shape(*pair) for pair in combinations_with_replacement((0, 2, 4, 6), 2)}
 
 
 # ----------------------------------------------------------------------
@@ -130,49 +127,15 @@ def _ensure(ok, *why):
         raise AssertionError(*why)
 
 
-def _steps(outer, inner, solve, mid=None, passing=None):
-    """The choices first_failure runs on in one block of the box, in loop
-    order and without their n2 value, as (position, choice, count, solver):
-    solver is None for one admitted choice, else "solve" or "solve_mid",
-    for the first choice of a batch of count choices that all fail the
-    rule that solver solves.
-
-    outer holds the values of the axes between n2 and the block. The block
-    is the innermost axis, or the last two axes when ``mid`` is given.
-    Values solve does not admit fail the chain's first rule, so they form
-    one batch over the whole block; with ``passing``, the mid values
-    solve_mid yields, admitted values after any other mid value fail the
-    second rule and form a second batch. Each batch runs at its first
-    choice in loop order, where its rule first fires in the full loop.
-    """
-    steps, first, second = [], None, None
-    heads = ((0, outer),) if mid is None else enumerate(outer + (m,) for m in mid)
-    for i, head in heads:
-        admitted = inner if solve is None else [v for v in solve(*head) if v in inner]
-        if len(admitted) < len(inner):
-            if first is None:
-                cut = next(p for p, v in enumerate(inner) if v not in admitted)
-                first = [(i, cut), head + (inner[cut],), 0, "solve"]
-            first[2] += len(inner) - len(admitted)
-        if passing is None or head[-1] in passing:
-            steps.extend(((i, inner.index(v)), head + (v,), 1, None) for v in admitted)
-        elif admitted:
-            if second is None:
-                second = [(i, inner.index(admitted[0])), head + (admitted[0],), 0, "solve_mid"]
-            second[2] += len(admitted)
-    steps.extend(step for step in (first, second) if step is not None)
-    steps.sort(key=itemgetter(0))
-    return steps
-
-
 def _sweep(label, axes, first_failure, solve=None, solve_mid=None):
     """Run one rule chain over a parameter box: (rejection rows, survivors).
 
-    axes are the swept ranges, outermost first; with more than one, the
-    first is n2. first_failure(*choice) returns None for a survivor, else
-    (rule_id, witness_format, args) for the first rule the choice breaks.
-    Rejections are tallied per rule, the witness formatted only when its
-    rule first fires, and rows come out in first-fire order.
+    axes are the swept ranges, outermost first, each ascending; with more
+    than one, the first is n2. first_failure(*choice) returns None for a
+    survivor, else (rule_id, witness_format, args) for the first rule the
+    choice breaks. Rejections are tallied per rule, the witness being that
+    of the least choice the rule rejects, and rows come out ordered by that
+    choice: the loop order of the full loop, where each rule first fires.
 
     solve(*head), when given, yields the innermost values that the chain's
     first rule admits after the values of the axes between n2 and the
@@ -180,27 +143,34 @@ def _sweep(label, axes, first_failure, solve=None, solve_mid=None):
     value fails that rule. solve_mid(*head), when given as well, yields
     the next-to-innermost values at which an admitted innermost value can
     pass the chain's second rule, after the axes between n2 and that one;
-    at every other one it fails that rule. first_failure runs on the
-    admitted choices one by one and on the first choice of each batch
-    (``_steps``), which gives the rows of the full loop.
+    at every other one it fails that rule. So one walk over the heads
+    splits the box into the admitted tails and at most two batches, one
+    per solved rule, each of whose choices fails that rule; a batch is
+    kept as its least tail and its count.
 
     No solver reads n2: the signature ties c2 to b4, so each
     Morse-index-4 point adds as much to c2 as to the localization sum, and
-    n2 cancels from both solved rules. Each block is planned once, at the
-    first n2, and the plan is replayed at every other n2.
+    n2 cancels from both solved rules. At every n2, first_failure runs on
+    each batch's least tail, which must fail, and on each admitted tail,
+    in the order of the tails, so the least choice of each rule is met
+    first.
     """
-    bins = {}
-    survivors = []
-    *outer_axes, inner = axes
-    mid = outer_axes.pop() if solve_mid is not None else None
-    plans = {}
-    for outer in product(*outer_axes):
-        n2, head = outer[:1], outer[1:]
-        plan = plans.get(head)
-        if plan is None:
-            passing = None if mid is None else set(solve_mid(*head))
-            plan = plans[head] = _steps(head, inner, solve, mid, passing)
-        for _, tail, n, solver in plan:
+    *outer, inner = axes
+    batches, admitted = {}, []
+    for head in product(*outer[1:]):
+        ok = inner if solve is None else [v for v in solve(*head) if v in inner]
+        if len(ok) < len(inner):
+            least = head + (next(v for v in inner if v not in ok),)
+            batches.setdefault("solve", [least, 0])[1] += len(inner) - len(ok)
+        if solve_mid is None or head[-1] in solve_mid(*head[:-1]):
+            admitted.extend((head + (v,), 1, None) for v in ok)
+        elif ok:
+            batches.setdefault("solve_mid", [head + (ok[0],), 0])[1] += len(ok)
+    # tails are distinct, so the sort never compares counts or solvers
+    runs = sorted(admitted + [(tail, n, solver) for solver, (tail, n) in batches.items()])
+    bins, survivors = {}, []
+    for n2 in product(*outer[:1]):
+        for tail, n, solver in runs:
             choice = n2 + tail
             failure = first_failure(*choice)
             if failure is None:
@@ -467,8 +437,9 @@ _ENUMERATORS = {
 }
 
 ADMISSIBLE_SHAPES = tuple(_ENUMERATORS)
-# the sweeps grow about as b4_max^2: enumerate_all took 0.02, 0.05, 0.14 s at
-# b4_max 30, 60, 120 and 7.8 s at this limit (Python 3.11, shared 2-vCPU VM)
+# the sweeps grow linearly in b4_max: enumerate_all ran 981, 3,951 and
+# 32,991 rule chains and took 6, 14 and 95 ms at b4_max 30, 120 and this
+# limit (Python 3.11, shared 2-vCPU VM)
 B4_MAX_LIMIT = 1000
 
 

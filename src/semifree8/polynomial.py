@@ -86,6 +86,8 @@ class Poly:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        if len(self._num) < 2:      # a constant hashes like the number it equals
+            return hash(Fraction(sum(self._num), self._den))
         return hash((self._num, self._den))
 
     def __neg__(self):

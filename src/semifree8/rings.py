@@ -177,7 +177,11 @@ class RingClass:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring.name, tuple(sorted(self.terms.items()))))
+        # equal classes hash alike: __eq__ compares the terms alone, so the
+        # ring stays out of the hash, and a constant equals its scalar
+        if not any(map(any, self.terms)):
+            return hash(next(iter(self.terms.values()), 0))
+        return hash(tuple(sorted(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)

@@ -148,6 +148,38 @@ def test_data_error_paths_inside_lists(tmp_path, capsys, node, value, message):
     assert (code, err) == (2, "error: %s\n" % message)
 
 
+def _x8_with(edit):
+    doc = json.loads(dumps_data(catalog()["x8-six-points"]))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(genus=8), "unknown key 'genus' (at genus)"),
+    (lambda doc: doc["components"][2].update(genus=8),
+     "unknown key 'genus' (at components[2].genus)"),
+    (lambda doc: doc["components"][0]["normal"].update(c3=0),
+     "unknown key 'c3' (at components[0].normal.c3)"),
+    # a key spelled wrong is unknown, and the key it misspells then missing
+    (lambda doc: doc["components"][1].update(weight=doc["components"][1].pop("weights")),
+     "expected a list, got None (at components[1].weights)"),
+    (lambda doc: doc["components"][1].update(weight=[1, 1, 1, 1]),
+     "unknown key 'weight' (at components[1].weight)"),
+    # the type and kind checks come first
+    (lambda doc: doc["components"][1].update(type="cp4", genus=8),
+     "unknown component type 'cp4' (expected one of cp1, cp2, cp3, p1xp1, point) "
+     "(at components[1].type)"),
+    (lambda doc: doc["components"][0]["normal"].update(kind="line", c3=0),
+     "unknown normal kind 'line' (at components[0].normal.kind)"),
+], ids=["document", "component", "normal", "misspelled", "misspelled-copy", "type-first",
+        "kind-first"])
+def test_data_with_an_unknown_key_is_malformed(tmp_path, capsys, edit, message):
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(_x8_with(edit)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("tname", [[], ["point"], {}, None, 3])
 def test_component_type_that_is_not_a_string(tmp_path, capsys, tname):
     doc = {"dimension": 8, "b2": 1, "components": [
@@ -323,6 +355,23 @@ def test_classify_fano_table_missing_field(tmp_path, capsys):
     code, out, err = run(capsys, "classify-fano", "--table", str(path))
     assert (code, out) == (2, "")
     assert err == "error: record is missing the 'b4' field (at %s[3])\n" % path
+
+
+@pytest.mark.parametrize("drop_genus", [False, True])
+def test_classify_fano_table_unknown_key(tmp_path, capsys, drop_genus):
+    # a misspelled optional field would read as its default, false, and
+    # list Q1Q2 as a survivor; with genus kept the record has as many keys
+    # as a complete one
+    table = [dict(rec) for rec in _GOOD_RECORDS]
+    i = next(i for i, rec in enumerate(table) if rec["name"] == "Q1Q2")
+    table[i]["finite_automorphism"] = table[i].pop("finite_automorphisms")
+    if drop_genus:
+        del table[i]["genus"]
+    path = _write_table(tmp_path, table)
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown key 'finite_automorphism' (at %s[%d].finite_automorphism)\n"
+                   % (path, i))
 
 
 def test_classify_fano_table_record_not_an_object(tmp_path, capsys):

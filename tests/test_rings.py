@@ -72,6 +72,23 @@ def test_polynomial_coefficients_allowed():
     assert val == Poly([0, 12, 6, -3])
 
 
+@pytest.mark.parametrize("value", [0, 3, -2, Fraction(1, 2)])
+def test_a_constant_hashes_like_its_value(value):
+    # a constant equals its value, so the two hash alike and make one set member
+    r = ring_cpn(2)
+    for constant in (Poly((value,)), r.scalar(value), r.scalar(Poly((value,)))):
+        assert constant == value
+        assert hash(constant) == hash(value)
+        assert len({constant, value}) == 1
+    assert len({Poly(()), 0, r.zero()}) == 1
+
+
+def test_equal_classes_of_two_rings_hash_alike():
+    # classes compare by their terms, so h on CP2 equals h on CP3
+    h2, h3 = ring_cpn(2).gen(0), ring_cpn(3).gen(0)
+    assert h2 == h3 and hash(h2) == hash(h3) and len({h2, h3}) == 1
+
+
 def test_doctests_run_clean():
     for mod in (rings, polynomial):
         result = doctest.testmod(mod)
