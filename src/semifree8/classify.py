@@ -58,7 +58,7 @@ from .model import (
     surface_component,
     validate,
 )
-from .record import Record, serve_lazily, set_field
+from .record import Record, serve_lazily
 
 # the names of semifree8.enumeration and semifree8.fano served from here
 __getattr__ = serve_lazily(globals(), {
@@ -290,22 +290,16 @@ def verification_report(data):
 # ----------------------------------------------------------------------
 
 class Family(Record):
-    """``builder(n2, **choices)`` builds a member; it is not a record field,
-    so equality, hashing and repr do not see it."""
+    """``b4_base`` is b4 at n2 = 0 (b4 = b4_base + n2), ``fixed`` the
+    ``((name, value), ...)`` the family pins, ``free`` its human-readable
+    leftover freedom. ``builder(n2, **choices)`` builds a member; it is a
+    hidden field, so equality, hashing and repr do not see it."""
 
-    _fields = ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "n2_max")
+    _fields = ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "builder",
+               "n2_max")
+    _defaults = {"n2_max": 0}
+    _hidden = ("builder",)
     n2_min = 0                   # every family has a member without Morse-index-4 points
-
-    def __init__(self, key, shape, summary, iota, b4_base, fixed, free, builder, n2_max=0):
-        set_field(self, "key", key)
-        set_field(self, "shape", shape)
-        set_field(self, "summary", summary)
-        set_field(self, "iota", iota)
-        set_field(self, "b4_base", b4_base)    # b4 = b4_base + n2
-        set_field(self, "fixed", fixed)        # ((name, value), ...)
-        set_field(self, "free", free)          # human-readable leftover freedom
-        set_field(self, "builder", builder)
-        set_field(self, "n2_max", n2_max)
 
     def b4(self, n2=None):
         return self.b4_base + (self.n2_min if n2 is None else n2)
@@ -531,14 +525,8 @@ def match_fp_class(data):
 
 class FanoFamilyRecord(Record):
     _fields = ("name", "fano_index", "b4", "c1_fourth", "genus", "finite_automorphisms")
-
-    def __init__(self, name, fano_index, b4, c1_fourth, genus=0, finite_automorphisms=False):
-        set_field(self, "name", name)
-        set_field(self, "fano_index", fano_index)
-        set_field(self, "b4", b4)
-        set_field(self, "c1_fourth", c1_fourth)
-        set_field(self, "genus", genus)   # 0 means: not a genus-indexed family
-        set_field(self, "finite_automorphisms", finite_automorphisms)
+    # genus 0 means: not a genus-indexed family
+    _defaults = {"genus": 0, "finite_automorphisms": False}
 
 
 def default_fano_table():

@@ -47,14 +47,16 @@ job of the verification rules, so a structurally valid file describing an
 impossible action loads fine and then fails verification.
 
 A ``DataError``'s path names the failing node: ``components[1].normal.c1``,
-or in a table ``table.json[3].b4``. Each reader raises with the path
-relative to the node it reads and each parent prefixes its step on the way
-out (``_prefix``). The loops over nodes (``_read_each``, a normal's fields)
-and a component's read of its normal catch the error themselves, so a
-loaded node costs one call, its reader's; the other reads go through
-``_at``. A valid document formats no path. JSON decoding gives exact
-types, so each value takes one exact-type test: a bool or a float is never
-an integer.
+or in a table ``table.json[3].b4``. An unknown key that is not a Python
+identifier is the step ``["<JSON string>"]``, so that ``"[2]"``, ``""``
+and ``"x.y"`` read as keys: ``components[1]["x.y"]``. Each reader raises
+with the path relative to the node it reads and each parent prefixes its
+step on the way out (``_prefix``). The loops over nodes (``_read_each``,
+a normal's fields) and a component's read of its normal catch the error
+themselves, so a loaded node costs one call, its reader's; the other
+reads go through ``_at``. A valid document formats no path. JSON decoding
+gives exact types, so each value takes one exact-type test: a bool or a
+float is never an integer.
 
 Each distinct component is built once per process. A component node runs
 all of its readers and is then built by ``_component``, one bounded
@@ -170,9 +172,9 @@ _FIELDS = {"summands": _expect_summands, "c1": _expect_int, "c2": _expect_int,
            "finite_automorphisms": _expect_bool}
 _NORMALS = {cls.kind: (cls, [(name, _FIELDS[name]) for name in cls._fields])
             for cls in _Normal.__subclasses__()}
-# the table fields a record may leave out: the last ones, which
-# FanoFamilyRecord's __init__ takes in _fields order, have defaults
-_OPTIONAL = FanoFamilyRecord._fields[-len(FanoFamilyRecord.__init__.__defaults__):]
+# the table fields a record may leave out: those FanoFamilyRecord's
+# constructor defaults
+_OPTIONAL = FanoFamilyRecord._defaults
 # the bound of the component cache, above the 1,597 distinct keys of the
 # edits seeds 1-8 (see the module docstring)
 _COMPONENTS = 4096
@@ -183,7 +185,10 @@ def _refuse_unknown_keys(node, known):
     field would read as its default, and any other key as if absent."""
     for key in node:
         if key not in known:
-            raise DataError("unknown key %r" % (key,), key)
+            # a key that is not an identifier ("[2]", "", "x.y") would read
+            # as other steps of the path: its step is ["<JSON string>"]
+            step = key if key.isidentifier() else "[%s]" % json.dumps(key)
+            raise DataError("unknown key %r" % (key,), step)
 
 
 def _read_normal(node):

@@ -147,12 +147,10 @@ def ruled_plane_k2(comp):
 # ----------------------------------------------------------------------
 
 class DHPiece(Record):
-    _fields = ("lo", "hi", "poly")
+    """The density on ``[lo, hi]`` (Fractions): ``poly``, a Poly in the
+    moment level variable."""
 
-    def __init__(self, lo, hi, poly):
-        set_field(self, "lo", lo)       # Fraction
-        set_field(self, "hi", hi)       # Fraction
-        set_field(self, "poly", poly)   # Poly in the moment level variable
+    _fields = ("lo", "hi", "poly")
 
 
 class DHProfile(Record):
@@ -160,12 +158,11 @@ class DHProfile(Record):
     profile is built (``_certificate``), or the one INFO item saying that
     no piece is pinned; not a record field."""
 
-    _fields = ("pieces", "warnings")
+    _fields = ("pieces", "warnings")   # warnings: WARN-level CheckItems about seams
 
-    def __init__(self, pieces, warnings):
-        set_field(self, "pieces", pieces)
-        set_field(self, "warnings", warnings)   # WARN-level CheckItems about seams
-        set_field(self, "items", tuple([_certificate(pc.poly, pc.lo, pc.hi) for pc in pieces])
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        set_field(self, "items", tuple([_certificate(pc.poly, pc.lo, pc.hi) for pc in self.pieces])
                   or (CheckItem("dh-positivity", "INFO",
                                 "no density piece is pinned for this configuration"),))
 

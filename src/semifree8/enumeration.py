@@ -55,11 +55,6 @@ from .record import Record, set_field
 class ShapeAssessment(Record):
     _fields = ("shape", "admissible", "trace")
 
-    def __init__(self, shape, admissible, trace):
-        set_field(self, "shape", shape)
-        set_field(self, "admissible", admissible)
-        set_field(self, "trace", trace)
-
 
 def _assess_shape(d1, d2):
     items = []
@@ -99,21 +94,13 @@ def admissible_dim_pairs():
 class Rejection(Record):
     _fields = ("candidate", "rule_id", "detail")
 
-    def __init__(self, candidate, rule_id, detail):
-        set_field(self, "candidate", candidate)
-        set_field(self, "rule_id", rule_id)
-        set_field(self, "detail", detail)
-        set_field(self, "rule", rule_statement(rule_id))   # unknown ids raise
+    def __init__(self, *args, **kwargs):
+        Record.__init__(self, *args, **kwargs)
+        set_field(self, "rule", rule_statement(self.rule_id))   # unknown ids raise
 
 
 class EnumerationResult(Record):
     _fields = ("shape", "b4_max", "families", "rejections")
-
-    def __init__(self, shape, b4_max, families, rejections):
-        set_field(self, "shape", shape)
-        set_field(self, "b4_max", b4_max)
-        set_field(self, "families", families)
-        set_field(self, "rejections", rejections)
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,11 @@ with index at least 2 and b2 = 1 can carry a semi-free circle action.
 
 ``classify_fano`` reads the family table of :mod:`semifree8.classify`
 (``default_fano_table`` unless a table is given), checks every record
-against the index range, the automorphism group, the degree-genus relation
-and, for index 2, the two moment-interval volumes by halves, and names the
-enumerated shapes that realize each index of at least 3, reading their b4
-from the family table ``_FAMILIES``.
+against the index range (the indices the enumerated families realize), the
+automorphism group, the degree-genus relation and, for index 2, the two
+moment-interval volumes by halves, and names the enumerated shapes that
+realize each index of at least 3, reading their indices and b4 from the
+family table ``_FAMILIES``.
 
 Only ``semifree8 classify-fano`` compiles this module. Its public names
 (``classify_fano``, ``FanoClassification``) still import from
@@ -24,9 +25,11 @@ from .classify import (
 )
 from .dh import b4_cap, half_volume_cp2, half_volume_isolated_pair
 from .model import CheckItem
-from .record import Record, set_field
+from .record import Record
 
-# the enumerated families of each index >= 3; all of them have one b4
+# the Fano indices the enumerated families realize
+_REALIZED = frozenset(f.iota for f in _FAMILIES.values())
+# the enumerated families of each realized index >= 3; all of them have one b4
 _INDEX_WITNESS = {
     3: "the (0,4) shape with an interior Morse-index-2 sphere",
     4: "the (0,0) shape and the positive (4,4) branch",
@@ -35,12 +38,8 @@ _INDEX_WITNESS = {
 
 
 class FanoClassification(Record):
+    # traces: ((name, (CheckItem, ...)), ...)
     _fields = ("survivors", "traces", "table_hash")
-
-    def __init__(self, survivors, traces, table_hash):
-        set_field(self, "survivors", survivors)
-        set_field(self, "traces", traces)     # ((name, (CheckItem, ...)), ...)
-        set_field(self, "table_hash", table_hash)
 
 
 def classify_fano(records=None):
@@ -77,9 +76,9 @@ def classify_fano(records=None):
                 items.append(CheckItem(
                     "degree-genus", "PASS",
                     "32*(%d - 1) = %d" % (rec.genus, rec.c1_fourth)))
-        if rec.fano_index not in (2, 3, 4, 5):
-            items.append(CheckItem(
-                "index-range", "FAIL", "index %d is outside 2..5" % rec.fano_index))
+        if rec.fano_index not in _REALIZED:
+            items.append(CheckItem("index-range", "FAIL", "index %d is outside %d..%d"
+                                   % (rec.fano_index, min(_REALIZED), max(_REALIZED))))
             alive = False
         if alive and rec.finite_automorphisms:
             items.append(CheckItem(

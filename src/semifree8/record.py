@@ -2,32 +2,41 @@
 
 Every value type of the package (fixed components and their normal data,
 check items, density pieces, enumeration results, the Fano table records)
-is a ``Record``: a class that names its fields once, in ``_fields``, and
-sets them in its own ``__init__`` through ``set_field`` (which is
-``object.__setattr__``). Equality, hashing and repr read those fields in
-that order, exactly as a frozen dataclass of the same fields would:
+is a ``Record``: a class that names its fields once, in ``_fields``.
+``Record``'s constructor binds them from positional values, then keywords,
+then the class's ``_defaults`` (field name -> value), and raises
+``TypeError`` on a field that is missing, given twice or unknown.
+Equality, hashing and repr read the fields in that order, exactly as a
+frozen dataclass of the same fields would; a field named in ``_hidden`` is
+bound but neither compared nor shown, as ``field(compare=False,
+repr=False)`` would state it:
 
 >>> class Pair(Record):
-...     _fields = ("a", "b")
-...     def __init__(self, a, b):
-...         set_field(self, "a", a)
-...         set_field(self, "b", b)
->>> Pair(1, (2,))
+...     _fields = ("a", "b", "note")
+...     _defaults = {"b": 0, "note": ""}
+...     _hidden = ("note",)
+>>> Pair(1, (2,), note="seen")
 Pair(a=1, b=(2,))
->>> Pair(1, 2) == Pair(1, 2), hash(Pair(1, 2)) == hash((1, 2))
+>>> Pair(1, 2) == Pair(1, b=2, note="x"), hash(Pair(1, 2)) == hash((1, 2))
 (True, True)
->>> Pair(1, 2).__eq__((1, 2))
-NotImplemented
+>>> Pair(1).b, Pair(1, 2).__eq__((1, 2))
+(0, NotImplemented)
+>>> Pair(1, a=1)
+Traceback (most recent call last):
+TypeError: Pair() got multiple values for field 'a'
 >>> Pair(1, 2).a = 3
 Traceback (most recent call last):
 AttributeError: cannot assign to field 'a'
 
-An attribute outside ``_fields`` (a value an ``__init__`` derives from the
-fields) is invisible to all three. An ``__init__`` may also write its
-values straight into ``self.__dict__``, one item assignment each, which
-bypasses ``__setattr__`` just as ``set_field`` does and builds no keyword
-dict; ``model.CheckItem``, built some twenty times per verification
-report, does.
+A subclass whose ``__init__`` derives a value from its fields calls
+``Record.__init__`` and then sets the value through ``set_field`` (which is
+``object.__setattr__``), so nothing is written after construction. An
+attribute outside ``_fields`` is invisible to equality, hashing and repr.
+A constructor that coerces or validates its input binds its fields itself,
+through ``set_field``, or straight into ``self.__dict__``, one item
+assignment each, which bypasses ``__setattr__`` just as ``set_field`` does
+and builds no keyword dict; ``model.CheckItem``, built some twenty times
+per verification report, does.
 
 ``serve_lazily`` builds the PEP 562 module ``__getattr__`` by which a
 module serves names that another module of the package defines, loading
@@ -61,9 +70,32 @@ class Record:
     """Base of the frozen value types; see the module docstring."""
 
     _fields = ()
+    _defaults = {}
+    _hidden = ()
+
+    def __init__(self, *args, **kwargs):
+        fields, cls, given = self._fields, self.__class__.__qualname__, len(args)
+        if given > len(fields):
+            raise TypeError("%s() takes %d fields but %d were given" % (cls, len(fields), given))
+        bound = self.__dict__
+        bound.update(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError("%s() got an unknown field %r" % (cls, name))
+            if name in bound:
+                raise TypeError("%s() got multiple values for field %r" % (cls, name))
+            bound[name] = value
+        for name in fields[given:]:
+            if name not in bound:
+                if name not in self._defaults:
+                    raise TypeError("%s() is missing the field %r" % (cls, name))
+                bound[name] = self._defaults[name]
+
+    def _shown(self):
+        return [name for name in self._fields if name not in self._hidden]
 
     def _key(self):
-        return tuple([getattr(self, name) for name in self._fields])
+        return tuple([getattr(self, name) for name in self._shown()])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -75,7 +107,7 @@ class Record:
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+            "%s=%r" % (name, getattr(self, name)) for name in self._shown()))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))

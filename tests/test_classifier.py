@@ -7,6 +7,7 @@ import pytest
 
 from semifree8 import enumeration
 from semifree8.classify import (
+    _FAMILIES,
     ADMISSIBLE_SHAPES,
     ClassifyError,
     FanoFamilyRecord,
@@ -24,6 +25,7 @@ from semifree8.classify import (
     verification_report,
 )
 from semifree8.dataio import dumps_data
+from semifree8.fano import _INDEX_WITNESS
 from semifree8.model import (
     ComponentType,
     FixedPointData,
@@ -163,6 +165,21 @@ def test_b4_cutoff_respected_even_with_roomy_box():
     for shape, result in enumerate_all(b4_max=30).items():
         for fam in result.families:
             assert fam.b4_base + fam.n2_max <= 14, (shape, fam.key)
+
+
+def test_family_literals_match_their_members():
+    # each family's iota, b4 and shape literals against every member the
+    # b4 <= 14 sweep certifies
+    members = 0
+    for result in enumerate_all(14).values():
+        for f in result.families:
+            for n2 in range(f.n2_min, f.n2_max + 1):
+                member = f.instantiate(n2)
+                assert index_from_extremal(member) == f.iota, (f.key, n2)
+                assert member.betti[2] == f.b4(n2), (f.key, n2)
+                assert member.shape == f.shape, (f.key, n2)
+                members += 1
+    assert members == 25
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +415,16 @@ def test_fano_index_out_of_range_rejected():
     traces = dict(result.traces)
     assert any(it.id == "index-range" and it.verdict == "FAIL"
                for it in traces["HYPO"])
+
+
+def test_index_range_is_the_realized_indices():
+    realized = {f.iota for f in _FAMILIES.values()}
+    assert realized == {2, 3, 4, 5}
+    assert set(_INDEX_WITNESS) == {i for i in realized if i >= 3}
+    for index in (1, 6):
+        records = list(default_fano_table()) + [FanoFamilyRecord("HYPO", index, 1, 9)]
+        assert [it.detail for it in dict(classify_fano(records).traces)["HYPO"]
+                if it.id == "index-range"] == ["index %d is outside 2..5" % index]
 
 
 @pytest.mark.parametrize("name, index, b4, pinned", [

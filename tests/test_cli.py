@@ -9,7 +9,7 @@ import pytest
 from semifree8 import enumeration
 from semifree8.classify import catalog, default_fano_table
 from semifree8.cli import main
-from semifree8.dataio import dump_data, dumps_data, load_data
+from semifree8.dataio import DataError, dump_data, dumps_data, load_data, loads_data
 from semifree8.enumeration import B4_MAX_LIMIT
 
 
@@ -178,6 +178,29 @@ def test_data_with_an_unknown_key_is_malformed(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(_x8_with(edit)))
     code, out, err = run(capsys, "verify", str(path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+# keys that would read as a list index, as no step, and as two steps
+_ODD_KEYS = {"[2]": '["[2]"]', "": '[""]', "x.y": '["x.y"]'}
+
+
+@pytest.mark.parametrize("where", ["component", "normal"])
+@pytest.mark.parametrize("key", list(_ODD_KEYS), ids=["index", "empty", "dotted"])
+def test_unknown_key_that_is_not_an_identifier_is_quoted(tmp_path, capsys, key, where):
+    def edit(doc):
+        comp = doc["components"][1]
+        (comp["normal"] if where == "normal" else comp)[key] = 0
+
+    node = "components[1]" + (".normal" if where == "normal" else "")
+    text = json.dumps(_x8_with(edit))
+    with pytest.raises(DataError) as info:
+        loads_data(text)
+    assert (str(info.value), info.value.path) == (
+        "unknown key %r (at %s%s)" % (key, node, _ODD_KEYS[key]), node + _ODD_KEYS[key])
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % info.value)
 
 
 @pytest.mark.parametrize("tname", [[], ["point"], {}, None, 3])
@@ -372,6 +395,16 @@ def test_classify_fano_table_unknown_key(tmp_path, capsys, drop_genus):
     assert (code, out) == (2, "")
     assert err == ("error: unknown key 'finite_automorphism' (at %s[%d].finite_automorphism)\n"
                    % (path, i))
+
+
+@pytest.mark.parametrize("key", list(_ODD_KEYS), ids=["index", "empty", "dotted"])
+def test_classify_fano_table_unknown_key_that_is_not_an_identifier(tmp_path, capsys, key):
+    table = [dict(rec) for rec in _GOOD_RECORDS]
+    table[3][key] = 0
+    path = _write_table(tmp_path, table)
+    code, out, err = run(capsys, "classify-fano", "--table", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown key %r (at %s[3]%s)\n" % (key, path, _ODD_KEYS[key])
 
 
 def test_classify_fano_table_record_not_an_object(tmp_path, capsys):

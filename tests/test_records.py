@@ -206,3 +206,37 @@ def test_precomputed_component_values_are_not_fields():
         assert twin == fresh == rec and hash(twin) == hash(fresh) == hash(rec)
         assert hash(fresh) == hash(tuple(fields.values()))
         assert repr(twin) == repr(fresh) == repr(rec)
+
+
+# the types whose fields Record's own constructor binds (Rejection and
+# DHProfile then derive one value from them)
+SHARED = [DHPiece, DHProfile, ShapeAssessment, Family, Rejection, EnumerationResult,
+          FanoFamilyRecord, FanoClassification]
+
+
+@pytest.mark.parametrize("cls", SHARED, ids=[c.__name__ for c in SHARED])
+def test_shared_constructor_binds_or_refuses(cls):
+    rec = {c: make for c, make, _ in CASES}[cls]()
+    names = FIELDS[cls]
+    values = [getattr(rec, name) for name in names]
+    assert cls(*values) == rec == cls(values[0], **dict(zip(names[1:], values[1:])))
+    required = [name for name in names if name not in ("n2_max", "genus", "finite_automorphisms")]
+    with pytest.raises(TypeError, match="missing the field %r" % required[-1]):
+        cls(*values[:len(required) - 1])
+    with pytest.raises(TypeError, match="missing the field %r" % names[0]):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match="takes %d fields but %d were given"
+                       % (len(names), len(names) + 1)):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unknown field 'unknown'"):
+        cls(*values, unknown=None)
+    with pytest.raises(TypeError, match="multiple values for field %r" % names[0]):
+        cls(*values, **{names[0]: values[0]})
+
+
+def test_fano_record_optional_fields_take_their_defaults():
+    rec = FanoFamilyRecord("Q1Q2", 3, 8, 324, genus=5, finite_automorphisms=True)
+    for name, default in (("genus", 0), ("finite_automorphisms", False)):
+        fields = {f: getattr(rec, f) for f in FIELDS[FanoFamilyRecord] if f != name}
+        assert getattr(FanoFamilyRecord(**fields), name) == default
+        assert FanoFamilyRecord(**fields) == FanoFamilyRecord(**dict(fields, **{name: default}))
