@@ -161,8 +161,8 @@ def sphere_constraints(data):
         for c in inner:
             if (c.type is ComponentType.CP1 and c.lam == 1
                     and _gap_empty(levels, lo.level, c.level)):
-                a1 = c.normal.degrees_with_weight(-1)[0]
-                rest = sum(c.normal.degrees_with_weight(1))
+                # c(N_-1) = 1 + a1*u, c(N_+1) = 1 + rest*u
+                ((a1,),), ((rest,),) = c.normal.chern
                 rep.append(pass_fail(
                     "surface-degree-relation", rest == surface_tail(a1),
                     "3*%d vs 2 + %d + %d (surface alone below level 0 reading)"

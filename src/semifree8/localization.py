@@ -17,11 +17,12 @@ them two independent ways:
 
 This module holds the closed forms. The oracle lives in
 :mod:`semifree8.rings`, next to the rings it reads (``LaurentSeries``,
-``equivariant_euler``, ``equivariant_euler_fourdim`` and
-``contribution_series_oracle``); those names still import from here,
-which loads that module on first use, so importing the package or running
-any command compiles only the closed forms. An int and a Fraction compare
-exactly, so the two routes are held equal with ``==``.
+``equivariant_euler`` and ``contribution_series_oracle``); those names
+still import from here, which loads that module on first use, so importing
+the package or running any command compiles only the closed forms. An int
+and a Fraction compare exactly, so the two routes are held equal with
+``==``. The one datum both routes share is each normal's ``chern``, its
+total Chern class per weight (see ``_Normal``).
 
 ``abbv_terms`` is the public closed-form route, and reads of each
 component only ``weights`` and ``normal``. A well-typed
@@ -41,8 +42,7 @@ from .record import Record, serve_lazily, set_field
 
 # the series oracle's names, served from semifree8.rings (see above)
 __getattr__ = serve_lazily(globals(), dict.fromkeys((
-    "LaurentSeries", "contribution_series_oracle", "equivariant_euler",
-    "equivariant_euler_fourdim"), "rings"))
+    "LaurentSeries", "contribution_series_oracle", "equivariant_euler"), "rings"))
 
 
 # ----------------------------------------------------------------------
@@ -50,15 +50,28 @@ __getattr__ = serve_lazily(globals(), dict.fromkeys((
 # ----------------------------------------------------------------------
 
 class _Normal(Record):
-    """Each variant states its own data: ``first_chern`` in the component's
-    generator basis and the ``fingerprint`` tail, attributes set in
-    ``__init__``, the closed-form ``contribution(lam)`` for lam negative
-    weights (an int) and ``reversed()`` for the circle running backwards,
-    all for a well-typed component (the ``normal-variant`` rule). By default
-    reversal keeps the data, and only an extremal plane pins the ruled
-    density."""
+    """The normal bundle N of a component splits by weight, and every
+    variant is one datum: for each distinct nonzero weight w of its
+    component, in ascending order, the total Chern class c(N_w), whose rank
+    is the multiplicity of w. ``chern`` holds one part per weight, each the
+    graded pieces c_1, c_2, ... of c(N_w) as coordinates in the monomials
+    of that degree of the component ring that ``ring`` names. A point
+    states no parts: over it every c(N_w) is 1. ``first_chern``, in the
+    generator basis, is the sum of the c_1(N_w).
+
+    Each variant sets those three in ``__init__`` and states its own data
+    besides: the ``fingerprint`` tail, the closed-form ``contribution(lam)``
+    for lam negative weights (an int) and ``reversed()`` for the circle
+    running backwards, all for a well-typed component (the
+    ``normal-variant`` rule). By default reversal keeps the data, and only
+    an extremal plane pins the ruled density."""
 
     ruled_k2 = None
+
+    def __init__(self, ring, *chern):
+        set_field(self, "ring", ring)
+        set_field(self, "chern", chern)
+        set_field(self, "first_chern", tuple(map(sum, zip(*(part[0] for part in chern)))))
 
     def reversed(self):
         return self
@@ -68,8 +81,10 @@ class PointNormal(_Normal):
     """Normal bundle of an isolated fixed point: the weights say it all."""
 
     kind = "point"
-    first_chern = ()
     fingerprint = ("pt",)
+
+    def __init__(self):
+        super().__init__("point")
 
     def contribution(self, lam):
         """(-1)^lam, an int: the sign of the product of the four nonzero weights."""
@@ -93,8 +108,10 @@ class SurfaceNormal(_Normal):
         if any(w not in (-1, 1) for _, w in pairs):
             raise ValueError("normal weights of a surface must be -1 or +1")
         set_field(self, "summands", pairs)
-        set_field(self, "first_chern", (sum(a for a, _ in pairs),))
         set_field(self, "fingerprint", ("surf", pairs))
+        # on CP^1 the total class of a weight is 1 + (its degree sum) u
+        super().__init__("CP1", *[((sum(self.degrees_with_weight(w)),),)
+                                  for w in sorted({w for _, w in pairs})])
 
     def degrees_with_weight(self, w):
         return tuple(a for a, wt in self.summands if wt == w)
@@ -124,10 +141,10 @@ class FourDimExtremalNormal(_Normal):
         c1, c2 = index(c1), index(c2)
         set_field(self, "c1", c1)
         set_field(self, "c2", c2)
-        set_field(self, "first_chern", (c1,))
         # c2 when the total class is 1 - h + c2*h^2, else None
         set_field(self, "ruled_k2", c2 if c1 == -1 else None)
         set_field(self, "fingerprint", ("ext", c1, c2))
+        super().__init__("CP2", ((c1,), (c2,)))
 
     def contribution(self, lam):
         """c1^2 - c2, an int; the sign of the two equal weights drops out."""
@@ -158,12 +175,12 @@ class FourDimSplitNormal(_Normal):
             raise ValueError("split normal bundle needs two c1 vectors of length 1 or 2")
         set_field(self, "minus", minus)
         set_field(self, "plus", plus)
-        set_field(self, "first_chern", tuple(u + v for u, v in zip(minus, plus)))
         # integral of c2 = c1(L-) c1(L+) over the component
         set_field(self, "c2", _pairing(minus, plus))
         # allows the factor swap on a quadric (a no-op on a plane)
         set_field(self, "fingerprint",
                   ("split",) + min((minus, plus), (minus[::-1], plus[::-1])))
+        super().__init__("CP2" if len(minus) == 1 else "P1xP1", (minus,), (plus,))
 
     def contribution(self, lam):
         """-(u^2 - u v + v^2) integrated over the component, u = c1(L-),
@@ -184,8 +201,8 @@ class SixDimNormal(_Normal):
     def __init__(self, c1):
         c1 = index(c1)
         set_field(self, "c1", c1)
-        set_field(self, "first_chern", (c1,))
         set_field(self, "fingerprint", ("six", c1))
+        super().__init__("CP3", ((c1,),))
 
     def contribution(self, lam):
         """-c1^3, an int; again independent of the weight sign."""

@@ -21,15 +21,17 @@ push-forward densities can be computed symbolically, e.g.
 '12*x + 6*x^2 + x^3'
 
 The rings also carry the localization oracle: ``LaurentSeries`` over a
-component ring, the equivariant Euler class of each normal-bundle variant
-(``equivariant_euler``), and ``contribution_series_oracle``, which
-inverts that class and reads off the t^-4 coefficient. The inversion is
-exact, not truncated: after factoring out the leading unit the remainder
-is nilpotent, so the geometric series ends after at most dim_C(F) + 1
-terms. The closed forms of :mod:`semifree8.localization` are the production route;
-this one shares no code with them, and the tests hold the two equal. No
-command runs the oracle, so no command compiles this module: its public
-names still import from :mod:`semifree8.localization` (and
+component ring, the equivariant Euler class of a normal bundle
+(``equivariant_euler``, one formula over the per-weight Chern classes
+that every normal variant states as ``chern``), and
+``contribution_series_oracle``, which inverts that class and reads off
+the t^-4 coefficient. The inversion is exact, not truncated: after
+factoring out the leading unit the remainder is nilpotent, so the
+geometric series ends after at most dim_C(F) + 1 terms. The closed forms
+of :mod:`semifree8.localization` are the production route; this one
+shares only the ``chern`` datum with them, and the tests hold the two
+equal. No command runs the oracle, so no command compiles this module:
+its public names still import from :mod:`semifree8.localization` (and
 ``contribution_series_oracle`` from the package), which load it on first
 use.
 """
@@ -37,15 +39,9 @@ use.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import index
 
-from .localization import (
-    FourDimExtremalNormal,
-    FourDimSplitNormal,
-    PointNormal,
-    SixDimNormal,
-    SurfaceNormal,
-)
 from .polynomial import Poly
 
 
@@ -380,67 +376,42 @@ class LaurentSeries:
         return LaurentSeries.monomial(self.ring, -r, sgn) * acc
 
 
-def _split_classes(normal):
-    if len(normal.minus) == 1:
-        ring = ring_cpn(2)
-        u = normal.minus[0] * ring.gen(0)
-        v = normal.plus[0] * ring.gen(0)
-    else:
-        ring = ring_p1xp1()
-        x, y = ring.gen(0), ring.gen(1)
-        u = normal.minus[0] * x + normal.minus[1] * y
-        v = normal.plus[0] * x + normal.plus[1] * y
-    return u, v
-
-
-def equivariant_euler_fourdim(normal, sign):
-    """Equivariant Euler class t^2 + sign*c1*h*t + c2*h^2 on CP^2.
-
-    ``sign`` is the common sign of the two nonzero weights.
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    ring = ring_cpn(2)
-    h = ring.gen(0)
-    return LaurentSeries(ring, {
-        2: ring.one(),
-        1: sign * normal.c1 * h,
-        0: normal.c2 * (h * h),
-    })
+def _graded_piece(ring, k, coords):
+    """The class of complex degree k with coordinates ``coords`` in the
+    degree-k monomials of a truncated ring, the higher powers of the first
+    generator first (x before y on P1xP1)."""
+    basis = [m for m in product(*(range(cap, -1, -1) for cap in ring.caps)) if sum(m) == k]
+    if len(coords) != len(basis):
+        raise ValueError("%d coordinates for the degree-%d classes of %s"
+                         % (len(coords), k, ring.name))
+    return RingClass(ring, {m: _coeff(c) for m, c in zip(basis, coords)})
 
 
 def equivariant_euler(weights, normal):
-    """The equivariant Euler class of the normal bundle, built exactly."""
-    nonzero = [w for w in weights if w]
-    if isinstance(normal, PointNormal):
-        ring = ring_point()
-        out = LaurentSeries.monomial(ring, 0, 1)
-        for w in nonzero:
-            out = out * LaurentSeries.monomial(ring, 1, w)
-        return out
-    if isinstance(normal, SurfaceNormal):
-        ring = ring_cpn(1)
-        u = ring.gen(0)
-        out = LaurentSeries.monomial(ring, 0, 1)
-        for a, w in normal.summands:
-            out = out * LaurentSeries(ring, {1: ring.scalar(w), 0: a * u})
-        return out
-    if isinstance(normal, FourDimExtremalNormal):
-        signs = set(nonzero)
-        if len(signs) != 1:
-            raise ValueError("extremal 4-dim component needs two equal weights")
-        return equivariant_euler_fourdim(normal, signs.pop())
-    if isinstance(normal, FourDimSplitNormal):
-        u, v = _split_classes(normal)
-        ring = u.ring
-        down = LaurentSeries(ring, {1: -ring.one(), 0: u})
-        up = LaurentSeries(ring, {1: ring.one(), 0: v})
-        return down * up
-    if isinstance(normal, SixDimNormal):
-        ring = ring_cpn(3)
-        (w,) = nonzero
-        return LaurentSeries(ring, {1: ring.scalar(w), 0: normal.c1 * ring.gen(0)})
-    raise TypeError("unknown normal bundle data: %r" % (normal,))
+    """The equivariant Euler class of the normal bundle, built exactly from
+    the normal's ``chern``: e(N) = prod_w sum_i c_i(N_w) (w*t)^(r_w - i)
+    over the distinct nonzero weights w, r_w the multiplicity of w (Bott-Tu,
+    section 21). Raises ValueError when the parts do not match the distinct
+    nonzero weights, or a part holds a class of degree above its rank."""
+    # the component ring by the name the normal gives
+    ring = next(r for r in (_point_ring, _p1xp1_ring, *map(ring_cpn, range(1, 5)))
+                if r.name == normal.ring)
+    distinct = sorted({w for w in weights if w})
+    # a point states no parts: over it every c(N_w) is 1
+    chern = normal.chern or ((),) * len(distinct)
+    if len(chern) != len(distinct):
+        raise ValueError("%d Chern parts for the nonzero weights %s" % (len(chern), distinct))
+    out = LaurentSeries.monomial(ring, 0, 1)
+    for w, part in zip(distinct, chern):
+        rank = weights.count(w)
+        if len(part) > rank:
+            raise ValueError("a degree-%d class in the rank-%d part of weight %d"
+                             % (len(part), rank, w))
+        classes = [ring.one()] + [_graded_piece(ring, i, piece)
+                                  for i, piece in enumerate(part, 1)]
+        out = out * LaurentSeries(ring, {rank - i: c * w ** (rank - i)
+                                         for i, c in enumerate(classes)})
+    return out
 
 
 def contribution_series_oracle(weights, normal):

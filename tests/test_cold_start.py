@@ -68,7 +68,7 @@ MOVED = (
     + [(RINGS, old, "contribution_series_oracle")
        for old in ("semifree8", "semifree8.localization")]
     + [(RINGS, "semifree8.localization", name)
-       for name in ("LaurentSeries", "equivariant_euler", "equivariant_euler_fourdim")])
+       for name in ("LaurentSeries", "equivariant_euler")])
 
 # each moved name, looked up in its old place: held there before? the
 # object of its new module? bound there after?

@@ -7,6 +7,10 @@ same knowledge sat in isinstance ladders over the normal class and in
 ring computations; those are kept below as oracles (verbatim but
 for names and an inlined degree sum), and the two routes must agree on
 every well-typed component in a box and on all the package's own data.
+The equivariant Euler class, one loop over each normal's per-weight
+Chern classes in `semifree8.rings`, is held to its old ladder, one branch
+per variant, term by term, and must refuse Chern data that does not fit
+the weights.
 A component's ``mismatch`` and ``omega``, set when it is built, must be
 what ``_normal_mismatch`` and ``omega_coefficients`` say of it on every
 component of the benchmark's families and edits corpora, ill-typed ones
@@ -86,7 +90,13 @@ from semifree8.model import (
     validate,
 )
 from semifree8.record import set_field
-from semifree8.rings import _split_classes
+from semifree8.rings import (
+    LaurentSeries,
+    equivariant_euler,
+    ring_cpn,
+    ring_p1xp1,
+    ring_point,
+)
 
 from test_cold_start import run_child
 from test_dataset_values import check_order, oracle_sort_key
@@ -158,6 +168,69 @@ def oracle_reverse_normal(normal):
     return normal
 
 
+def split_classes(normal):
+    if len(normal.minus) == 1:
+        ring = ring_cpn(2)
+        u = normal.minus[0] * ring.gen(0)
+        v = normal.plus[0] * ring.gen(0)
+    else:
+        ring = ring_p1xp1()
+        x, y = ring.gen(0), ring.gen(1)
+        u = normal.minus[0] * x + normal.minus[1] * y
+        v = normal.plus[0] * x + normal.plus[1] * y
+    return u, v
+
+
+def oracle_euler_fourdim(normal, sign):
+    """Equivariant Euler class t^2 + sign*c1*h*t + c2*h^2 on CP^2.
+
+    ``sign`` is the common sign of the two nonzero weights.
+    """
+    if sign not in (-1, 1):
+        raise ValueError("sign must be -1 or +1")
+    ring = ring_cpn(2)
+    h = ring.gen(0)
+    return LaurentSeries(ring, {
+        2: ring.one(),
+        1: sign * normal.c1 * h,
+        0: normal.c2 * (h * h),
+    })
+
+
+def oracle_equivariant_euler(weights, normal):
+    """The equivariant Euler class of the normal bundle, built exactly."""
+    nonzero = [w for w in weights if w]
+    if isinstance(normal, PointNormal):
+        ring = ring_point()
+        out = LaurentSeries.monomial(ring, 0, 1)
+        for w in nonzero:
+            out = out * LaurentSeries.monomial(ring, 1, w)
+        return out
+    if isinstance(normal, SurfaceNormal):
+        ring = ring_cpn(1)
+        u = ring.gen(0)
+        out = LaurentSeries.monomial(ring, 0, 1)
+        for a, w in normal.summands:
+            out = out * LaurentSeries(ring, {1: ring.scalar(w), 0: a * u})
+        return out
+    if isinstance(normal, FourDimExtremalNormal):
+        signs = set(nonzero)
+        if len(signs) != 1:
+            raise ValueError("extremal 4-dim component needs two equal weights")
+        return oracle_euler_fourdim(normal, signs.pop())
+    if isinstance(normal, FourDimSplitNormal):
+        u, v = split_classes(normal)
+        ring = u.ring
+        down = LaurentSeries(ring, {1: -ring.one(), 0: u})
+        up = LaurentSeries(ring, {1: ring.one(), 0: v})
+        return down * up
+    if isinstance(normal, SixDimNormal):
+        ring = ring_cpn(3)
+        (w,) = nonzero
+        return LaurentSeries(ring, {1: ring.scalar(w), 0: normal.c1 * ring.gen(0)})
+    raise TypeError("unknown normal bundle data: %r" % (normal,))
+
+
 def oracle_document_for(data):
     return {"dimension": 8, "b2": 1, "components": [
         {"type": c.type.value, "weights": list(c.weights),
@@ -206,10 +279,38 @@ def test_variants_agree_with_the_ladders_on_a_box():
         # both are quadratic forms in the line bundle degrees, so agreement
         # on the degrees in -2..2 is agreement everywhere
         if n.kind == "fourdim_split" and max(map(abs, n.minus + n.plus)) <= 2:
-            u, v = _split_classes(n)
+            u, v = split_classes(n)
             assert contribution(comp.weights, n) == -(u * u - u * v + v * v).integrate()
             assert n.c2 == (u * v).integrate()
     assert kinds == {"point", "surface", "fourdim_extremal", "fourdim_split", "sixdim"}
+
+
+def test_euler_class_is_the_ladder_term_by_term():
+    kinds = set()
+    for comp in _well_typed_components():
+        n = comp.normal
+        if any(abs(x) > 2 for part in n.chern for piece in part for x in piece):
+            continue
+        got = equivariant_euler(comp.weights, n)
+        want = oracle_equivariant_euler(comp.weights, n)
+        assert got.ring is want.ring and got.terms == want.terms, comp
+        kinds.add(n.kind)
+    assert kinds == {"point", "surface", "fourdim_extremal", "fourdim_split", "sixdim"}
+
+
+@pytest.mark.parametrize("weights, normal, why", [
+    # a six-dim component with two nonzero weights: one part for two weights
+    ((0, 0, -1, 1), SixDimNormal(1), "1 Chern parts for the nonzero weights [-1, 1]"),
+    # an extremal plane with weights -1 and +1: one part for two weights
+    ((0, 0, -1, 1), FourDimExtremalNormal(-1, 4),
+     "1 Chern parts for the nonzero weights [-1, 1]"),
+    # an extremal plane with one nonzero weight: c2 above the rank, where
+    # the ladder returned a value
+    ((0, 0, 0, 1), FourDimExtremalNormal(-1, 4), "a degree-2 class in the rank-1 part"),
+])
+def test_euler_class_refuses_chern_data_that_does_not_fit(weights, normal, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        equivariant_euler(weights, normal)
 
 
 def _package_data():

@@ -174,10 +174,11 @@ def test_keyword_defaults():
 # (a record, the values its __init__ derives from its fields)
 DERIVED = [
     (lambda: point_component((-1, -1, 1, 1)), ("lam", "level", "complex_dim")),
-    (lambda: SurfaceNormal(((3, -1), (2, 1), (2, 1))), ("first_chern", "fingerprint")),
-    (lambda: FourDimExtremalNormal(-1, 4), ("first_chern", "ruled_k2", "fingerprint")),
-    (lambda: FourDimSplitNormal((1, 0), (0, 1)), ("first_chern", "c2", "fingerprint")),
-    (lambda: SixDimNormal(1), ("first_chern", "fingerprint")),
+    (lambda: SurfaceNormal(((3, -1), (2, 1), (2, 1))), ("first_chern", "chern", "fingerprint")),
+    (lambda: FourDimExtremalNormal(-1, 4), ("first_chern", "chern", "ruled_k2",
+                                            "fingerprint")),
+    (lambda: FourDimSplitNormal((1, 0), (0, 1)), ("first_chern", "chern", "c2", "fingerprint")),
+    (lambda: SixDimNormal(1), ("first_chern", "chern", "fingerprint")),
     (lambda: catalog()["q4-two-planes"], ("extremes", "interior", "betti")),
     (lambda: CheckItem("semi-free", "PASS"), ("rule",)),
     (lambda: enumerate_case((4, 4)).rejections[0], ("rule",)),
