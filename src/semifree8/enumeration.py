@@ -4,18 +4,22 @@ For each admissible pair of extremal dimensions, exhaustively sweep the
 parameter boxes, apply the rules, and coalesce the survivors into the
 parameterized families of ``classify._FAMILIES``. Every rejection names
 its rule by id; the statement lives once in ``model.RULES``. Each shape
-states its rule chain once, as one function over its sweep parameters
-built on the closed forms the rule objects call (``model.area_fits``,
+states its rule chain once over its sweep parameters, built on the
+closed forms the rule objects call (``model.area_fits``,
 ``classify.surface_tail``, ``dh.K2_CAP`` and ``dh.b4_cap``), and one
 function, ``_sweep``, runs it over the box. The chain opens with the
-localization sum, which fixes the innermost parameter, so ``_sweep``
-solves for that parameter instead of looping over it; in the (0,4)
-surface chain the surface degree relation then fixes the next one, and
-``_sweep`` solves for that too. One walk over the box without n2 splits
-it into the admitted choices and one batch per solved rule. No solver
-reads n2, the number of Morse-index-4 points, so at every n2 the chain
-runs once per batch and once per admitted choice, and the work grows
-linearly in b4_max.
+localization sum, which fixes the innermost parameter; in the (0,4)
+surface chain the surface degree relation then fixes the next one. Each
+such solved rule is stated once, as its id, its witness and the solver
+that yields the values it admits, and the chain's ``first_failure``
+states the rules after it; the (0,6) chain sweeps one axis, solves
+nothing and tests the localization sum in ``first_failure``. One walk
+over the box without n2 splits it into the admitted choices and one
+batch per solved rule, whose row its rule formats. No solver reads n2,
+the number of Morse-index-4 points, so at every n2 ``first_failure``
+runs once per admitted choice, and the work grows linearly in b4_max:
+``enumerate_all`` calls it 386, 834, 3,354 and 27,994 times at b4_max
+14, 30, 120 and 1000.
 
 A sweep returns the table's family with the n2 range its survivors give,
 re-certified on every instantiated member through the full rule chain
@@ -114,56 +118,63 @@ def _ensure(ok, *why):
         raise AssertionError(*why)
 
 
-def _sweep(label, axes, first_failure, solve=None, solve_mid=None):
+def _sweep(label, axes, first_failure, *solved):
     """Run one rule chain over a parameter box: (rejection rows, survivors).
 
     axes are the swept ranges, outermost first, each ascending; with more
-    than one, the first is n2. first_failure(*choice) returns None for a
-    survivor, else (rule_id, witness_format, args) for the first rule the
-    choice breaks. Rejections are tallied per rule, the witness being that
-    of the least choice the rule rejects, and rows come out ordered by that
+    than one, the first is n2. The chain opens with its solved rules, each
+    given once as (rule_id, witness_format, witness, solve) and in chain
+    order; first_failure(*choice) runs the rest of the chain on a choice
+    that passes them, and returns None for a survivor, else
+    (rule_id, witness_format, args) for the first rule the choice breaks.
+    A rejection row tallies a rule's choices, its witness being
+    witness_format % args of the least choice the rule rejects (a solved
+    rule's args are witness(*choice)), and rows come out ordered by that
     choice: the loop order of the full loop, where each rule first fires.
 
-    solve(*head), when given, yields the innermost values that the chain's
-    first rule admits after the values of the axes between n2 and the
-    innermost one, each once and in the axis order; every other innermost
-    value fails that rule. solve_mid(*head), when given as well, yields
-    the next-to-innermost values at which an admitted innermost value can
-    pass the chain's second rule, after the axes between n2 and that one;
-    at every other one it fails that rule. So one walk over the heads
-    splits the box into the admitted tails and at most two batches, one
-    per solved rule, each of whose choices fails that rule; a batch is
-    kept as its least tail and its count.
+    A chain solves at most two rules: the first for the innermost axis,
+    the second for the next-to-innermost one. solve(*head) yields, each
+    once and in the axis order, the values of its axis that the rule
+    admits after the values of the axes between n2 and that axis; every
+    other value fails the rule. So one walk over the heads, the box
+    without n2 and the innermost axis, splits the box into the admitted
+    tails and one batch per solved rule, each of whose choices fails that
+    rule and passes the one before it; a batch is kept as its least tail
+    and its count.
 
     No solver reads n2: the signature ties c2 to b4, so each
     Morse-index-4 point adds as much to c2 as to the localization sum, and
-    n2 cancels from both solved rules. At every n2, first_failure runs on
-    each batch's least tail, which must fail, and on each admitted tail,
-    in the order of the tails, so the least choice of each rule is met
-    first.
+    n2 cancels from it; the surface degree relation does not read n2. At
+    every n2, a batch's row comes from its solved rule, and first_failure
+    runs on each admitted tail, in the order of the tails, so the least
+    choice of each rule is met first.
     """
     *outer, inner = axes
+    first, mid = solved + (None,) * (2 - len(solved))
     batches, admitted = {}, []
     for head in product(*outer[1:]):
-        ok = inner if solve is None else [v for v in solve(*head) if v in inner]
+        ok = inner if first is None else [v for v in first[-1](*head) if v in inner]
         if len(ok) < len(inner):
             least = head + (next(v for v in inner if v not in ok),)
-            batches.setdefault("solve", [least, 0])[1] += len(inner) - len(ok)
-        if solve_mid is None or head[-1] in solve_mid(*head[:-1]):
+            batches.setdefault(first, [least, 0])[1] += len(inner) - len(ok)
+        if mid is None or head[-1] in mid[-1](*head[:-1]):
             admitted.extend((head + (v,), 1, None) for v in ok)
         elif ok:
-            batches.setdefault("solve_mid", [head + (ok[0],), 0])[1] += len(ok)
-    # tails are distinct, so the sort never compares counts or solvers
-    runs = sorted(admitted + [(tail, n, solver) for solver, (tail, n) in batches.items()])
+            batches.setdefault(mid, [head + (ok[0],), 0])[1] += len(ok)
+    # tails are distinct, so the sort never compares counts or rules
+    runs = sorted(admitted + [(tail, n, rule) for rule, (tail, n) in batches.items()])
     bins, survivors = {}, []
     for n2 in product(*outer[:1]):
-        for tail, n, solver in runs:
+        for tail, n, rule in runs:
             choice = n2 + tail
-            failure = first_failure(*choice)
-            if failure is None:
-                _ensure(solver is None, "%s left out an admitted value at %s" % (solver, choice))
-                survivors.append(choice)
-                continue
+            if rule is None:
+                failure = first_failure(*choice)
+                if failure is None:
+                    survivors.append(choice)
+                    continue
+            else:
+                rule_id, fmt, witness, _ = rule
+                failure = rule_id, fmt, witness(*choice)
             rule_id, fmt, args = failure
             if rule_id not in bins:
                 bins[rule_id] = [fmt % args, 0]
@@ -294,10 +305,6 @@ def _enum_24(b4_max, box):
     label = _skeleton_label((2, 4), ())
 
     def first_failure(n2, kp, s):
-        c2 = 1 + n2      # signature pins c2 of the maximum to b4
-        if -s + n2 + kp * kp - c2 != 0:
-            return ("abbv-vanishing",
-                    "e.g. degrees summing to %d with k' = %d, n2 = %d", (s, kp, n2))
         if 2 + s < 1 or 3 + kp < 1:
             return "monotone-positive", "e.g. s = %d, k' = %d", (s, kp)
         if n2 > 0:
@@ -317,10 +324,12 @@ def _enum_24(b4_max, box):
             return ("index-consistency", "e.g. s = %d, k' = %d give indices %d vs %d",
                     (s, kp, abs(2 + s), abs(3 + kp)))
 
-    # the localization sum fixes the degree sum: s = k'^2 - 1
+    # the localization sum -s + n2 + k'^2 - c2 = 0, where the signature pins
+    # c2 of the maximum to b4 = 1 + n2, fixes the degree sum: s = k'^2 - 1
     rows, survivors = _sweep(
-        label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)),
-        first_failure, solve=lambda kp: (kp * kp - 1,))
+        label, (range(0, b4_max), range(-box, box + 1), range(-36, 37)), first_failure,
+        ("abbv-vanishing", "e.g. degrees summing to %d with k' = %d, n2 = %d",
+         lambda n2, kp, s: (s, kp, n2), lambda kp: (kp * kp - 1,)))
     _ensure(survivors == [(0, 2, 3)])
     return [_certified("2,4")], rows
 
@@ -334,21 +343,19 @@ def _enum_04(b4_max, box):
         label = _skeleton_label((0, 4), skel)
         if kinds == (ComponentType.POINT,):
             def first_failure(n2, kp):
-                c2 = 1 + n2      # c2 = b4
-                if 1 - 1 + n2 + kp * kp - c2 != 0:
-                    return ("abbv-vanishing", "e.g. k' = %d gives k'^2 - 1 = %d",
-                            (kp, kp * kp - 1))
                 if abs(3 + kp) > 2:
                     return ("index-cap-point", "e.g. k' = %d gives index %d > 2",
                             (kp, abs(3 + kp)))
                 # no sphere-area-max: only k' = -1 is left, and 3 + k' = 2 divides 2
-                if c2 > K2_CAP:
-                    return "dh-k-bound", "c2 = b4 = %d exceeds %d", (c2, K2_CAP)
+                if 1 + n2 > K2_CAP:
+                    return "dh-k-bound", "c2 = b4 = %d exceeds %d", (1 + n2, K2_CAP)
 
-            # the localization sum reads k'^2 = 1
+            # the localization sum 1 - 1 + n2 + k'^2 - c2 = 0, with the
+            # signature's c2 = b4 = 1 + n2, reads k'^2 = 1
             rows, survivors = _sweep(
-                label, (range(0, b4_max), range(-box, box + 1)),
-                first_failure, solve=lambda: (-1, 1))
+                label, (range(0, b4_max), range(-box, box + 1)), first_failure,
+                ("abbv-vanishing", "e.g. k' = %d gives k'^2 - 1 = %d",
+                 lambda n2, kp: (kp, kp * kp - 1), lambda: (-1, 1)))
             rejections.extend(rows)
             top_n2 = max((n2 for n2, _ in survivors), default=-1)
             _ensure(top_n2 == min(b4_cap((0, 4)) - 1, b4_max - 1))
@@ -357,14 +364,6 @@ def _enum_04(b4_max, box):
             _ensure(kinds == (ComponentType.CP1,), "unexpected budget solution %s" % (skel,))
 
             def first_failure(n2, kp, a1, tail):
-                c2 = 2 + n2
-                if kp * kp - c2 + (-a1 + tail) + n2 + 1 != 0:
-                    return ("abbv-vanishing",
-                            "e.g. k' = %d, a1 = %d, a2 + a3 = %d", (kp, a1, tail))
-                need = surface_tail(a1)
-                if tail != need:
-                    return ("surface-degree-relation",
-                            "e.g. a1 = %d needs a2 + a3 = %d, got %d", (a1, need, tail))
                 if 2 + a1 + tail < 1 or 3 + kp < 1:
                     return "monotone-positive", "e.g. a1 = %d, k' = %d", (a1, kp)
                 if abs(3 + kp) % 2 == 0:
@@ -373,13 +372,17 @@ def _enum_04(b4_max, box):
                 if n2 > 0 and not area_fits(3 + kp, 2):
                     return "sphere-area-max", "e.g. k' = %d: 3 + k' does not divide 2", (kp,)
 
-            # the localization sum fixes a2 + a3 = a1 + 1 - k'^2, and the
-            # surface degree relation a2 + a3 = 2*a1 - 2 then fixes a1 = 3 - k'^2
+            # the localization sum k'^2 - c2 - a1 + (a2 + a3) + n2 + 1 = 0, with
+            # c2 = b4 = 2 + n2, fixes a2 + a3 = a1 + 1 - k'^2, and the surface
+            # degree relation a2 + a3 = 2*a1 - 2 then fixes a1 = 3 - k'^2
             rows, survivors = _sweep(
                 label, (range(0, b4_max - 1), range(-box, box + 1), range(-12, 13),
-                        range(-24, 25)),
-                first_failure, solve=lambda kp, a1: (a1 + 1 - kp * kp,),
-                solve_mid=lambda kp: (3 - kp * kp,))
+                        range(-24, 25)), first_failure,
+                ("abbv-vanishing", "e.g. k' = %d, a1 = %d, a2 + a3 = %d",
+                 lambda n2, kp, a1, tail: (kp, a1, tail), lambda kp, a1: (a1 + 1 - kp * kp,)),
+                ("surface-degree-relation", "e.g. a1 = %d needs a2 + a3 = %d, got %d",
+                 lambda n2, kp, a1, tail: (a1, surface_tail(a1), tail),
+                 lambda kp: (3 - kp * kp,)))
             rejections.extend(rows)
             _ensure(survivors == [(0, 0, 3, 4)])
             families.append(_certified("0,4/with-surface"))
@@ -391,12 +394,6 @@ def _enum_44(b4_max, box):
     cap = b4_cap((4, 4))
 
     def first_failure(n2, k1, k2):
-        # signature pins c2(min) + c2(max) = 2 + n2, so the
-        # localization sum reduces to k1^2 + k2^2 = 2
-        squares = k1 * k1 + k2 * k2
-        if squares != 2:
-            return ("abbv-vanishing", "e.g. k' = (%d, %d): squares sum to %d, not 2",
-                    (k1, k2, squares))
         if abs(3 + k1) != abs(3 + k2):
             return ("index-consistency", "k' = (%d, %d) give indices %d vs %d",
                     (k1, k2, abs(3 + k1), abs(3 + k2)))
@@ -406,9 +403,14 @@ def _enum_44(b4_max, box):
             return ("dh-k-bound", "b4 = %d needs a c2 split with a part > %d",
                     (2 + n2, K2_CAP))
 
+    # the signature pins c2(min) + c2(max) = 2 + n2, so the localization
+    # sum reduces to k1^2 + k2^2 = 2
     rows, survivors = _sweep(
         label, (range(0, max(0, b4_max - 2) + 1), range(-box, box + 1), range(-box, box + 1)),
-        first_failure, solve=lambda k1: (-1, 1) if k1 * k1 == 1 else ())
+        first_failure,
+        ("abbv-vanishing", "e.g. k' = (%d, %d): squares sum to %d, not 2",
+         lambda n2, k1, k2: (k1, k2, k1 * k1 + k2 * k2),
+         lambda k1: (-1, 1) if k1 * k1 == 1 else ()))
     neg_top_n2 = max((n2 for n2, k1, _ in survivors if k1 == -1), default=-1)
     pos_ok = any(k1 != -1 for _, k1, _ in survivors)
     _ensure(pos_ok and neg_top_n2 == min(cap - 2, max(0, b4_max - 2)))
@@ -424,8 +426,8 @@ _ENUMERATORS = {
 }
 
 ADMISSIBLE_SHAPES = tuple(_ENUMERATORS)
-# the sweeps grow linearly in b4_max: enumerate_all ran 981, 3,951 and
-# 32,991 rule chains and took 6, 14 and 95 ms at b4_max 30, 120 and this
+# the sweeps grow linearly in b4_max: enumerate_all ran 834, 3,354 and
+# 27,994 rule chains and took 6, 14 and 88 ms at b4_max 30, 120 and this
 # limit (Python 3.11, shared 2-vCPU VM)
 B4_MAX_LIMIT = 1000
 

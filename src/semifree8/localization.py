@@ -219,11 +219,19 @@ def contribution(weights, normal):
 # ----------------------------------------------------------------------
 
 def abbv_terms(components):
-    """Closed-form contribution of each component, in input order: ints."""
+    """Closed-form contribution of each component, in input order: ints.
+
+    components is a dataset or any iterable of objects with ``weights``
+    and ``normal``. A dataset that is not well typed raises IllTypedError
+    (``model.require_well_typed``): the closed forms hold only for the
+    normal variant that fits its component."""
+    if getattr(components, "structural_failures", None):
+        from .model import require_well_typed
+        require_well_typed(components, "abbv-vanishing")
     return tuple(contribution(c.weights, c.normal) for c in components)
 
 
 def abbv_sum(components):
     """Sum of all localization contributions, an int; zero for realizable
-    data."""
+    data. Ill-typed datasets are refused as in ``abbv_terms``."""
     return sum(abbv_terms(components))

@@ -7,6 +7,8 @@ into one registry, so any refactor that changes a single output byte
 The enumerations at small and middling b4_max were pinned before the
 sweeps started solving the localization sum instead of looping over it;
 they hit the cutoffs where rejection counts and family ranges change.
+The enumerations at b4_max 120 and 1000 were pinned before the solved
+rules moved out of the chains' first_failure into the sweep's solvers.
 The text forms, the data file that `catalog --emit file` prints, and the
 outputs on the files that `FILE_PINNED` writes were pinned before the
 commands handed their output to one printing path in `main`.
@@ -39,6 +41,10 @@ PINNED = {
         "db1a59b4f5455f5412dd12360c1a775dbbda09e9094e9cf15ec8e9319c5d4e53",
     "enumerate --json --max-b4 30":
         "8375bc6da7a41db0752c63dcdad12977ab1aa87a6c8c61bdcda486d8f3e85061",
+    "enumerate --json --max-b4 120":
+        "a7a380be1dba8208c398887bdb4accf0fc3d6ebac195e43c7f9d391b1557eb37",
+    "enumerate --json --max-b4 1000":
+        "0b7a834dcb5d21f99532b64a8b4a6f921d0d0a8d7052495ade28c5f8dea47ef7",
     "classify-fano --json":
         "b8f743ae452a98f931036f877216fefbc530bbc6abbcf3580d1ad7ae0ff615e2",
     "catalog --json":

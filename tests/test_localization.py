@@ -9,6 +9,8 @@ exactly.
 
 from itertools import product
 
+import pytest
+
 from semifree8.classify import catalog, enumerate_all
 from semifree8.localization import (
     FourDimExtremalNormal,
@@ -17,9 +19,11 @@ from semifree8.localization import (
     SixDimNormal,
     SurfaceNormal,
     abbv_sum,
+    abbv_terms,
     contribution,
     contribution_series_oracle,
 )
+from semifree8.model import FixedComponent, FixedPointData, IllTypedError
 
 
 def _point_weights(lam):
@@ -117,6 +121,22 @@ def test_abbv_sum_duck_typing():
     comps = [Comp(_point_weights(0), PointNormal()),
              Comp(_point_weights(4), PointNormal())]
     assert abbv_sum(comps) == 2
+
+
+def test_abbv_refuses_ill_typed_data_by_name():
+    # the sphere of W5 on weights (0, -1, -1, 1) fails normal-variant; the
+    # closed form would raise a bare ValueError on its normal data, and
+    # the same components as a plain list still reach it
+    comps = tuple(FixedComponent(c.type, (0, -1, -1, 1), c.normal) if c.lam == 1 else c
+                  for c in catalog()["w5-surface-and-plane"])
+    data = FixedPointData(comps)
+    assert data.structural_failures == ("normal-variant",)
+    for reader in (abbv_terms, abbv_sum):
+        with pytest.raises(IllTypedError,
+                           match="^abbv-vanishing not applied: normal-variant failed$"):
+            reader(data)
+    with pytest.raises(ValueError, match="surface normal data does not match lam = 2"):
+        abbv_sum(list(comps))
 
 
 def test_closed_forms_are_ints_on_the_catalog_and_every_family_member():

@@ -71,6 +71,8 @@ from semifree8.localization import (
     PointNormal,
     SixDimNormal,
     SurfaceNormal,
+    abbv_sum,
+    abbv_terms,
     contribution,
 )
 from semifree8.model import (
@@ -449,7 +451,9 @@ GATED = ((signature_check, "signature-self-intersection"),
          (sphere_index_rules, "index rules"),
          (index_candidates, "fano-index"),
          (index_from_extremal, "fano-index"),
-         (dh_profile, "density formulas"))
+         (dh_profile, "density formulas"),
+         (abbv_terms, "abbv-vanishing"),
+         (abbv_sum, "abbv-vanishing"))
 
 
 def test_typed_rules_refuse_ill_typed_data_by_name():

@@ -1,10 +1,13 @@
 """`enumeration._sweep`: the solved innermost axis, and in the (0,4)
 surface chain the solved next-to-innermost one, give the rows and the
 survivors of the full loop over the box, here a plain loop over every
-choice that shares no code with `_sweep`. The sweeps run first_failure
-once per solved batch and admitted tail at each n2, so their work grows
-linearly in b4_max. The sweeps' survivor checks hold under ``python -O``
-too.
+choice that shares no code with `_sweep`. The sweep trusts its solvers,
+and the full loop holds them: it tests each solved rule by its own
+statement of the identity (`IDENTITIES`, the closed forms the chains
+tested before their solvers carried them) ahead of the chain's
+first_failure. The sweeps run first_failure once per admitted tail at
+each n2, so their work grows linearly in b4_max. The sweeps' survivor
+checks hold under ``python -O`` too.
 
 In the synthetic chains below the outermost axis stands where n2 stands
 in the real ones: no solver reads it."""
@@ -12,12 +15,13 @@ in the real ones: no solver reads it."""
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import product, starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semifree8 import enumeration
+from semifree8.classify import surface_tail
 from semifree8.enumeration import ADMISSIBLE_SHAPES, Rejection, _sweep, enumerate_case
 
 from test_cold_start import SRC
@@ -32,6 +36,20 @@ enumeration.enumerate_case((0, 4))
 """
 
 SURFACE = "shape (0, 4) with Morse-index-2 sphere"
+
+# The identities the sweeps solve, as the full loop tests them: label
+# prefix -> one identity per solved rule, in chain order. The localization
+# sum reads c2 = b4 from the signature; the surface degree relation reads
+# the verifier's closed form.
+IDENTITIES = {
+    "shape (0, 4) with Morse-index-2 point": (
+        lambda n2, kp: 1 - 1 + n2 + kp * kp - (1 + n2) == 0,),
+    SURFACE: (
+        lambda n2, kp, a1, tail: kp * kp - (2 + n2) + (-a1 + tail) + n2 + 1 == 0,
+        lambda n2, kp, a1, tail: tail == surface_tail(a1)),
+    "shape (2, 4)": (lambda n2, kp, s: -s + n2 + kp * kp - (1 + n2) == 0,),
+    "shape (4, 4)": (lambda n2, k1, k2: k1 * k1 + k2 * k2 == 2,),
+}
 
 
 def _full_loop(label, axes, first_failure):
@@ -50,6 +68,17 @@ def _full_loop(label, axes, first_failure):
     rows = [Rejection(label, rid, "%s; %d parameter choices rejected" % (ex, n))
             for rid, (ex, n) in bins.items()]
     return rows, survivors
+
+
+def _with_identities(first_failure, solved, identities):
+    """The chain the full loop runs: each solved rule, tested by its
+    identity in chain order, ahead of first_failure."""
+    def chain(*choice):
+        for (rule_id, fmt, witness, _), holds in zip(solved, identities):
+            if not holds(*choice):
+                return rule_id, fmt, witness(*choice)
+        return first_failure(*choice)
+    return chain
 
 
 def test_survivor_check_fails_on_a_moved_cap(monkeypatch):
@@ -72,35 +101,59 @@ def test_survivor_check_fails_under_python_O():
 def test_solved_sweeps_match_the_full_loop(monkeypatch, b4_max):
     seen = []
 
-    def both_ways(label, axes, first_failure, solve=None, solve_mid=None):
-        full = _full_loop(label, axes, first_failure)
-        assert _sweep(label, axes, first_failure, solve, solve_mid) == full, label
-        if solve_mid is not None:
-            assert _sweep(label, axes, first_failure, solve) == full, label
-        seen.append((label[:12], solve is not None, solve_mid is not None))
+    def both_ways(label, axes, first_failure, *solved):
+        identities = next((v for k, v in IDENTITIES.items() if label.startswith(k)), ())
+        assert len(identities) == len(solved), label
+        full = _full_loop(label, axes, _with_identities(first_failure, solved, identities))
+        assert _sweep(label, axes, first_failure, *solved) == full, label
+        if len(solved) == 2:
+            # the second rule tested choice by choice instead of solved
+            assert _sweep(label, axes, _with_identities(first_failure, solved[1:],
+                                                        identities[1:]), solved[0]) == full
+        seen.append((label[:12], tuple(rule[0] for rule in solved)))
         return full
 
     monkeypatch.setattr(enumeration, "_sweep", both_ways)
     for shape in ADMISSIBLE_SHAPES:
         enumerate_case(shape, b4_max)
-    # (0,6) has one axis and no solved variable; both (0,4) branches,
-    # (2,4) and (4,4) solve their innermost one, and the (0,4) branch with
-    # a surface, swept first, the next one too
+    # (0,6) has one axis and no solved rule; both (0,4) branches, (2,4)
+    # and (4,4) solve the localization sum for their innermost axis, and
+    # the (0,4) branch with a surface, swept first, the surface degree
+    # relation for the next one
     assert seen == [
-        ("shape (0, 4)", True, True), ("shape (0, 4)", True, False),
-        ("shape (0, 6)", False, False), ("shape (2, 4)", True, False),
-        ("shape (4, 4)", True, False)]
+        ("shape (0, 4)", ("abbv-vanishing", "surface-degree-relation")),
+        ("shape (0, 4)", ("abbv-vanishing",)), ("shape (0, 6)", ()),
+        ("shape (2, 4)", ("abbv-vanishing",)), ("shape (4, 4)", ("abbv-vanishing",))]
+
+
+def test_first_failure_tests_no_solved_rule(monkeypatch):
+    # each solved rule is stated once, in its solver entry: over the whole
+    # box, only the (0,6) chain's first_failure, which solves nothing,
+    # names abbv-vanishing, and none names surface-degree-relation
+    named = {}
+
+    def naming(label, axes, first_failure, *solved):
+        names = {f[0] for f in starmap(first_failure, product(*axes)) if f}
+        named[label[:12]] = named.get(label[:12], set()) | (
+            names & {"abbv-vanishing", "surface-degree-relation"})
+        return _sweep(label, axes, first_failure, *solved)
+
+    monkeypatch.setattr(enumeration, "_sweep", naming)
+    for shape in ADMISSIBLE_SHAPES:
+        enumerate_case(shape, 2)
+    assert named == {"shape (0, 4)": set(), "shape (0, 6)": {"abbv-vanishing"},
+                     "shape (2, 4)": set(), "shape (4, 4)": set()}
 
 
 def _counting_sweeps(monkeypatch):
     """The labels of first_failure's calls, one entry per call."""
     calls = []
 
-    def counted(label, axes, first_failure, solve=None, solve_mid=None):
+    def counted(label, axes, first_failure, *solved):
         def counting(*choice):
             calls.append(label)
             return first_failure(*choice)
-        return _sweep(label, axes, counting, solve, solve_mid)
+        return _sweep(label, axes, counting, *solved)
 
     monkeypatch.setattr(enumeration, "_sweep", counted)
     return calls
@@ -109,8 +162,9 @@ def _counting_sweeps(monkeypatch):
 def test_surface_branch_runs_first_failure_per_block(monkeypatch):
     # at b4_max 14, solving the innermost axis alone ran first_failure
     # 13,962 times in the (0,4) surface branch, and planning each (n2, k')
-    # block 689 times; now each of the 13 n2 values runs the two batches
-    # and the 7 admitted tails (k' in -3..3), 117 times in all
+    # block 689 times; running it on the two batches too, 117 times; now
+    # each of the 13 n2 values runs the 7 admitted tails (k' in -3..3), 91
+    # times in all
     calls = _counting_sweeps(monkeypatch)
     enumerate_case((0, 4), 14)
     surface = sum(1 for label in calls if label.startswith(SURFACE))
@@ -119,17 +173,23 @@ def test_surface_branch_runs_first_failure_per_block(monkeypatch):
 
 @pytest.mark.parametrize("b4_max", [14, 30, 120, 1000])
 def test_sweeps_run_first_failure_linearly_in_b4_max(monkeypatch, b4_max):
-    # enumerate_all ran first_failure 453, 981, 3,951 and 32,991 times at
-    # these b4_max, about 33 per unit; replaying a plan per block for every
-    # n2 ran it 1,889, 6,961, 92,731 and 6,052,971 times
+    # enumerate_all runs first_failure 386, 834, 3,354 and 27,994 times at
+    # these b4_max, about 28 per unit; running it on each solved batch too
+    # ran it 453, 981, 3,951 and 32,991 times, and replaying a plan per
+    # block for every n2 1,889, 6,961, 92,731 and 6,052,971 times
     calls = _counting_sweeps(monkeypatch)
     enumeration.enumerate_all(b4_max)
-    assert 0 < len(calls) <= 40 * b4_max
+    assert 0 < len(calls) <= 30 * b4_max
 
 
-def _chain(outer, v):
-    if v != 0:
-        return "abbv-vanishing", "v = %d", (v,)
+def _v_zero(solve):
+    """A solved rule admitting v = 0 (solve yields it, and maybe values
+    outside the axis), and its identity."""
+    return ("abbv-vanishing", "v = %d", lambda outer, v: (v,), solve), (
+        lambda outer, v: v == 0)
+
+
+def _outer_cap(outer, v):
     if outer > 0:
         return "monotone-positive", "outer = %d", (outer,)
     return None
@@ -141,8 +201,10 @@ def test_admitted_value_keeps_its_place(inner):
     # range; at outer = 1 it fails a later rule, which must keep its place
     # relative to the batch of values the first rule rejects
     axes = (range(1, 3), inner)
-    solved = _sweep("synthetic", axes, _chain, solve=lambda: (0, 99))
-    assert solved == _full_loop("synthetic", axes, _chain)
+    rule, holds = _v_zero(lambda: (0, 99))
+    solved = _sweep("synthetic", axes, _outer_cap, rule)
+    assert solved == _full_loop("synthetic", axes, _with_identities(_outer_cap, (rule,),
+                                                                    (holds,)))
     rows, survivors = solved
     assert survivors == []
     first = "monotone-positive" if inner[0] == 0 else "abbv-vanishing"
@@ -151,8 +213,8 @@ def test_admitted_value_keeps_its_place(inner):
 
 
 def test_admitted_value_first_then_batch_counts():
-    rows, survivors = _sweep("synthetic", (range(0, 2), range(0, 5)), _chain,
-                             solve=lambda: (0,))
+    rule, _ = _v_zero(lambda: (0,))
+    rows, survivors = _sweep("synthetic", (range(0, 2), range(0, 5)), _outer_cap, rule)
     assert survivors == [(0, 0)]
     assert rows == [
         Rejection("synthetic", "abbv-vanishing", "v = 1; 8 parameter choices rejected"),
@@ -160,13 +222,16 @@ def test_admitted_value_first_then_batch_counts():
     ]
 
 
-def _two_rules(outer, m, v):
-    # the first rule fixes v = m, the second fixes m = 0; past both, the
-    # third rejects every outer value but 2
-    if v != m:
-        return "abbv-vanishing", "v = %d, m = %d", (v, m)
-    if m != 0:
-        return "surface-degree-relation", "m = %d", (m,)
+def _two_rules(solve_mid=lambda: (0,)):
+    """The first rule fixes v = m, the second m = 0: the two solved rules,
+    and their identities."""
+    return (("abbv-vanishing", "v = %d, m = %d", lambda outer, m, v: (v, m), lambda m: (m,)),
+            ("surface-degree-relation", "m = %d", lambda outer, m, v: (m,), solve_mid)), (
+        lambda outer, m, v: v == m, lambda outer, m, v: m == 0)
+
+
+def _outer_two(outer, m, v):
+    # past both solved rules, every outer value but 2 is rejected
     if outer != 2:
         return "monotone-positive", "outer = %d", (outer,)
     return None
@@ -182,10 +247,9 @@ def test_admitted_mid_value_keeps_its_place(mid, inner):
     # batch (v = m for m != 0, where v is in range) must keep its first-fire
     # place relative to the first-rule batch and the admitted choices
     axes = (range(1, 4), mid, inner)
-    solved = _sweep("synthetic", axes, _two_rules,
-                    solve=lambda m: (m,), solve_mid=lambda: (0,))
-    full = _full_loop("synthetic", axes, _two_rules)
-    assert solved == full
+    solved, identities = _two_rules()
+    full = _full_loop("synthetic", axes, _with_identities(_outer_two, solved, identities))
+    assert _sweep("synthetic", axes, _outer_two, *solved) == full
     rows, survivors = full
     assert survivors == ([(2, 0, 0)] if 0 in mid and 0 in inner else [])
     assert sum(int(r.detail.split("; ")[1].split()[0]) for r in rows) == (
@@ -195,9 +259,9 @@ def test_admitted_mid_value_keeps_its_place(mid, inner):
 def test_second_rule_batch_fires_before_the_first_rule_batch():
     # with mid = inner = [1, 2], the first choice (1, 1) passes the first
     # rule and fails the second, so the second rule's row comes first
+    solved, _ = _two_rules()
     rows, survivors = _sweep("synthetic", (range(0, 1), range(1, 3), range(1, 3)),
-                             _two_rules, solve=lambda m: (m,),
-                             solve_mid=lambda: (0,))
+                             _outer_two, *solved)
     assert survivors == []
     assert rows == [
         Rejection("synthetic", "surface-degree-relation",
@@ -206,28 +270,38 @@ def test_second_rule_batch_fires_before_the_first_rule_batch():
     ]
 
 
-def test_a_batched_survivor_is_an_error():
-    # a solve_mid that leaves out the mid value 0 batches the survivor
-    # (2, 0, 0) as the first choice of the second-rule batch
-    with pytest.raises(AssertionError, match="solve_mid left out"):
-        _sweep("synthetic", (range(2, 3), range(0, 2), range(-1, 2)), _two_rules,
-               solve=lambda m: (m,), solve_mid=lambda: (1,))
+def test_a_solver_leaving_out_an_admitted_value_disagrees_with_the_full_loop():
+    # a second solver that yields m = 1 where the identity admits m = 0
+    # batches the survivor (2, 0, 0) with the second rule, and admits
+    # (2, 1, 1), where first_failure, which no longer tests that rule,
+    # finds nothing; the full loop, testing the identity, keeps (2, 0, 0)
+    axes = (range(2, 3), range(0, 2), range(-1, 2))
+    solved, identities = _two_rules(solve_mid=lambda: (1,))
+    rows, survivors = _sweep("synthetic", axes, _outer_two, *solved)
+    full_rows, full_survivors = _full_loop(
+        "synthetic", axes, _with_identities(_outer_two, solved, identities))
+    assert (survivors, full_survivors) == ([(2, 1, 1)], [(2, 0, 0)])
+    assert [r.detail for r in rows] != [r.detail for r in full_rows]
 
 
 def _targeted_chain(offsets, mids, outer_target):
-    """A `_two_rules`-style chain whose first rule admits v = m + d for d
-    in offsets, whose second admits the mid values in mids, and whose
-    last rejects every outer value but outer_target."""
+    """A `_two_rules`-style chain: its solved rules admit v = m + d for d
+    in offsets and the mid values in mids (the solved rules and their
+    identities), and its first_failure rejects v < 0 and every outer value
+    but outer_target."""
+    solved = (
+        ("abbv-vanishing", "v = %d, m = %d", lambda outer, m, v: (v, m),
+         lambda m: tuple(m + d for d in sorted(offsets))),
+        ("surface-degree-relation", "m = %d", lambda outer, m, v: (m,),
+         lambda: tuple(sorted(mids))))
+    identities = (lambda outer, m, v: v - m in offsets, lambda outer, m, v: m in mids)
+
     def first_failure(outer, m, v):
-        if v - m not in offsets:
-            return "abbv-vanishing", "v = %d, m = %d", (v, m)
-        if m not in mids:
-            return "surface-degree-relation", "m = %d", (m,)
         if v < 0:
             return "index-consistency", "v = %d", (v,)
         if outer != outer_target:
             return "monotone-positive", "outer = %d", (outer,)
-    return first_failure
+    return solved, identities, first_failure
 
 
 small_axes = st.tuples(st.integers(-3, 3), st.integers(0, 4)).map(
@@ -241,10 +315,12 @@ small_sets = st.frozensets(st.integers(-3, 3), max_size=3)
 def test_solved_sweep_matches_the_full_loop_on_random_boxes(outer, mid, inner, offsets,
                                                              mids, outer_target, with_mid):
     # the solvers yield each admitted value once and in the axis order;
-    # without solve_mid the second rule runs on every admitted tail
-    chain = _targeted_chain(offsets, mids, outer_target)
+    # without the second solver, first_failure tests the second identity
+    solved, identities, rest = _targeted_chain(offsets, mids, outer_target)
     axes = (outer, mid, inner)
-    solve = lambda m: tuple(m + d for d in sorted(offsets))
-    solve_mid = (lambda: tuple(sorted(mids))) if with_mid else None
-    assert _sweep("synthetic", axes, chain, solve, solve_mid) == _full_loop(
-        "synthetic", axes, chain)
+    full = _full_loop("synthetic", axes, _with_identities(rest, solved, identities))
+    if with_mid:
+        assert _sweep("synthetic", axes, rest, *solved) == full
+    else:
+        assert _sweep("synthetic", axes, _with_identities(rest, solved[1:], identities[1:]),
+                      solved[0]) == full
