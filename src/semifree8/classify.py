@@ -8,8 +8,9 @@ dataset in ``verification_report``. Every check item names its rule by
 id; the statement lives once in ``model.RULES``.
 
 The seven families the enumeration can produce are stated once, in the
-table ``_FAMILIES``: key, shape, texts, Fano index and b4 at n2 = 0, next
-to a module-level builder of its members.
+table ``_FAMILIES``: key, shape and texts, next to a module-level builder
+of its members. Each family reads its Fano index and its b4 off its own
+member, so the table states neither.
 
 The final consumers are at the bottom: the catalog of known actions, each
 entry a member of a family in the table with its default free choices,
@@ -29,8 +30,6 @@ use of one of its names:
   ``FanoClassification``), in ``semifree8.fano``, which only
   ``semifree8 classify-fano`` compiles.
 """
-
-from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
@@ -290,16 +289,26 @@ def verification_report(data):
 # ----------------------------------------------------------------------
 
 class Family(Record):
-    """``b4_base`` is b4 at n2 = 0 (b4 = b4_base + n2), ``fixed`` the
-    ``((name, value), ...)`` the family pins, ``free`` its human-readable
-    leftover freedom. ``builder(n2, **choices)`` builds a member; it is a
-    hidden field, so equality, hashing and repr do not see it."""
+    """``fixed`` is the ``((name, value), ...)`` the family pins, ``free``
+    its human-readable leftover freedom. ``builder(n2, **choices)`` builds a
+    member; it is a hidden field, so equality, hashing and repr do not see
+    it. The Fano index ``iota`` and ``b4_base``, b4 at n2 = 0 (b4 = b4_base
+    + n2), are no fields: each is read off the member at ``n2_min`` when
+    asked for, so the table states neither beside the builder that
+    determines both."""
 
-    _fields = ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "builder",
-               "n2_max")
+    _fields = ("key", "shape", "summary", "fixed", "free", "builder", "n2_max")
     _defaults = {"n2_max": 0}
     _hidden = ("builder",)
     n2_min = 0                   # every family has a member without Morse-index-4 points
+
+    @property
+    def iota(self):
+        return index_from_extremal(self.instantiate())
+
+    @property
+    def b4_base(self):
+        return self.instantiate().betti[2] - self.n2_min
 
     def b4(self, n2=None):
         return self.b4_base + (self.n2_min if n2 is None else n2)
@@ -396,7 +405,6 @@ _FAMILIES = {f.key: f for f in (
         key="0,0", shape=(0, 0),
         summary=("isolated extremes with an interior quadric surface at "
                  "level 0 carrying two bundles of bidegree (1,1)"),
-        iota=4, b4_base=2,
         fixed=(("bundle bidegrees", (1, 1)),),
         free=(),
         builder=_build_00),
@@ -404,7 +412,6 @@ _FAMILIES = {f.key: f for f in (
         key="0,6", shape=(0, 6),
         summary=("an isolated minimum and a six-dimensional maximum whose "
                  "normal line bundle has first Chern coefficient 1"),
-        iota=5, b4_base=1,
         fixed=(("six-dim normal c1", 1),),
         free=(),
         builder=_build_06),
@@ -412,7 +419,6 @@ _FAMILIES = {f.key: f for f in (
         key="2,4", shape=(2, 4),
         summary=("a minimal sphere with normal degrees summing to 3 and a "
                  "four-dimensional maximum with c1 coefficient 2, c2 = 1"),
-        iota=5, b4_base=1,
         fixed=(("max c1", 2), ("max c2", 1), ("min degree sum", 3)),
         free=("split of the degree sum 3 into three summands (default 1,1,1)",),
         builder=_build_24),
@@ -421,7 +427,6 @@ _FAMILIES = {f.key: f for f in (
         summary=("an isolated minimum, one Morse-index-2 point, n2 "
                  "Morse-index-4 points and a four-dimensional maximum "
                  "with c1 coefficient -1, c2 = b4 = 1 + n2"),
-        iota=2, b4_base=1,
         fixed=(("max c1", -1),),
         free=(),
         builder=_build_04_point),
@@ -430,7 +435,6 @@ _FAMILIES = {f.key: f for f in (
         summary=("an isolated minimum, a Morse-index-2 sphere with "
                  "degrees (3 | a2 + a3 = 4) and a four-dimensional "
                  "maximum with c1 coefficient 0, c2 = 2"),
-        iota=3, b4_base=2,
         fixed=(("max c1", 0), ("max c2", 2), ("surface a1", 3)),
         free=("split of a2 + a3 = 4 (default 2,2)",),
         builder=_build_04_surface),
@@ -438,7 +442,6 @@ _FAMILIES = {f.key: f for f in (
         key="4,4/negative", shape=(4, 4),
         summary=("two four-dimensional extremes with c1 coefficient -1, n2 "
                  "Morse-index-4 points, c2 values splitting b4 = 2 + n2"),
-        iota=2, b4_base=2,
         fixed=(("both c1", -1),),
         free=("c2 split of b4 into two parts, each at most %d (default balanced)" % K2_CAP,),
         builder=_build_44_neg),
@@ -446,7 +449,6 @@ _FAMILIES = {f.key: f for f in (
         key="4,4/positive", shape=(4, 4),
         summary=("two four-dimensional extremes with c1 coefficient +1 and "
                  "no interior points, c2 values splitting b4 = 2"),
-        iota=4, b4_base=2,
         fixed=(("both c1", 1),),
         free=("c2 split of 2 into two parts, bounded only by the search box "
               "(default 1,1)",),

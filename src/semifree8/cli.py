@@ -30,8 +30,6 @@ document: it prints the data file alone, with or without --json. Output
 for a fixed argument list is byte-stable.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from types import SimpleNamespace

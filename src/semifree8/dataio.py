@@ -73,8 +73,6 @@ seeds 1-8 hold 1,398 (393 and 1,597 keys, since weights and summands are
 keyed in the order given).
 """
 
-from __future__ import annotations
-
 import json
 from functools import lru_cache
 

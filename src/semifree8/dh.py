@@ -56,8 +56,6 @@ order. ``total_volume`` is the one reader here that answers for any
 loadable data.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 from operator import index

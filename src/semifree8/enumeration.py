@@ -31,8 +31,6 @@ the package serve its public names on first use (``enumerate_case``,
 never compile it.
 """
 
-from __future__ import annotations
-
 from itertools import combinations_with_replacement, product
 from operator import index
 
@@ -188,8 +186,7 @@ def _certified(key, n2_max=0):
     """The table's family with the n2 range its sweep's survivors give,
     after re-running the full rule chain on every instantiated member."""
     f = _FAMILIES[key]
-    family = Family(f.key, f.shape, f.summary, f.iota, f.b4_base, f.fixed, f.free,
-                    f.builder, n2_max)
+    family = Family(f.key, f.shape, f.summary, f.fixed, f.free, f.builder, n2_max)
     for n2 in range(family.n2_min, n2_max + 1):
         rep = verification_report(family.instantiate(n2))
         if not rep.ok:

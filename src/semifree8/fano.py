@@ -6,15 +6,13 @@ with index at least 2 and b2 = 1 can carry a semi-free circle action.
 against the index range (the indices the enumerated families realize), the
 automorphism group, the degree-genus relation and, for index 2, the two
 moment-interval volumes by halves, and names the enumerated shapes that
-realize each index of at least 3, reading their indices and b4 from the
-family table ``_FAMILIES``.
+realize each index of at least 3. The indices and b4 of the families in
+``_FAMILIES`` are read off their members at each call, not stated here.
 
 Only ``semifree8 classify-fano`` compiles this module. Its public names
 (``classify_fano``, ``FanoClassification``) still import from
 :mod:`semifree8.classify` and the package, which load it on first use.
 """
-
-from __future__ import annotations
 
 from .classify import (
     _FAMILIES,
@@ -27,9 +25,8 @@ from .dh import b4_cap, half_volume_cp2, half_volume_isolated_pair
 from .model import CheckItem
 from .record import Record
 
-# the Fano indices the enumerated families realize
-_REALIZED = frozenset(f.iota for f in _FAMILIES.values())
-# the enumerated families of each realized index >= 3; all of them have one b4
+# the enumerated families of each realized index >= 3, as classify-fano
+# prints them; all of them have one b4
 _INDEX_WITNESS = {
     3: "the (0,4) shape with an interior Morse-index-2 sphere",
     4: "the (0,0) shape and the positive (4,4) branch",
@@ -60,6 +57,9 @@ def classify_fano(records=None):
     missing = [n for n in REQUIRED_FAMILY_NAMES if n not in names]
     if missing:
         raise ClassifyError("incomplete family table, missing: %s" % ", ".join(missing))
+    # the Fano index and b4 of each enumerated family, read off its member
+    facts = [(f.iota, f.b4_base) for f in _FAMILIES.values()]
+    realized = {iota for iota, _ in facts}
     survivors = []
     traces = []
     for rec in sorted(records, key=lambda r: (-r.fano_index, r.name)):
@@ -76,9 +76,9 @@ def classify_fano(records=None):
                 items.append(CheckItem(
                     "degree-genus", "PASS",
                     "32*(%d - 1) = %d" % (rec.genus, rec.c1_fourth)))
-        if rec.fano_index not in _REALIZED:
+        if rec.fano_index not in realized:
             items.append(CheckItem("index-range", "FAIL", "index %d is outside %d..%d"
-                                   % (rec.fano_index, min(_REALIZED), max(_REALIZED))))
+                                   % (rec.fano_index, min(realized), max(realized))))
             alive = False
         if alive and rec.finite_automorphisms:
             items.append(CheckItem(
@@ -115,7 +115,7 @@ def classify_fano(records=None):
                 "the odd-index surface pattern is excluded for index 2"))
         if alive and rec.fano_index >= 3:
             witness = _INDEX_WITNESS[rec.fano_index]
-            (b4_there,) = {f.b4_base for f in _FAMILIES.values() if f.iota == rec.fano_index}
+            (b4_there,) = {b4 for iota, b4 in facts if iota == rec.fano_index}
             items.append(CheckItem(
                 "index-range", "PASS",
                 "index %d realized by %s" % (rec.fano_index, witness)))

@@ -25,7 +25,8 @@ and a Fraction compare exactly, so the two routes are held equal with
 total Chern class per weight (see ``_Normal``).
 
 ``abbv_terms`` is the public closed-form route, and reads of each
-component only ``weights`` and ``normal``. A well-typed
+component only ``weights`` and ``normal``, after gating
+``model.FixedComponent``s as the dataset they form. A well-typed
 ``model.FixedComponent`` stores the same closed form, computed once when
 it is built, as ``abbv_term``; ``classify.verification_report`` reads those
 stored terms instead of calling ``abbv_terms``.
@@ -33,8 +34,6 @@ stored terms instead of calling ``abbv_terms``.
 The two routes are kept separate on purpose and tested against each
 other; neither is ever defined in terms of the other.
 """
-
-from __future__ import annotations
 
 from operator import index
 
@@ -223,12 +222,17 @@ def abbv_terms(components):
 
     components is a dataset or any iterable of objects with ``weights``
     and ``normal``. A dataset that is not well typed raises IllTypedError
-    (``model.require_well_typed``): the closed forms hold only for the
-    normal variant that fits its component."""
-    if getattr(components, "structural_failures", None):
-        from .model import require_well_typed
-        require_well_typed(components, "abbv-vanishing")
-    return tuple(contribution(c.weights, c.normal) for c in components)
+    (``model.require_well_typed``), and so do ``model.FixedComponent``s
+    that form one: the closed forms hold only for the normal variant that
+    fits its component."""
+    from .model import FixedComponent, FixedPointData, require_well_typed
+
+    comps = tuple(components)
+    if all(isinstance(c, FixedComponent) for c in comps):
+        # a dataset is gated as the dataset of its own components, which fails
+        # the same checks
+        require_well_typed(FixedPointData(comps), "abbv-vanishing")
+    return tuple(contribution(c.weights, c.normal) for c in comps)
 
 
 def abbv_sum(components):

@@ -52,8 +52,6 @@ through ``operator.index``, so a float, string or Fraction raises
 TypeError instead of being truncated.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from enum import Enum
 from itertools import compress

@@ -22,8 +22,6 @@ roots, so V(a) - V(m) counts the roots in (a, m]: `isolate_root` bisects
 on integer numerators over a doubling denominator.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm

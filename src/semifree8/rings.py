@@ -36,8 +36,6 @@ its public names still import from :mod:`semifree8.localization` (and
 use.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import product
 from operator import index

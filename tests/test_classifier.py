@@ -10,6 +10,7 @@ from semifree8.classify import (
     _FAMILIES,
     ADMISSIBLE_SHAPES,
     ClassifyError,
+    Family,
     FanoFamilyRecord,
     admissible_dim_pairs,
     catalog,
@@ -168,15 +169,18 @@ def test_b4_cutoff_respected_even_with_roomy_box():
 
 
 def test_family_literals_match_their_members():
-    # each family's iota, b4 and shape literals against every member the
-    # b4 <= 14 sweep certifies
+    # each family's index and b4, read off its member at n2_min, hold for
+    # every member the b4 <= 14 sweep certifies: the index is constant in
+    # n2 and b4 grows by one per Morse-index-4 point; the shape literal is
+    # each member's shape. Neither derived fact is stored on the record
     members = 0
     for result in enumerate_all(14).values():
         for f in result.families:
+            assert not {"iota", "b4_base"} & set(vars(f)), f.key
             for n2 in range(f.n2_min, f.n2_max + 1):
                 member = f.instantiate(n2)
                 assert index_from_extremal(member) == f.iota, (f.key, n2)
-                assert member.betti[2] == f.b4(n2), (f.key, n2)
+                assert member.betti[2] == f.b4(n2) == f.b4_base + n2, (f.key, n2)
                 assert member.shape == f.shape, (f.key, n2)
                 members += 1
     assert members == 25
@@ -425,6 +429,29 @@ def test_index_range_is_the_realized_indices():
         records = list(default_fano_table()) + [FanoFamilyRecord("HYPO", index, 1, 9)]
         assert [it.detail for it in dict(classify_fano(records).traces)["HYPO"]
                 if it.id == "index-range"] == ["index %d is outside 2..5" % index]
+
+
+def test_index_range_follows_the_family_builders(monkeypatch):
+    # a family whose builder realizes index 1 (two extremal planes with c1
+    # coefficient -2, whose omega is 3 - 2 = 1) brings index 1 into range
+    records = list(default_fano_table()) + [FanoFamilyRecord("HYPO", 1, 2, 9)]
+    default = classify_fano(records)
+    assert [it.detail for it in dict(default.traces)["HYPO"] if it.id == "index-range"] == [
+        "index 1 is outside 2..5"]
+
+    def two_planes(n2):
+        return FixedPointData((cp2_extremal(1, -2, 1), cp2_extremal(-1, -2, 1)))
+
+    monkeypatch.setitem(_FAMILIES, "index-1", Family(
+        key="index-1", shape=(4, 4), summary="two planes", fixed=(), free=(),
+        builder=two_planes))
+    assert (_FAMILIES["index-1"].iota, _FAMILIES["index-1"].b4_base) == (1, 2)
+    widened = classify_fano(records)
+    assert widened.survivors == default.survivors + ("HYPO",)
+    assert dict(widened.traces)["HYPO"] == ()
+    records[-1] = FanoFamilyRecord("HYPO", 6, 2, 9)
+    assert [it.detail for it in dict(classify_fano(records).traces)["HYPO"]] == [
+        "index 6 is outside 1..5"]
 
 
 @pytest.mark.parametrize("name, index, b4, pinned", [

@@ -17,6 +17,11 @@ import from where they did (`semifree8`, `semifree8.classify`,
 `semifree8.localization`), which load the module on first use and bind
 the name there, so a later lookup, or a tracer that patches the names a
 module holds, finds it in that module's namespace.
+
+A family's Fano index and b4 (`Family.iota`, `Family.b4_base`) are read
+off its own member when asked for. Only `enumerate` and `classify-fano`
+ask: no import of a module of the package, and neither `verify` nor
+`catalog`, builds a member for them.
 """
 
 import os
@@ -60,6 +65,26 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(code, *(name in sys.modules for name in %r))
 """ % ((ENUMERATION, "_hashlib", FILTER, RINGS, "argparse"),)
+
+# the calls of Family.iota and Family.b4_base, counted by a profile hook,
+# while every module of the package imports, then while one command runs
+COUNT_DERIVED = """
+import contextlib, io, sys
+calls = 0
+def count(frame, event, arg):
+    global calls
+    code = frame.f_code
+    if (event == "call" and code.co_name in ("iota", "b4_base")
+            and code.co_filename.endswith("classify.py")):
+        calls += 1
+sys.setprofile(count)
+import semifree8, semifree8.cli, semifree8.enumeration, semifree8.fano, semifree8.rings
+imported = calls
+with contextlib.redirect_stdout(io.StringIO()):
+    semifree8.cli.main(sys.argv[1:])
+sys.setprofile(None)
+print(imported, calls - imported)
+"""
 
 # (module, old place, name) of each public name served from another module
 MOVED = (
@@ -133,3 +158,18 @@ def test_only_enumerate_loads_the_enumeration(tmp_path, argv, loads):
     filters = argv[0] == "classify-fano"
     assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == [
         "0 %s False %s False False" % (loads, filters)]
+
+
+@pytest.mark.parametrize("argv, derives", [
+    (["verify", "x8.json"], False),
+    (["verify", "x8.json", "--json"], False),
+    (["catalog"], False),
+    (["catalog", "--json"], False),
+    (["classify-fano"], True),
+    (["enumerate", "--shape", "0,6"], True),
+])
+def test_only_enumerate_and_classify_fano_derive_family_facts(tmp_path, argv, derives):
+    (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
+    (line,) = run_child(COUNT_DERIVED, *argv, cwd=tmp_path)
+    imported, ran = map(int, line.split())
+    assert imported == 0 and (ran > 0) is derives, (argv, line)

@@ -126,17 +126,20 @@ def test_abbv_sum_duck_typing():
 def test_abbv_refuses_ill_typed_data_by_name():
     # the sphere of W5 on weights (0, -1, -1, 1) fails normal-variant; the
     # closed form would raise a bare ValueError on its normal data, and
-    # the same components as a plain list still reach it
+    # the same components as a plain list are refused as the dataset they
+    # form
     comps = tuple(FixedComponent(c.type, (0, -1, -1, 1), c.normal) if c.lam == 1 else c
                   for c in catalog()["w5-surface-and-plane"])
     data = FixedPointData(comps)
     assert data.structural_failures == ("normal-variant",)
     for reader in (abbv_terms, abbv_sum):
-        with pytest.raises(IllTypedError,
-                           match="^abbv-vanishing not applied: normal-variant failed$"):
-            reader(data)
-    with pytest.raises(ValueError, match="surface normal data does not match lam = 2"):
-        abbv_sum(list(comps))
+        for given in (data, list(comps)):
+            with pytest.raises(IllTypedError,
+                               match="^abbv-vanishing not applied: normal-variant failed$"):
+                reader(given)
+    # a well-typed list gets its terms in its own order
+    w5 = list(catalog()["w5-surface-and-plane"])
+    assert abbv_terms(w5[::-1]) == abbv_terms(w5)[::-1] != abbv_terms(w5)
 
 
 def test_closed_forms_are_ints_on_the_catalog_and_every_family_member():

@@ -65,8 +65,7 @@ FIELDS = {
     DHPiece: ("lo", "hi", "poly"),
     DHProfile: ("pieces", "warnings"),
     ShapeAssessment: ("shape", "admissible", "trace"),
-    Family: ("key", "shape", "summary", "iota", "b4_base", "fixed", "free", "builder",
-             "n2_max"),
+    Family: ("key", "shape", "summary", "fixed", "free", "builder", "n2_max"),
     Rejection: ("candidate", "rule_id", "detail"),
     EnumerationResult: ("shape", "b4_max", "families", "rejections"),
     FanoFamilyRecord: ("name", "fano_index", "b4", "c1_fourth", "genus",
