@@ -78,7 +78,8 @@ def index_candidates(data):
 
     An extreme that is not a point reads it off its stored ``omega``, the
     restriction of [w], which past the structural gate has one coefficient
-    (a quadric surface is never an extreme). Data that is not
+    (a quadric surface is never an extreme). In shape (0,0) both extremes
+    are points, so the dataset's ``fourdim`` are interior. Data that is not
     ``well_typed`` raises IllTypedError."""
     require_well_typed(data, "fano-index")
     out = []
@@ -86,10 +87,8 @@ def index_candidates(data):
     for comp, label in ((lo, "minimum"), (hi, "maximum")):
         if comp is not None and comp.complex_dim >= 1:
             out.append((label, abs(comp.omega[0])))
-    if data.shape == (0, 0):
-        four = [c for c in data.interior if c.complex_dim == 2]
-        if len(four) == 1:
-            out.append(("interior four-dimensional component", 4))
+    if data.shape == (0, 0) and len(data.fourdim) == 1:
+        out.append(("interior four-dimensional component", 4))
     return out
 
 
@@ -135,8 +134,9 @@ def sphere_constraints(data):
     """All sphere-area rules whose hypotheses the data satisfies.
 
     Rules are stated for the orientation with the smaller extreme at the
-    bottom, so the action is reversed first when needed. They read normal
-    bundle data, so data that is not ``well_typed`` raises IllTypedError.
+    bottom, so the action is reversed first when needed. They read the
+    oriented dataset's ``lam2_points`` and ``levels``, and normal bundle
+    data, so data that is not ``well_typed`` raises IllTypedError.
     """
     require_well_typed(data, "sphere rules")
     rep = ConstraintReport()
@@ -144,8 +144,7 @@ def sphere_constraints(data):
     if data is None:
         return rep
     (d1, d2), (lo, hi), inner = data.shape, data.extremes, data.interior
-    lam2 = [c for c in inner if c.type is ComponentType.POINT and c.lam == 2]
-    levels = data.levels
+    lam2, levels = data.lam2_points, data.levels
     if d2 == 4 and lam2 and _gap_empty(levels, 0, hi.level):
         rep.append(_area_item("sphere-area-max", hi, 2, "maximum"))
     if d2 == 4 and lam2 and _gap_empty(levels, lo.level, 0):
@@ -178,14 +177,15 @@ def sphere_constraints(data):
 
 def sphere_index_rules(data):
     """The Fano-index rules, stated like the sphere-area rules for the
-    smaller extreme at the bottom. They read the extremes' Chern data, so
-    data that is not ``well_typed`` raises IllTypedError."""
+    smaller extreme at the bottom. They read the extremes' Chern data and,
+    in shape (0,0), the dataset's ``fourdim``, so data that is not
+    ``well_typed`` raises IllTypedError."""
     require_well_typed(data, "index rules")
     rep = ConstraintReport()
     data = oriented(data)
     if data is None:
         return rep
-    shape, (lo, hi), inner = data.shape, data.extremes, data.interior
+    shape, lo = data.shape, data.extremes[0]
     cands = index_candidates(data)
     iota = None
     if cands:
@@ -200,7 +200,7 @@ def sphere_index_rules(data):
     else:
         rep.append(CheckItem("fano-index", "INFO", "no index rule applies"))
 
-    if shape == (0, 0) and len([c for c in inner if c.complex_dim == 2]) == 1:
+    if shape == (0, 0) and len(data.fourdim) == 1:
         rep.append(pass_fail("index-lower-oo", iota is not None and iota >= 4,
                              "index %s" % iota))
 
@@ -215,36 +215,34 @@ def sphere_index_rules(data):
 
 
 def _lambda2_exclusion(data):
-    """Interior two-negative-weight points need a 4-dim extreme."""
-    lo, hi = data.extremes
-    lam2 = [c for c in data.interior
-            if c.type is ComponentType.POINT and c.lam == 2]
+    """Interior two-negative-weight points (the dataset's ``lam2_points``)
+    need a 4-dim extreme."""
+    lam2 = data.lam2_points
     if not lam2:
         return None
-    has4 = any(c is not None and c.complex_dim == 2 for c in (lo, hi))
+    has4 = any(c is not None and c.complex_dim == 2 for c in data.extremes)
     return pass_fail("lambda2-needs-4dim-extremal", has4,
                      "%d such points, 4-dim extreme %s" % (len(lam2), "present" if has4 else "absent"))
 
 
 def _bundle_halves(data):
-    """The (0,0) pin: interior 4-dim bundles are halves of the tangent class."""
-    if data.shape != (0, 0):
+    """The (0,0) pin: interior 4-dim bundles are halves of the tangent
+    class. Both extremes are points, so the first of the dataset's
+    ``fourdim`` is interior; it is the one checked."""
+    if data.shape != (0, 0) or not data.fourdim:
         return None
-    for c in data.interior:
-        if c.complex_dim != 2:
-            continue
-        half, rem = [], 0
-        for t in c.type.tangent_c1:
-            half.append(t // 2)
-            rem |= t % 2
-        ok = (not rem and tuple(c.normal.minus) == tuple(half)
-              and tuple(c.normal.plus) == tuple(half))
-        detail = ("tangent class %s halves to %s, bundles %s and %s"
-                  % (c.type.tangent_c1, tuple(half), c.normal.minus, c.normal.plus))
-        if rem:
-            detail = "tangent class %s is not divisible by two" % (c.type.tangent_c1,)
-        return pass_fail("interior-bundle-halves", ok, detail)
-    return None
+    c = data.fourdim[0]
+    half, rem = [], 0
+    for t in c.type.tangent_c1:
+        half.append(t // 2)
+        rem |= t % 2
+    ok = (not rem and tuple(c.normal.minus) == tuple(half)
+          and tuple(c.normal.plus) == tuple(half))
+    detail = ("tangent class %s halves to %s, bundles %s and %s"
+              % (c.type.tangent_c1, tuple(half), c.normal.minus, c.normal.plus))
+    if rem:
+        detail = "tangent class %s is not divisible by two" % (c.type.tangent_c1,)
+    return pass_fail("interior-bundle-halves", ok, detail)
 
 
 # ----------------------------------------------------------------------

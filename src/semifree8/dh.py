@@ -273,16 +273,17 @@ def total_volume(data):
 
     The one reader of normal bundle data that is not gated: it reads only
     the extremes' ``ruled_k2``, which every normal states (None where it
-    does not apply), and the interior's types and indices, so it answers
-    for any loadable data; ``match_fp_class`` reads it on every document."""
+    does not apply), and the interior's types and indices (in shape (4,4),
+    whether the dataset's ``lam2_points`` are all its interior), so it
+    answers for any loadable data; ``match_fp_class`` reads it on every
+    document."""
     data = oriented(data)
     if data is None:
         return None
     shape, (lo, hi), inner = data.shape, data.extremes, data.interior
     if shape == (4, 4):
         k2s = (ruled_plane_k2(lo), ruled_plane_k2(hi))
-        if None in k2s or not all(c.type is ComponentType.POINT and c.lam == 2
-                                  for c in inner):
+        if None in k2s or len(data.lam2_points) != len(inner):
             return None
         return half_volume_cp2(k2s[0]) + half_volume_cp2(k2s[1])
     if shape == (0, 4):

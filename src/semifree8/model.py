@@ -27,10 +27,16 @@ tangent Chern class as plain attributes. A dataset sorts its components
 once, on that key, and computes what every rule reads of it in one pass
 over them: its unique minimum and maximum, its interior components, its
 Betti vector (the sum of the rows), its sorted pair of extremal
-dimensions, its sorted distinct levels and the ids of the ``STRUCTURAL``
-checks it fails (``FixedPointData.extremes``, ``interior``, ``betti``,
-``shape``, ``levels``, ``structural_failures`` and ``well_typed``). The
-rules only add these values up and never derive them again.
+dimensions, its sorted distinct levels, the evidence of the structural
+checks (its distinct off-range weights, whether every ``zeros_fit``
+holds, its components with a ``mismatch``, its number of components with
+no negative weight and its nonpositive restrictions of [w]), the ids of
+the ``STRUCTURAL`` checks it fails, its Morse-index-4 points and its
+four-dimensional components (``FixedPointData.extremes``, ``interior``,
+``betti``, ``shape``, ``levels``, ``off_weights``, ``zeros_fit``,
+``mismatched``, ``n_minima``, ``nonpositive``, ``structural_failures``,
+``well_typed``, ``lam2_points`` and ``fourdim``). ``validate`` and the
+rules only format and add up these values and never derive them again.
 
 ``require_well_typed`` is the one structural gate. Every rule that reads
 normal bundle data calls it first, and on data that is not well typed it
@@ -133,36 +139,52 @@ class FixedPointData(Record):
     even Betti numbers (b0, b2, b4, b6, b8) by localization, the sum of the
     components' ``betti_row``s; ``shape`` the real dimensions of the two
     extremes, sorted, None when either is not unique; ``levels`` the
-    distinct levels of the components, sorted; ``structural_failures`` the
-    ids of the ``STRUCTURAL`` checks the data fails, in that order
-    ("semi-free" when a component has an off-range weight, "weight-zeros"
-    when a ``zeros_fit`` fails, "normal-variant" when a ``mismatch`` is
-    set); ``well_typed`` whether that is empty, which every rule that reads
-    normal bundle data requires (``require_well_typed``). The components
-    are sorted once, on their total ``sort_key``, and all seven come from
-    one pass over them."""
+    distinct levels of the components, sorted. The evidence ``validate``
+    formats: ``off_weights`` the distinct weights outside {-1, 0, 1},
+    sorted; ``zeros_fit`` whether every component's ``zeros_fit`` holds;
+    ``mismatched`` the components whose ``mismatch`` is set; ``n_minima``
+    the number of components with no negative weight; ``nonpositive`` the
+    (type, omega) of each fitting component other than a point with a
+    coefficient below 1. ``structural_failures`` the ids of the
+    ``STRUCTURAL`` checks the data fails, in that order ("semi-free" when
+    ``off_weights`` is not empty, "weight-zeros" when ``zeros_fit`` is
+    false, "normal-variant" when ``mismatched`` is not empty);
+    ``well_typed`` whether that is empty, which every rule that reads
+    normal bundle data requires (``require_well_typed``). ``lam2_points``
+    the Morse-index-4 points (points with two negative weights, never an
+    extreme, so all interior) and ``fourdim`` the four-dimensional
+    components, each in component order. The components are sorted once,
+    on their total ``sort_key``, and all fourteen values come from one
+    pass over them."""
 
     _fields = ("components",)
 
     def __init__(self, components):
         comps = tuple(sorted(components, key=attrgetter("sort_key")))
-        # one pass over the sorted components finds the extremes, the Betti
-        # sum and the distinct levels (in order: the level leads the sort key)
+        # one pass over the sorted components gathers every value a rule
+        # reads (the distinct levels in order: the level leads the sort key)
         lo = hi = level = None
         n_lo = n_hi = b0 = b2 = b4 = b6 = b8 = 0
-        levels = []
-        off_range = zeros_off = mismatched = False     # truthy: that STRUCTURAL check fails
+        levels, off, mismatched, nonpositive, lam2_points, fourdim = [], [], [], [], [], []
+        zeros_fit = True
         for c in comps:
-            off_range = off_range or c.off_weights
-            zeros_off = zeros_off or not c.zeros_fit
-            mismatched = mismatched or c.mismatch
-            lam = c.lam
+            off += c.off_weights
+            zeros_fit = zeros_fit and c.zeros_fit
+            lam, dim = c.lam, c.complex_dim
+            if c.mismatch is not None:
+                mismatched.append(c)
+            elif dim and min(c.omega) < 1:      # well typed and not a point
+                nonpositive.append((c.type._value_, c.omega))
             if not lam:
                 lo = c
                 n_lo += 1
-            if lam == 4 - c.complex_dim:
+            if lam == 4 - dim:
                 hi = c
                 n_hi += 1
+            if dim == 2:
+                fourdim.append(c)
+            elif lam == 2 and not dim:
+                lam2_points.append(c)
             r0, r2, r4, r6, r8 = c.betti_row
             b0 += r0
             b2 += r2
@@ -176,19 +198,28 @@ class FixedPointData(Record):
             lo = None
         if n_hi != 1:
             hi = None
-        set_field(self, "components", comps)
-        set_field(self, "extremes", (lo, hi))
+        # straight into the instance dict, one item assignment each, as in CheckItem
+        values = self.__dict__
+        values["components"] = comps
+        values["extremes"] = (lo, hi)
         if lo is None or hi is None:
-            set_field(self, "shape", None)
+            values["shape"] = None
         else:
             d, e = 2 * lo.complex_dim, 2 * hi.complex_dim
-            set_field(self, "shape", (d, e) if d <= e else (e, d))
-        set_field(self, "interior", tuple([c for c in comps if c is not lo and c is not hi]))
-        set_field(self, "betti", (b0, b2, b4, b6, b8))
-        set_field(self, "levels", tuple(levels))
-        failures = tuple(compress(STRUCTURAL, (off_range, zeros_off, mismatched)))
-        set_field(self, "structural_failures", failures)
-        set_field(self, "well_typed", not failures)
+            values["shape"] = (d, e) if d <= e else (e, d)
+        values["interior"] = tuple([c for c in comps if c is not lo and c is not hi])
+        values["betti"] = (b0, b2, b4, b6, b8)
+        values["levels"] = tuple(levels)
+        values["n_minima"] = n_lo
+        values["off_weights"] = tuple(sorted(set(off)))
+        values["zeros_fit"] = zeros_fit
+        values["mismatched"] = tuple(mismatched)
+        values["nonpositive"] = tuple(nonpositive)
+        values["lam2_points"] = tuple(lam2_points)
+        values["fourdim"] = tuple(fourdim)
+        failures = tuple(compress(STRUCTURAL, (off, not zeros_fit, mismatched)))
+        values["structural_failures"] = failures
+        values["well_typed"] = not failures
 
     def __iter__(self):
         return iter(self.components)
@@ -489,24 +520,12 @@ def require_well_typed(data, what):
 
 
 def validate(data):
-    """Structural checks every dataset must pass before any classification:
-    one pass over the components, then each check formats the detail of
-    the verdict it reports only."""
-    comps = data.components
-    bad, zeros_ok, n_min, mismatched, nonpositive = set(), True, 0, [], []
-    for c in comps:
-        if c.off_weights:
-            bad.update(c.off_weights)
-        zeros_ok = zeros_ok and c.zeros_fit
-        n_min += not c.lam
-        if c.mismatch is not None:
-            mismatched.append("%s: %s" % (c.type._value_, c.mismatch))
-        elif c.complex_dim:             # well typed and not a point: [w] restricts
-            coeffs = c.omega
-            if min(coeffs) < 1:
-                nonpositive.append((c.type._value_, coeffs))
-
-    bv, (lo, hi) = data.betti, data.extremes
+    """Structural checks every dataset must pass before any classification.
+    The dataset's one pass has gathered their evidence (``off_weights``,
+    ``zeros_fit``, ``n_minima``, ``mismatched``, ``nonpositive``, ``betti``,
+    ``extremes``); each check formats the detail of the verdict it reports
+    only."""
+    comps, bv, (lo, hi) = data.components, data.betti, data.extremes
     if data.shape is not None:
         # the components come in level order: min < interior < max says that
         # lo comes first and hi last, each alone at its level
@@ -518,12 +537,15 @@ def validate(data):
     else:
         order = CheckItem("level-order", "FAIL", "no unique extrema to order against")
     palindromic = bv == bv[::-1]
+    off, n_min, mismatched, nonpositive = (data.off_weights, data.n_minima, data.mismatched,
+                                           data.nonpositive)
     return ConstraintReport([
-        pass_fail("semi-free", not bad, "offending weights %s" % sorted(bad) if bad
+        pass_fail("semi-free", not off, "offending weights %s" % list(off) if off
                   else "%d weights checked" % (4 * len(comps))),
-        pass_fail("weight-zeros", zeros_ok, "zero count matches dim_C on all components"
-                  if zeros_ok else "some component has zero count != dim_C"),
-        pass_fail("normal-variant", not mismatched, "; ".join(mismatched) if mismatched
+        pass_fail("weight-zeros", data.zeros_fit, "zero count matches dim_C on all components"
+                  if data.zeros_fit else "some component has zero count != dim_C"),
+        pass_fail("normal-variant", not mismatched, "; ".join([
+            "%s: %s" % (c.type._value_, c.mismatch) for c in mismatched]) if mismatched
                   else "all %d normal bundles well-typed" % len(comps)),
         pass_fail("unique-minimum", n_min == 1,
                   "one minimum" if n_min == 1 else "%d candidate minima" % n_min),
@@ -534,7 +556,8 @@ def validate(data):
                   ("b = %s" if palindromic else "b = %s is not palindromic") % (bv,)),
         pass_fail("b4-positive", bv[2] >= 1, "b4 = %d" % bv[2]),
         pass_fail("monotone-positive", not nonpositive, "nonpositive restriction on %s"
-                  % nonpositive if nonpositive else "restrictions positive on all components"),
+                  % list(nonpositive) if nonpositive
+                  else "restrictions positive on all components"),
     ])
 
 
@@ -548,6 +571,7 @@ def signature_check(data):
     Only meaningful when every component has dimension at most four; a
     six-dimensional component takes the dataset outside the scope of the
     self-intersection argument and the check reports PASS with a note.
+    The self-intersection adds up the c2 of the dataset's ``fourdim``.
     Data that is not ``well_typed`` raises IllTypedError.
     """
     require_well_typed(data, "signature-self-intersection")
@@ -556,7 +580,7 @@ def signature_check(data):
                          "six-dimensional component present, argument not applicable")
     # the self-intersection of the fixed set: the integrals of c2 of the
     # normal bundles of the four-dimensional components
-    si = sum(c.normal.c2 for c in data if c.complex_dim == 2)
+    si = sum(c.normal.c2 for c in data.fourdim)
     b4 = data.betti[2]
     return pass_fail("signature-self-intersection", si == b4,
                      "self-intersection %s = b4" % si if si == b4 else

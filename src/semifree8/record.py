@@ -36,7 +36,8 @@ A constructor that coerces or validates its input binds its fields itself,
 through ``set_field``, or straight into ``self.__dict__``, one item
 assignment each, which bypasses ``__setattr__`` just as ``set_field`` does
 and builds no keyword dict; ``model.CheckItem``, built some twenty times
-per verification report, does.
+per verification report, does, and so does ``model.FixedPointData`` for
+the values its one pass derives.
 
 ``serve_lazily`` builds the PEP 562 module ``__getattr__`` by which a
 module serves names that another module of the package defines, loading

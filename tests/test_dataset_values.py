@@ -2,16 +2,20 @@
 
 `FixedPointData` computes its unique minimum and maximum, its interior
 components, its Betti vector, its sorted pair of extremal dimensions
-(`shape`) and its sorted distinct levels (`levels`) when it is built, as
-attributes that are not record fields;
-`dim_pair` and `oriented` read them on each call, and `oriented` returns
-the dataset itself, or builds the reversed dataset only when the minimum
-is the larger extreme. The oracle is the earlier route: scan the
-components on every call, and rebuild the reversed dataset for every
-orientation. Equality, hashing,
+(`shape`), its sorted distinct levels (`levels`), the evidence of the
+structural checks (`off_weights`, `zeros_fit`, `mismatched`, `n_minima`,
+`nonpositive`) and its Morse-index-4 points and four-dimensional
+components (`lam2_points`, `fourdim`) when it is built, as attributes
+that are not record fields; `dim_pair` and `oriented` read them on each
+call, and `oriented` returns the dataset itself, or builds the reversed
+dataset only when the minimum is the larger extreme. The oracle is the
+earlier route: scan the components on every call (the Morse-index-4
+points through the interior, as the rules filtered them, and in shape
+(0,0) the four-dimensional components through the interior too), and
+rebuild the reversed dataset for every orientation. Equality, hashing,
 repr and the record fields must not see the stored values: a copy whose
-stored shape, Betti vector and levels are overwritten still equals,
-hashes and prints as the dataset.
+stored values are overwritten still equals, hashes and prints as the
+dataset.
 
 The components of a dataset are sorted once by (level, type, weights,
 repr of the normal), a key each component computes when it is built. The
@@ -41,6 +45,7 @@ from semifree8.model import (
 from semifree8.record import set_field
 
 from test_far_end import PLANE_INSIDE
+from test_report_digest import random_documents, single_edits
 from test_robustness import documents
 
 # ----------------------------------------------------------------------
@@ -83,6 +88,37 @@ def oracle_oriented(data):
     return None if oracle_shape(data) is None else data
 
 
+def oracle_off_weights(data):
+    return tuple(sorted({w for c in data for w in c.weights if w not in (-1, 0, 1)}))
+
+
+def oracle_zeros_fit(data):
+    return all(c.weights.count(0) == c.complex_dim for c in data)
+
+
+def oracle_mismatched(data):
+    return tuple(c for c in data if c.mismatch is not None)
+
+
+def oracle_n_minima(data):
+    return sum(1 for c in data if c.lam == 0)
+
+
+def oracle_nonpositive(data):
+    return tuple((c.type.value, c.omega) for c in data
+                 if c.mismatch is None and c.type is not ComponentType.POINT
+                 and any(e < 1 for e in c.omega))
+
+
+def oracle_lam2_points(data):
+    return tuple(c for c in oracle_interior(data)
+                 if c.type is ComponentType.POINT and c.lam == 2)
+
+
+def oracle_fourdim(data):
+    return tuple(c for c in data if c.complex_dim == 2)
+
+
 def oracle_sort_key(c):
     return (c.level, c.type.value, c.weights, repr(c.normal))
 
@@ -100,6 +136,10 @@ def check_order(components):
 # the comparison
 # ----------------------------------------------------------------------
 
+def same(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
 def check_against_oracle(data):
     check_order(data.components)
     fresh = FixedPointData(data.components)
@@ -111,6 +151,15 @@ def check_against_oracle(data):
         assert betti_vector(data) == oracle_betti(data)
         assert data.shape == oracle_shape(data)
         assert data.levels == tuple(sorted({c.level for c in data}))
+        assert data.off_weights == oracle_off_weights(data)
+        assert data.zeros_fit is oracle_zeros_fit(data)
+        assert data.n_minima == oracle_n_minima(data)
+        assert data.nonpositive == oracle_nonpositive(data)
+        assert same(data.mismatched, oracle_mismatched(data))
+        assert same(data.lam2_points, oracle_lam2_points(data))
+        assert same(data.fourdim, oracle_fourdim(data))
+        if data.shape == (0, 0):    # both extremes are points: the rules' interior filter
+            assert same(data.fourdim, [c for c in oracle_interior(data) if c.complex_dim == 2])
         got, want = oriented(data), oracle_oriented(data)
         assert (got is None) == (want is None)
         if got is not None:
@@ -127,6 +176,11 @@ def check_against_oracle(data):
     set_field(fresh, "shape", (2, 2) if data.shape is None else None)
     set_field(fresh, "betti", (9, 9, 9, 9, 9))
     set_field(fresh, "levels", (99,))
+    set_field(fresh, "off_weights", (7,))
+    set_field(fresh, "zeros_fit", not data.zeros_fit)
+    set_field(fresh, "n_minima", 99)
+    for name in ("mismatched", "nonpositive", "lam2_points", "fourdim"):
+        set_field(fresh, name, ("overwritten",))
     assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
 
 
@@ -183,8 +237,13 @@ def test_family_members_against_oracle():
 
 
 def test_structurally_invalid_data_against_oracle():
+    # single edits reach every normal kind and off-range weights of both
+    # signs; the random documents reach restrictions of [w] at 0
     plane_inside = loads_data(json.dumps(PLANE_INSIDE))
-    for data in (plane_inside, TWO_MINIMA, NO_MINIMUM):
+    docs = [json.loads(dumps_data(data)) for data in catalog().values()]
+    docs += [edit for doc in docs for edit in single_edits(doc)]
+    docs += list(random_documents(seed=3, count=300))
+    for data in [plane_inside, TWO_MINIMA, NO_MINIMUM] + [loads_data(json.dumps(d)) for d in docs]:
         check_against_oracle(data)
         check_against_oracle(reverse_action(data))
     assert TWO_MINIMA.extremes == (None, TWO_MINIMA.components[-1])

@@ -1,8 +1,10 @@
 """The one-pass structural gate against the routes it replaced.
 
-`validate` walks the components once and formats only the detail of the
-verdict each check reports; `FixedPointData.betti` adds each component's
-shifted Betti numbers into one vector; the loader formats the path of the
+`validate` walks no component for its evidence: it formats what
+`FixedPointData` gathered in its one pass (only the level-order detail
+lists the components' levels), and only the detail of the verdict each
+check reports; `FixedPointData.betti` adds each component's shifted Betti
+numbers into one vector; the loader formats the path of the
 failing node only, each parent prefixing its step on the way out. The
 oracles below are the earlier routes, verbatim but for names: `validate`
 with its passes over the components and both details of every check
