@@ -227,11 +227,18 @@ def _lambda2_exclusion(data):
 
 def _bundle_halves(data):
     """The (0,0) pin: interior 4-dim bundles are halves of the tangent
-    class. Both extremes are points, so the first of the dataset's
-    ``fourdim`` is interior; it is the one checked."""
+    class. Both extremes are points, so every one of the dataset's
+    ``fourdim`` is interior, and each is checked: the item of the first
+    that fails, or the first one's PASS."""
     if data.shape != (0, 0) or not data.fourdim:
         return None
-    c = data.fourdim[0]
+    items = [_halves_item(c) for c in data.fourdim]
+    return next((it for it in items if it.verdict == "FAIL"), items[0])
+
+
+def _halves_item(c):
+    """Are both normal line bundles of the 4-dim component c half its
+    tangent class?"""
     half, rem = [], 0
     for t in c.type.tangent_c1:
         half.append(t // 2)

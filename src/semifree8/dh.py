@@ -33,7 +33,7 @@ The layer keeps two caches, neither keyed on a document:
   hi)``, so each distinct piece is certified, and builds its Sturm
   chains, once per process.
 
-Both keys are ints, Fractions, functions and ``Poly``s, whose equality and
+Both keys are exact levels, functions and ``Poly``s, whose equality and
 hash read exact values (a function's is its identity), and both cached
 functions are pure and return immutable records, so a hit returns what a
 fresh call would. A verify-families pass over the benchmark's families
@@ -46,17 +46,24 @@ their ``dh-positivity`` items, looked up in the certificate cache. A
 profile that ``dh_profile`` has returned before is the cached object
 itself, so ``positivity_check`` on it, the warm path of
 ``verification_report``, reads those items and hashes or compares no
-``Poly`` or ``Fraction``. ``_certificate`` stays the one place where a
-distinct piece is certified.
+``Poly`` or level. ``_certificate`` stays the one place where a distinct
+piece is certified.
+
+A level is exact and canonical: an int when it is integral, else a
+Fraction. The component levels are ints, and so are the piece endpoints
+the formulas pin; only a seam's truncation level, half the sum of two
+levels (``_half``), can be a Fraction, and it is the one place this module
+builds one. The jump check at a wall compares the two values as integer
+pairs (``Poly.ratio_at``) and formats them only for its WARN text, so a
+profile without a fractional seam loads no ``fractions``.
 
 ``dh_profile`` reads only data past the structural gate
 (``model.require_well_typed``) and refuses the rest with
-``IllTypedError``, so every piece it pins has Fraction endpoints in level
+``IllTypedError``, so every piece it pins has exact endpoints in level
 order. ``total_volume`` is the one reader here that answers for any
 loadable data.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import index
 
@@ -68,7 +75,7 @@ from .model import (
     pass_fail,
     require_well_typed,
 )
-from .polynomial import Poly, positive_on_open
+from .polynomial import Poly, fmt_ratio, positive_on_open
 from .record import Record, set_field
 
 
@@ -145,8 +152,8 @@ def ruled_plane_k2(comp):
 # ----------------------------------------------------------------------
 
 class DHPiece(Record):
-    """The density on ``[lo, hi]`` (Fractions): ``poly``, a Poly in the
-    moment level variable."""
+    """The density on ``[lo, hi]``, exact levels (an int when integral,
+    else a Fraction): ``poly``, a Poly in the moment level variable."""
 
     _fields = ("lo", "hi", "poly")
 
@@ -200,8 +207,7 @@ def _profile(below, above):
         for i in range(0, len(rest), 4):
             a, b, formula, args = rest[i:i + 4]
             lo, hi = (a, b) if end == 1 else (-b, -a)
-            pieces.append(DHPiece(Fraction(lo), Fraction(hi),
-                                  formula(*args).compose_linear(end, -base)))
+            pieces.append(DHPiece(lo, hi, formula(*args).compose_linear(end, -base)))
     # only opposite ends overlap, and never with one polynomial (leading
     # terms, degrees or interval lengths differ): every overlap is a seam
     pieces.sort(key=lambda p: (p.lo, p.hi))
@@ -209,7 +215,7 @@ def _profile(below, above):
     for pc in pieces:
         if out and pc.lo < out[-1].hi:
             prev = out.pop()
-            seam = (max(prev.lo, pc.lo) + min(prev.hi, pc.hi)) / 2
+            seam = _half(max(prev.lo, pc.lo) + min(prev.hi, pc.hi))
             warns.append(CheckItem(
                 "dh-seam", "WARN",
                 "the two extremal formulas disagree on a shared wall-free interval; "
@@ -219,13 +225,23 @@ def _profile(below, above):
         out.append(pc)
     for a, b in zip(out, out[1:]):
         if a.hi == b.lo:
-            va, vb = a.poly(a.hi), b.poly(b.lo)
-            if va != vb:
+            n, d = a.hi.numerator, a.hi.denominator
+            (va, da), (vb, db) = a.poly.ratio_at(n, d), b.poly.ratio_at(n, d)
+            if va * db != vb * da:
                 warns.append(CheckItem(
                     "dh-seam", "WARN",
                     "density value jumps at level %s: %s from below vs %s from above"
-                    % (a.hi, va, vb)))
+                    % (a.hi, fmt_ratio(va, da), fmt_ratio(vb, db))))
     return DHProfile(tuple(out), tuple(warns))
+
+
+def _half(s):
+    """s / 2 for an int or Fraction s, exactly: an int when it is one, else
+    a Fraction (the true division of two ints would be a float)."""
+    if not s % 2:
+        return s // 2       # an int, for a Fraction s as well
+    from fractions import Fraction
+    return Fraction(s, 2)
 
 
 def dh_profile(data):
@@ -241,7 +257,7 @@ def dh_profile(data):
 @lru_cache(maxsize=CACHE_SIZE)
 def _certificate(poly, lo, hi):
     """The dh-positivity item of one piece. Every piece of a well-typed
-    profile has Fraction endpoints with lo < hi: an extreme a formula reads
+    profile has exact endpoints with lo < hi: an extreme a formula reads
     (a point or a plane) lies at the lowest level its end can hold, so
     each piece runs up from it, in level order."""
     ok, detail = positive_on_open(poly, lo, hi)

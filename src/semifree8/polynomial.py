@@ -1,10 +1,15 @@
 """Dense univariate polynomials over the rationals, and exact positivity.
 
 A `Poly` is integer numerators q over one positive denominator den, in
-lowest terms; its Fraction `coeffs` are built only when read. Everything
-below runs on Python integers, no float is used, and nothing is cached
-here: `count_roots_open` and `isolate_root` each build the Sturm chain of
-the polynomial they are given. Sharing is the density layer's
+lowest terms. Everything below runs on Python integers and no float is
+used. A rational argument is an int or a `fractions.Fraction`. The
+rational API (`coeffs`, `__call__`, `integrate`, `isolate_root`) returns
+`Fraction`s and imports `fractions` where it builds one; `positive_on_open`
+forms its midpoint and the value there as integer pairs (`ratio_at`) and
+writes them as `str(Fraction)` does (`fmt_ratio`, which `fmt` shares), so
+an interval with no interior root is decided without loading `fractions`.
+Nothing is cached here: `count_roots_open` and `isolate_root` each build
+the Sturm chain of the polynomial they are given. Sharing is the density layer's
 (`semifree8.dh`): it certifies each distinct piece once per process, so a
 piece met again builds no chain.
 
@@ -22,17 +27,31 @@ roots, so V(a) - V(m) counts the roots in (a, m]: `isolate_root` bisects
 on integer numerators over a doubling denominator.
 """
 
-from fractions import Fraction
+import sys
 from itertools import zip_longest
 from math import gcd, lcm
 
-ISOLATION_WIDTH = Fraction(1, 32)     # isolate_root's target width
+ISOLATION_WIDTH = (1, 32)     # isolate_root's target width, numerator over denominator
+
+
+def _is_rational(v):
+    """v is an int or a Fraction; a Fraction exists only once fractions is loaded."""
+    if isinstance(v, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
 
 
 def _rational(v):
-    if isinstance(v, (int, Fraction)):
+    if _is_rational(v):
         return v
     raise TypeError("expected int or Fraction, got %r" % (v,))
+
+
+def fmt_ratio(n, d):
+    """n/d, d > 0, as str(Fraction(n, d)) writes it."""
+    g = gcd(n, d)
+    return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
 class Poly:
@@ -62,6 +81,7 @@ class Poly:
     @property
     def coeffs(self):
         """The Fraction coefficients, lowest degree first, built on each read."""
+        from fractions import Fraction
         return tuple(Fraction(v, self._den) for v in self._num)
 
     @classmethod
@@ -77,22 +97,25 @@ class Poly:
         return bool(self._num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = Poly((other,))
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         if len(self._num) < 2:      # a constant hashes like the number it equals
-            return hash(Fraction(sum(self._num), self._den))
+            if self._den == 1:
+                return hash(sum(self._num))
+            from fractions import Fraction
+            return hash(Fraction(self._num[0], self._den))
         return hash((self._num, self._den))
 
     def __neg__(self):
         return Poly([-v for v in self._num], self._den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
@@ -108,7 +131,7 @@ class Poly:
         return Poly((other,)) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             return Poly([v * other.numerator for v in self._num], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -129,8 +152,13 @@ class Poly:
         return r
 
     def __call__(self, at):
-        n, d = _rational(at).numerator, at.denominator
-        return Fraction(_value_times_den(self._num, n, d), self._den * d ** max(self.degree, 0))
+        from fractions import Fraction
+        return Fraction(*self.ratio_at(_rational(at).numerator, at.denominator))
+
+    def ratio_at(self, n, d):
+        """p(n/d), d > 0, as an integer pair (numerator, positive
+        denominator), not reduced."""
+        return _value_times_den(self._num, n, d), self._den * d ** max(self.degree, 0)
 
     def compose_linear(self, a, b):
         """Return p(a*x + b), over one common denominator (module docstring)."""
@@ -159,8 +187,7 @@ class Poly:
         bits = []
         for i, v in enumerate(self._num):
             if v:
-                g = gcd(v, self._den)     # v / den as str(Fraction) writes it
-                c = "%d" % (v // g) if g == self._den else "%d/%d" % (v // g, self._den // g)
+                c = fmt_ratio(v, self._den)
                 mono = "" if i == 0 else (var if i == 1 else "%s^%d" % (var, i))
                 head = {"1": "", "-1": "-"}.get(c, c + "*") if mono else c
                 bits.append(head + mono)
@@ -256,7 +283,7 @@ def isolate_root(p, a, b):
     a, b = _rational(a), _rational(b)
     d = lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    w, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
+    w, w_den = ISOLATION_WIDTH
     if (hi - lo) * w_den > w * d:
         chain = _sturm_chain(p)
         v_lo = _sign_changes(chain, lo, d)
@@ -268,6 +295,7 @@ def isolate_root(p, a, b):
                 hi = mid
             else:
                 lo, v_lo = mid, v_mid
+    from fractions import Fraction
     return Fraction(lo, d), Fraction(hi, d)
 
 
@@ -277,7 +305,8 @@ def positive_on_open(p, a, b):
     Returns (verdict, detail). Zeroes at the closed endpoints are allowed,
     an interior zero or sign change is not. The detail string carries a
     witness: either the sample value at the midpoint or an isolating
-    interval for an interior root.
+    interval for an interior root. The midpoint and the value there are
+    integer pairs, written as their Fractions would be.
     """
     a, b = _rational(a), _rational(b)
     if not a < b:
@@ -287,9 +316,10 @@ def positive_on_open(p, a, b):
     if count_roots_open(p, a, b):
         lo, hi = isolate_root(p, a, b)
         return False, "vanishes in the interior, root inside [%s, %s]" % (lo, hi)
-    mid = Fraction(a.numerator * b.denominator + b.numerator * a.denominator,
-                   2 * a.denominator * b.denominator)
-    v = p(mid)
+    n = a.numerator * b.denominator + b.numerator * a.denominator
+    d = 2 * a.denominator * b.denominator
+    v, v_den = p.ratio_at(n, d)
+    witness = "value %s at %s" % (fmt_ratio(v, v_den), fmt_ratio(n, d))
     if v > 0:
-        return True, "no interior roots and value %s at %s" % (v, mid)
-    return False, "value %s at %s" % (v, mid)
+        return True, "no interior roots and " + witness
+    return False, witness

@@ -28,6 +28,7 @@ from semifree8.classify import (
 from semifree8.dataio import dumps_data
 from semifree8.fano import _INDEX_WITNESS
 from semifree8.model import (
+    RULES,
     ComponentType,
     FixedPointData,
     cp2_extremal,
@@ -95,6 +96,28 @@ def test_shape_00_unique_family():
     assert {"interior-bundle-halves", "signature-self-intersection",
             "b4-positive", "lambda2-needs-4dim-extremal"} <= _rule_ids(result)
     assert verification_report(fam.instantiate()).ok
+
+
+def test_bundle_halves_checks_every_interior_fourdim_component():
+    # two interior quadric surfaces between isolated extremes; the bad one
+    # sorts after the good one, so a check of the first alone passes
+    good = fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1))
+    bad = fourdim_interior(ComponentType.P1XP1, (1, 2), (1, 1))
+    data = FixedPointData((point_component((1, 1, 1, 1)), good, bad,
+                           point_component((-1, -1, -1, -1))))
+    assert data.shape == (0, 0) and data.fourdim == (good, bad)
+    want = ("FAIL interior-bundle-halves: %s (tangent class (2, 2) halves to (1, 1), "
+            "bundles (1, 2) and (1, 1))" % RULES["interior-bundle-halves"])
+    lines = verification_report(data).lines()
+    assert [line for line in lines if "interior-bundle-halves" in line] == [want]
+    # all good: the PASS detail is the first component's
+    other = fourdim_interior(ComponentType.P1XP1, (1, 1), (1, 1))
+    both = FixedPointData((point_component((1, 1, 1, 1)), good, other,
+                           point_component((-1, -1, -1, -1))))
+    assert [line for line in verification_report(both).lines()
+            if "interior-bundle-halves" in line] == [
+        "PASS interior-bundle-halves: %s (tangent class (2, 2) halves to (1, 1), "
+        "bundles (1, 1) and (1, 1))" % RULES["interior-bundle-halves"]]
 
 
 def test_shape_06_unique_family():

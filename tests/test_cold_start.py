@@ -18,6 +18,15 @@ import from where they did (`semifree8`, `semifree8.classify`,
 the name there, so a later lookup, or a tracer that patches the names a
 module holds, finds it in that module's namespace.
 
+No command loads `fractions` either, nor the `decimal` and `numbers` it
+imports, on the catalog exports or the enumerated families: the density
+layer carries its levels as ints (a `Fraction` only for a seam at a
+half-integer level, which none of them has) and certifies a piece with no
+interior root on integer pairs. `Poly`'s rational API (`coeffs`,
+`__call__`, `integrate`, `isolate_root`) still returns `Fraction`s and
+imports `fractions` where it builds one; so does `positive_on_open` when
+it isolates an interior root.
+
 A family's Fano index and b4 (`Family.iota`, `Family.b4_base`) are read
 off its own member when asked for. Only `enumerate` and `classify-fano`
 ask: no import of a module of the package, and neither `verify` nor
@@ -56,15 +65,30 @@ ENUMERATION = "semifree8.enumeration"
 FILTER = "semifree8.fano"
 RINGS = "semifree8.rings"
 
+RATIONALS = ("fractions", "decimal", "numbers")
+
 # one command in this process, then whether it loaded the enumeration,
-# OpenSSL's hash binding, the volume filter, the rings and argparse
+# OpenSSL's hash binding, the volume filter, the rings, argparse and any
+# of the rational number modules
 RUN_COMMAND = """
 import contextlib, io, sys
 from semifree8.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *(name in sys.modules for name in %r))
-""" % ((ENUMERATION, "_hashlib", FILTER, RINGS, "argparse"),)
+print(code, *(name in sys.modules for name in %r),
+      any(name in sys.modules for name in %r))
+""" % ((ENUMERATION, "_hashlib", FILTER, RINGS, "argparse"), RATIONALS)
+
+# the rational API in a fresh process: positivity by value loads no
+# fractions; an interior root is isolated as Fractions, and a value is one
+RATIONAL_API = """
+import sys
+from semifree8.polynomial import Poly, isolate_root, positive_on_open
+p = Poly([-1, 0, 1])            # x^2 - 1
+print(positive_on_open(p, 2, 4), positive_on_open(-p, 2, 4), "fractions" in sys.modules)
+print(positive_on_open(p, 0, 4), "fractions" in sys.modules)
+print(*(type(v).__name__ for v in isolate_root(p, 0, 4) + (p(3), p.coeffs[0])))
+"""
 
 # the calls of Family.iota and Family.b4_base, counted by a profile hook,
 # while every module of the package imports, then while one command runs
@@ -123,7 +147,7 @@ def test_cli_import_footprint():
     added = set(lines[0].split()) - set(bare.split())
     assert {"semifree8.cli", "semifree8.classify", "semifree8.localization"} <= added
     assert not added & {"argparse", "dataclasses", "gettext", "hashlib", "inspect",
-                        ENUMERATION, FILTER, RINGS}, sorted(added)
+                        ENUMERATION, FILTER, RINGS, *RATIONALS}, sorted(added)
 
 
 def test_package_import_leaves_out_the_enumeration():
@@ -152,12 +176,28 @@ def test_package_import_leaves_out_the_enumeration():
     (["enumerate", "--max-b4", "3"], True),
 ])
 def test_only_enumerate_loads_the_enumeration(tmp_path, argv, loads):
-    # only classify-fano loads the volume filter, and no command the rings
-    # or argparse
+    # only classify-fano loads the volume filter, and no command the rings,
+    # argparse or fractions
     (tmp_path / "x8.json").write_text(dumps_data(catalog()["x8-six-points"]), encoding="utf-8")
     filters = argv[0] == "classify-fano"
     assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == [
-        "0 %s False %s False False" % (loads, filters)]
+        "0 %s False %s False False False" % (loads, filters)]
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_verify_of_each_catalog_export_loads_no_fractions(tmp_path, name):
+    (tmp_path / "doc.json").write_text(dumps_data(catalog()[name]), encoding="utf-8")
+    for argv in (["verify", "doc.json"], ["verify", "doc.json", "--json"]):
+        assert run_child(RUN_COMMAND, *argv, cwd=tmp_path) == [
+            "0 False False False False False False"], argv
+
+
+def test_rational_api_still_returns_fractions():
+    assert run_child(RATIONAL_API) == [
+        "(True, 'no interior roots and value 8 at 3') "
+        "(False, 'value -8 at 3') False",
+        "(False, 'vanishes in the interior, root inside [31/32, 1]') True",
+        "Fraction Fraction Fraction Fraction"]
 
 
 @pytest.mark.parametrize("argv, derives", [

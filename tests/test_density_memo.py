@@ -20,7 +20,8 @@ given and reversed, and the documents of the report digest
 
 The certificate cache keys endpoints of any number type alike and has no
 branch for an empty interval; on every well-typed dataset of the
-benchmark's corpora each piece has Fraction endpoints in level order.
+benchmark's corpora each piece has exact endpoints in level order, an int
+when integral, else a Fraction, never a float.
 """
 
 import json
@@ -160,16 +161,23 @@ def test_documents_sharing_an_end_share_its_piece():
     assert dh._certificate.cache_info() == after
 
 
-def test_every_piece_of_a_well_typed_profile_runs_up_between_fractions():
+def exact_level(v):
+    """v is canonical and exact: an int when integral, else a Fraction, never
+    a float."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def test_every_piece_of_a_well_typed_profile_runs_up_between_exact_levels():
     # the certificate cache is keyed on (poly, lo, hi) untyped and certifies
     # with no empty-interval branch: both hold because every piece that a
-    # well-typed dataset pins has Fraction endpoints in level order
+    # well-typed dataset pins has canonical exact endpoints in level order,
+    # so one value is one key and writes one text
     pieces = 0
     for data in corpus_data():
         if not data.well_typed:
             continue
         for pc in dh_profile(data).pieces:
-            assert type(pc.lo) is Fraction and type(pc.hi) is Fraction, (data, pc)
+            assert exact_level(pc.lo) and exact_level(pc.hi), (data, pc)
             assert pc.lo < pc.hi, (data, pc)
             pieces += 1
     assert pieces > 3000

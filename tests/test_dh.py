@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from semifree8 import dh
 from semifree8.classify import enumerate_case
 from semifree8.classify import FanoFamilyRecord, classify_fano, default_fano_table
 from semifree8.dh import (
     K2_CAP,
+    DHPiece,
     b4_bound_check,
     b4_cap,
     dh_after_lam1_point,
@@ -22,6 +24,7 @@ from semifree8.dh import (
 )
 from semifree8.localization import SurfaceNormal
 from semifree8.model import (
+    RULES,
     ComponentType,
     FixedComponent,
     FixedPointData,
@@ -151,6 +154,38 @@ def test_profile_warns_on_value_jump():
     fam = [f for f in enumerate_case((4, 4)).families if f.key == "4,4/negative"][0]
     profile = dh_profile(fam.instantiate(6, split=(3, 5)))
     assert any("32" in w.detail and "16" in w.detail for w in profile.warnings)
+
+
+def test_seam_level_is_exact():
+    # half a sum of levels: an int when integral, else a Fraction, never
+    # the float that true division of two ints gives
+    for s, want in ((4, 2), (-6, -3), (5, Fraction(5, 2)), (-1, Fraction(-1, 2)),
+                    (Fraction(3, 2) + Fraction(5, 2), 2), (Fraction(1, 2) + 1, Fraction(3, 4))):
+        got = dh._half(s)
+        assert got == want and type(got) is type(want), (s, got)
+
+
+def test_half_level_seam_against_the_fraction_route():
+    # an isolated minimum at 0 pins (0, 3) and a plane maximum at 4 pins
+    # (2, 4): the seam falls at 5/2, where the two values are compared as
+    # integer pairs and written as their Fractions would be
+    below = (1, 0, 0, 3, dh_isolated_min, ())
+    above = (-1, -4, -4, -2, dh_near_cp2, (2,))
+    dh.clear_caches()
+    profile = dh._profile(below, above)
+    seam = Fraction(5, 2)
+    lo_poly, hi_poly = dh_isolated_min(), dh_near_cp2(2).compose_linear(-1, 4)
+    assert profile.pieces == (DHPiece(0, seam, lo_poly), DHPiece(seam, 4, hi_poly))
+    assert type(profile.pieces[0].hi) is Fraction
+    assert [w.detail for w in profile.warnings] == [
+        "the two extremal formulas disagree on a shared wall-free interval; "
+        "truncating both at level 5/2",
+        "density value jumps at level 5/2: %s from below vs %s from above"
+        % (lo_poly(seam), hi_poly(seam))]
+    assert (lo_poly(seam), hi_poly(seam)) == (Fraction(125, 8), Fraction(225, 8))
+    assert positivity_check(profile).lines()[0] == (
+        "PASS dh-positivity: %s (L^3 on (0, 5/2): no interior roots and value 125/64 at 5/4)"
+        % RULES["dh-positivity"])
 
 
 def test_profile_warns_for_isolated_minimum_family():

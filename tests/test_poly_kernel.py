@@ -141,8 +141,9 @@ def test_representation_matches_fraction_oracle(ca, cb, k):
     same = (p * k + q - q) * (1 / Fraction(k)) if k else Poly(want_p + (0,))
     assert same == p and hash(same) == hash(p)
     assert Poly(want_p) == p and hash(Poly(want_p)) == hash(p)
-    if p.degree <= 0:
-        assert p == (want_p[0] if want_p else 0)
+    if p.degree <= 0:       # a constant equals, and hashes as, its number
+        const = want_p[0] if want_p else 0
+        assert p == const and hash(p) == hash(const)
     # arithmetic on numerators against the Fraction lists
     assert (p + q).coeffs == oracle_add(want_p, want_q)
     assert (-p).coeffs == oracle_coeffs(-c for c in want_p)
@@ -165,6 +166,47 @@ def test_numerators_over_a_denominator():
     assert Poly([2, 4, 0], 8) == Poly([Fraction(1, 4), Fraction(1, 2)])
     assert Poly([Fraction(3, 2), 6], 9).coeffs == (Fraction(1, 6), Fraction(2, 3))
     assert Poly([0, 0], 5) == Poly() == 0 and Poly([7], 7) == 1
+
+
+# ----------------------------------------------------------------------
+# positivity witnesses: integer pairs against Fraction arithmetic
+# ----------------------------------------------------------------------
+
+def fraction_witness(p, a, b):
+    """positive_on_open's verdict and detail with the midpoint and the value
+    there formed as Fractions, as the route it replaced did."""
+    a, b = Fraction(a), Fraction(b)
+    if not p:
+        return False, "identically zero"
+    if count_roots_open(p, a, b):
+        return False, "vanishes in the interior, root inside [%s, %s]" % isolate_root(p, a, b)
+    mid = (a + b) / 2
+    value = oracle_call(p, mid)
+    if value > 0:
+        return True, "no interior roots and value %s at %s" % (value, mid)
+    return False, "value %s at %s" % (value, mid)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polys, rationals(-20, 20, den=16), rationals(1, 30, den=9))
+@example(Poly([-1]), 0, 1)                                    # a negative value, FAIL
+@example(Poly([Fraction(-7, 3), 0, 1]), Fraction(-1, 2), 1)   # negative throughout (-1/2, 1/2)
+@example(Poly([0, 1]), -1, 2)                                 # an interior root, FAIL
+@example(Poly(), Fraction(1, 3), 1)                           # identically zero
+@example(Poly([0, 0, 0, 1]), 0, 3)                            # integral midpoint and value
+@example(Poly([1, Fraction(-1, 6)]), Fraction(-5, 4), Fraction(7, 3))
+def test_positivity_witness_matches_fraction_route(p, a, width):
+    b = a + width
+    assert positive_on_open(p, a, b) == fraction_witness(p, a, b)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 12))
+@example(0, 7)
+@example(-6, 4)
+def test_ratio_text_is_the_fraction_text(n, d):
+    assert polynomial.fmt_ratio(n, d) == str(Fraction(n, d))
+    p = Poly([n, 1, -d])
+    assert Fraction(*p.ratio_at(n, d)) == p(Fraction(n, d))
 
 
 # ----------------------------------------------------------------------
