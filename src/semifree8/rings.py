@@ -8,7 +8,12 @@ truncated: each generator vanishes above a fixed power, so one class
 serves them. All generators sit in real degree 2. Elements are
 dictionaries mapping exponent tuples to coefficients with hand-coded
 reduction rules; there is no general Groebner machinery because none is
-needed.
+needed. Each rule is stated once: a ring's ``reduce_mono`` rewrites a
+monomial into reduced ones, and its ``top_mono`` names the one reduced
+monomial of top degree, which integrates to 1, so an integral is that
+monomial's coefficient; ``RingClass`` drops zero terms when it is built,
+and lifts a scalar operand (and refuses a class of another ring) in one
+helper.
 
 Coefficients are Fraction by default. A polynomial coefficient (the
 adjoined variable of :mod:`semifree8.polynomial`) is allowed so that
@@ -27,7 +32,8 @@ that every normal variant states as ``chern``), and
 ``contribution_series_oracle``, which inverts that class and reads off
 the t^-4 coefficient. The inversion is exact, not truncated: after
 factoring out the leading unit the remainder is nilpotent, so the
-geometric series ends after at most dim_C(F) + 1 terms. The closed forms
+geometric series ends after at most dim_C(F) + 1 terms, and ``inverse``
+refuses a series for which that fails. The closed forms
 of :mod:`semifree8.localization` are the production route; this one
 shares only the ``chern`` datum with them, and the tests hold the two
 equal. No command runs the oracle, so no command compiles this module:
@@ -54,15 +60,20 @@ def _coeff(v):
 class GradedRing:
     """Base class: a graded ring with degree-2 generators and an integral.
 
-    Subclasses fill in the generator names, the complex top degree and two
-    hooks: ``reduce_mono`` rewrites one monomial into a dict of reduced
-    monomials with integer multipliers, and ``integral_mono`` pairs a
-    reduced top-degree monomial with the fundamental class.
+    Subclasses fill in the generator names, ``top_mono``, the one reduced
+    monomial of top degree, which integrates to 1, and one hook:
+    ``reduce_mono`` rewrites one monomial into a dict of reduced monomials
+    with integer multipliers.
     """
 
     gens: tuple = ()
-    top: int = 0
+    top_mono: tuple = ()
     name: str = "?"
+
+    @property
+    def top(self):
+        """The complex top degree."""
+        return sum(self.top_mono)
 
     def zero(self):
         return RingClass(self, {})
@@ -71,10 +82,7 @@ class GradedRing:
         return self.scalar(1)
 
     def scalar(self, c):
-        c = _coeff(c)
-        if not c:
-            return self.zero()
-        return RingClass(self, {(0,) * len(self.gens): c})
+        return RingClass(self, {(0,) * len(self.gens): _coeff(c)})
 
     def gen(self, i):
         mono = tuple(1 if j == i else 0 for j in range(len(self.gens)))
@@ -83,27 +91,13 @@ class GradedRing:
     def reduce_mono(self, mono):
         raise NotImplementedError
 
-    def integral_mono(self, mono):
-        raise NotImplementedError
-
     def __repr__(self):
         return "<ring %s>" % self.name
 
 
-def _accumulate(store, ring, mono, coeff):
-    if not coeff:
-        return
-    for red, mult in ring.reduce_mono(mono).items():
-        cur = store.get(red)
-        new = coeff * mult if cur is None else cur + coeff * mult
-        if new:
-            store[red] = new
-        elif red in store:
-            del store[red]
-
-
 class RingClass:
-    """An element of a GradedRing, kept in reduced form."""
+    """An element of a GradedRing, kept in reduced form. The constructor
+    drops zero terms, so the operators accumulate without pruning."""
 
     __slots__ = ("ring", "terms")
 
@@ -111,21 +105,19 @@ class RingClass:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
 
-    def _check(self, other):
+    def _lift(self, other):
+        """``other`` as a class of this ring: a scalar lifts to one, and a
+        class of another ring is refused."""
+        if not isinstance(other, RingClass):
+            return self.ring.scalar(other)
         if other.ring is not self.ring and repr(other.ring) != repr(self.ring):
             raise ValueError("elements of different rings: %s vs %s" % (self.ring, other.ring))
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = self.ring.scalar(other)
-        self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, Fraction(0)) + c
-            if new:
-                out[m] = new
-            elif m in out:
-                del out[m]
+        for m, c in self._lift(other).terms.items():
+            out[m] = out.get(m, 0) + c
         return RingClass(self.ring, out)
 
     __radd__ = __add__
@@ -134,23 +126,18 @@ class RingClass:
         return RingClass(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = self.ring.scalar(other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = _coeff(other)
-            return RingClass(self.ring, {m: c * other for m, c in self.terms.items()})
-        self._check(other)
-        out = {}
+        other, out = self._lift(other), {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                _accumulate(out, self.ring, mono, c1 * c2)
+                for red, mult in self.ring.reduce_mono(mono).items():
+                    out[red] = out.get(red, 0) + c1 * c2 * mult
         return RingClass(self.ring, out)
 
     __rmul__ = __mul__
@@ -185,16 +172,14 @@ class RingClass:
         return RingClass(self.ring, {m: c for m, c in self.terms.items() if sum(m) == k})
 
     def integrate(self):
-        """Pair the top-degree part with the fundamental class.
+        """Pair the top-degree part with the fundamental class: the
+        coefficient of the ring's ``top_mono``, the one reduced monomial of
+        top degree, which integrates to 1.
 
         Lower-degree terms integrate to zero, so inhomogeneous input is
         fine (the total-class convention used by the localization module).
         """
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            if sum(m) == self.ring.top:
-                total = total + c * self.ring.integral_mono(m)
-        return total
+        return self.terms.get(self.ring.top_mono, Fraction(0))
 
     def fmt(self):
         if not self.terms:
@@ -228,15 +213,10 @@ class _Truncated(GradedRing):
     def __init__(self, name, gens, caps):
         self.name = name
         self.gens = gens
-        self.caps = caps
-        self.top = sum(caps)
+        self.caps = self.top_mono = caps
 
     def reduce_mono(self, mono):
         return {} if any(e > c for e, c in zip(mono, self.caps)) else {mono: 1}
-
-    def integral_mono(self, mono):
-        assert mono == self.caps
-        return Fraction(1)
 
 
 class _Projectivized(GradedRing):
@@ -253,7 +233,7 @@ class _Projectivized(GradedRing):
     """
 
     gens = ("eta", "xi")
-    top = 3
+    top_mono = (2, 1)
 
     def __init__(self, k2):
         self.k2 = index(k2)
@@ -267,20 +247,12 @@ class _Projectivized(GradedRing):
             if i > 2:
                 continue
             if j <= 1:
-                cur = out.get((i, j), 0) + mult
-                if cur:
-                    out[(i, j)] = cur
-                elif (i, j) in out:
-                    del out[(i, j)]
+                out[(i, j)] = out.get((i, j), 0) + mult
                 continue
             # xi^2 -> eta*xi - k2*eta^2
             work.append(((i + 1, j - 1), mult))
             work.append(((i + 2, j - 2), -self.k2 * mult))
         return out
-
-    def integral_mono(self, mono):
-        assert mono == (2, 1)
-        return Fraction(1)
 
 
 _point_ring = _Truncated("point", (), ())
@@ -353,14 +325,19 @@ class LaurentSeries:
         return self + (other * Fraction(-1))
 
     def inverse(self):
-        """Exact inverse of a unit series s*t^r*(1 - nilpotent)."""
+        """Exact inverse of a unit series s*t^r*(1 - nilpotent): the leading
+        coefficient s is +-1 and no lower coefficient has a degree-0 part.
+        A series that is not of this form is refused, since the truncated
+        geometric series below would not be its inverse."""
         if not self.terms:
             raise ZeroDivisionError("cannot invert the zero series")
         r = max(self.terms)
-        lead = self.terms[r]
-        s = lead.graded_piece(0)
-        if lead != s or s not in (self.ring.one(), -self.ring.one()):
+        s = self.terms[r]
+        if s not in (self.ring.one(), -self.ring.one()):
             raise ValueError("leading coefficient must be +-1 for inversion")
+        if any(c.graded_piece(0) for k, c in self.terms.items() if k < r):
+            raise ValueError("a coefficient below the leading one has a degree-0 part,"
+                             " so the series is not a unit times 1 - nilpotent")
         sgn = Fraction(1) if s == self.ring.one() else Fraction(-1)
         # n = 1 - sgn * t^-r * self has strictly positive ring degree,
         # hence is nilpotent and the geometric series below is exact

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semifree8 import polynomial, rings
+from semifree8.localization import FourDimExtremalNormal, PointNormal
 from semifree8.polynomial import Poly
-from semifree8.rings import ring_cpn, ring_p1xp1, ring_point, ring_projectivized
+from semifree8.rings import (
+    LaurentSeries,
+    equivariant_euler,
+    ring_cpn,
+    ring_p1xp1,
+    ring_point,
+    ring_projectivized,
+)
 
 
 def test_cp2_frozen_integral():
@@ -87,6 +95,85 @@ def test_equal_classes_of_two_rings_hash_alike():
     # classes compare by their terms, so h on CP2 equals h on CP3
     h2, h3 = ring_cpn(2).gen(0), ring_cpn(3).gen(0)
     assert h2 == h3 and hash(h2) == hash(h3) and len({h2, h3}) == 1
+
+
+def test_classes_of_two_rings_do_not_add():
+    with pytest.raises(ValueError, match=r"^elements of different rings: <ring CP1> vs <ring CP2>$"):
+        ring_cpn(1).gen(0) + ring_cpn(2).gen(0)
+
+
+def test_a_negative_power_is_refused():
+    with pytest.raises(ValueError, match="^nonnegative integer power required$"):
+        ring_cpn(2).gen(0) ** -1
+
+
+def test_a_float_coefficient_is_refused():
+    r = ring_cpn(2)
+    with pytest.raises(TypeError, match=r"^coefficient must be int, Fraction or Poly, got 0\.5$"):
+        r.scalar(0.5)
+    with pytest.raises(TypeError, match=r"^coefficient must be int, Fraction or Poly, got 0\.5$"):
+        LaurentSeries.monomial(r, 0, 0.5)
+
+
+def test_a_float_operand_is_refused_as_a_coefficient():
+    # an operand is lifted to a class the way a scalar is, so a float
+    # meets the coefficient check rather than an attribute lookup
+    h = ring_cpn(2).gen(0)
+    for op in (lambda: h + 0.5, lambda: h - 0.5, lambda: h * 0.5, lambda: 0.5 * h):
+        with pytest.raises(TypeError, match="^coefficient must be int, Fraction or Poly"):
+            op()
+
+
+def test_the_zero_series_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="^cannot invert the zero series$"):
+        LaurentSeries(ring_cpn(2), {}).inverse()
+
+
+def _series(ring, coeffs):
+    return LaurentSeries(ring, {k: c if isinstance(c, rings.RingClass) else ring.scalar(c)
+                                for k, c in coeffs.items()})
+
+
+@pytest.mark.parametrize("lead", [2, -3, Fraction(1, 2), ring_cpn(2).one() + ring_cpn(2).gen(0)])
+def test_a_leading_coefficient_other_than_a_sign_is_refused(lead):
+    series = _series(ring_cpn(2), {1: lead, 0: ring_cpn(2).gen(0)})
+    with pytest.raises(ValueError, match=r"^leading coefficient must be \+-1 for inversion$"):
+        series.inverse()
+
+
+@pytest.mark.parametrize("ring, coeffs", [
+    # t + 1 over a point: the truncated series was t^-1, and the product 1 + t^-1
+    (ring_point(), {1: 1, 0: 1}),
+    # t^2 + 3t over CP2: the product with the truncated series was 1 + 27 t^-3
+    (ring_cpn(2), {2: 1, 1: 3}),
+    # a degree-0 part beside a nilpotent one is refused as well
+    (ring_cpn(2), {1: -1, 0: ring_cpn(2).one() + ring_cpn(2).gen(0)}),
+])
+def test_a_series_with_a_lower_degree_zero_part_is_refused(ring, coeffs):
+    with pytest.raises(ValueError, match="degree-0 part"):
+        _series(ring, coeffs).inverse()
+
+
+@pytest.mark.parametrize("coeffs", [
+    {1: 1, 0: ring_cpn(2).gen(0)},
+    {2: -1, 1: 3 * ring_cpn(2).gen(0), 0: ring_cpn(2).gen(0) ** 2},
+    {1: 1, -1: 5 * ring_cpn(2).gen(0) ** 2},
+])
+def test_an_admitted_series_times_its_inverse_is_one(coeffs):
+    series = _series(ring_cpn(2), coeffs)
+    assert (series * series.inverse()).terms == {0: 1}
+    assert (series.inverse() * series).terms == {0: 1}
+
+
+def test_euler_class_with_weights_beyond_a_sign():
+    # sum_i c_i(N) (w t)^(2 - i) at w = 2 with c(N) = 1 - h + 3h^2
+    h = ring_cpn(2).gen(0)
+    e = equivariant_euler((0, 0, 2, 2), FourDimExtremalNormal(-1, 3))
+    assert e.ring is ring_cpn(2)
+    assert e.terms == {2: 4, 1: -2 * h, 0: 3 * h * h}
+    # over a point the Euler class is the product of the weights times t^4
+    assert equivariant_euler((2, 2, 2, 2), PointNormal()).terms == {4: 16}
+    assert equivariant_euler((-3, 2, 2, 2), PointNormal()).terms == {4: -24}
 
 
 def test_doctests_run_clean():
