@@ -61,7 +61,7 @@ TypeError instead of being truncated.
 from bisect import bisect_left
 from enum import Enum
 from itertools import compress
-from operator import attrgetter, index
+from operator import attrgetter, index, itemgetter
 
 from .localization import (
     FourDimExtremalNormal,
@@ -198,7 +198,7 @@ class FixedPointData(Record):
             lo = None
         if n_hi != 1:
             hi = None
-        # straight into the instance dict, one item assignment each, as in CheckItem
+        # straight into the instance dict, one item assignment each
         values = self.__dict__
         values["components"] = comps
         values["extremes"] = (lo, hi)
@@ -323,22 +323,47 @@ def rule_statement(check_id):
         raise ValueError("unknown check id %r" % (check_id,)) from None
 
 
-class CheckItem(Record):
-    _fields = ("id", "verdict", "detail")
+class CheckItem(tuple):
+    """The outcome of one rule: its check ``id``, its ``verdict`` (PASS,
+    FAIL, WARN or INFO) and a ``detail``, with the ``rule`` statement of the
+    id, read from RULES when the item is built; an unknown id raises, as in
+    rule_statement. A value type like every Record, but held as the tuple
+    (id, verdict, detail, rule), so that an item, of which a report is
+    mostly made, is one allocation. The statement is the hidden fourth
+    entry: fixed by the id, it changes no comparison, and it keeps an item
+    unequal to the plain tuple of its fields, whose own ``__eq__`` would
+    otherwise accept the subclass and compare equal."""
 
-    def __init__(self, id, verdict, detail=""):
-        # verdict is PASS / FAIL / WARN / INFO; an unknown id raises, as in
-        # rule_statement (every statement is a nonempty string)
-        rule = RULES.get(id) or rule_statement(id)
-        values = self.__dict__
-        values["id"] = id
-        values["verdict"] = verdict
-        values["detail"] = detail
-        values["rule"] = rule
+    __slots__ = ()
+    id, verdict, detail, rule = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, id, verdict, detail=""):
+        return tuple.__new__(cls, (id, verdict, detail, RULES.get(id) or rule_statement(id)))
+
+    def __eq__(self, other):
+        return tuple.__eq__(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __ne__(self, other):
+        return tuple.__ne__(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __hash__(self):
+        return hash(self[:3])
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __repr__(self):
+        return "CheckItem(id=%r, verdict=%r, detail=%r)" % self[:3]
 
     def line(self):
-        tail = " (%s)" % self.detail if self.detail else ""
-        return "%s %s: %s%s" % (self.verdict, self.id, self.rule, tail)
+        id, verdict, detail, rule = self
+        tail = " (%s)" % detail if detail else ""
+        return "%s %s: %s%s" % (verdict, id, rule, tail)
 
 
 class ConstraintReport:
@@ -372,8 +397,10 @@ class ConstraintReport:
 
 
 def pass_fail(check_id, good, detail):
-    """A PASS or FAIL item with the detail of that verdict."""
-    return CheckItem(check_id, "PASS" if good else "FAIL", detail)
+    """A PASS or FAIL item with the detail of that verdict: the tuple that
+    CheckItem builds, made here without entering its constructor."""
+    rule = RULES.get(check_id) or rule_statement(check_id)
+    return tuple.__new__(CheckItem, (check_id, "PASS" if good else "FAIL", detail, rule))
 
 
 # ----------------------------------------------------------------------

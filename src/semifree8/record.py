@@ -35,9 +35,16 @@ attribute outside ``_fields`` is invisible to equality, hashing and repr.
 A constructor that coerces or validates its input binds its fields itself,
 through ``set_field``, or straight into ``self.__dict__``, one item
 assignment each, which bypasses ``__setattr__`` just as ``set_field`` does
-and builds no keyword dict; ``model.CheckItem``, built some twenty times
-per verification report, does, and so does ``model.FixedPointData`` for
-the values its one pass derives.
+and builds no keyword dict; ``model.FixedPointData`` does, for the values
+its one pass derives.
+
+``model.CheckItem`` is the one value type that is not a ``Record`` but a
+tuple subclass with no instance dict. Some twenty items are built per
+verification report and make up most of what a report holds, and a
+``Record`` is two allocations for the collector to track, the instance
+and its dict, where a tuple is one. It keeps the rest of this contract by
+hand: read-only fields, equality only with its own class (a plain tuple
+included), the hash and repr of its fields, and no ordering.
 
 ``serve_lazily`` builds the PEP 562 module ``__getattr__`` by which a
 module serves names that another module of the package defines, loading

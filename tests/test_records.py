@@ -9,7 +9,9 @@ that neither equality nor repr sees, as `field(compare=False, repr=False)`
 stated it.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -25,6 +27,7 @@ from semifree8.classify import (
     classify_fano,
     default_fano_table,
     enumerate_case,
+    verification_report,
 )
 from semifree8.dh import DHPiece, DHProfile, dh_profile
 from semifree8.localization import (
@@ -34,7 +37,13 @@ from semifree8.localization import (
     SixDimNormal,
     SurfaceNormal,
 )
-from semifree8.model import CheckItem, FixedComponent, FixedPointData, point_component
+from semifree8.model import (
+    RULES,
+    CheckItem,
+    FixedComponent,
+    FixedPointData,
+    point_component,
+)
 from semifree8.record import set_field
 
 
@@ -136,6 +145,10 @@ def test_record_semantics(cls, make, make_other):
     assert rec.__eq__(twin(rec)) is NotImplemented
     assert rec.__eq__(object()) is NotImplemented
     assert rec != twin(rec) and not rec == twin(rec)
+    # so is the plain tuple of its field values
+    values = tuple(getattr(rec, name) for name in FIELDS[cls])
+    assert rec.__eq__(values) is NotImplemented
+    assert rec != values and not rec == values
     with pytest.raises(TypeError):
         rec < fresh
 
@@ -151,6 +164,19 @@ def test_record_semantics(cls, make, make_other):
         with pytest.raises(AttributeError):
             delattr(rec, name)
     assert repr(rec) == before
+
+
+@pytest.mark.parametrize("cls, make, make_other", CASES, ids=[c.__name__ for c, _, _ in CASES])
+def test_copies_and_pickles_are_equal(cls, make, make_other):
+    rec = make()
+    for copied in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(copied) is cls and copied == rec and repr(copied) == repr(rec)
+
+
+def test_report_copies_and_pickles_read_the_same():
+    report = verification_report(_x8())
+    for copied in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert copied.lines() == report.lines()
 
 
 def test_family_builder_is_not_compared():
@@ -179,7 +205,6 @@ DERIVED = [
     (lambda: FourDimSplitNormal((1, 0), (0, 1)), ("first_chern", "chern", "c2", "fingerprint")),
     (lambda: SixDimNormal(1), ("first_chern", "chern", "fingerprint")),
     (lambda: catalog()["q4-two-planes"], ("extremes", "interior", "betti")),
-    (lambda: CheckItem("semi-free", "PASS"), ("rule",)),
     (lambda: enumerate_case((4, 4)).rejections[0], ("rule",)),
 ]
 
@@ -206,6 +231,15 @@ def test_precomputed_component_values_are_not_fields():
         assert twin == fresh == rec and hash(twin) == hash(fresh) == hash(rec)
         assert hash(fresh) == hash(tuple(fields.values()))
         assert repr(twin) == repr(fresh) == repr(rec)
+    # a check item's statement is read from the registry when it is built
+    # and held in no instance dict: the item is one allocation
+    item = CheckItem("semi-free", "PASS")
+    assert item.rule == RULES[item.id] and "rule=" not in repr(item)
+    with pytest.raises(AttributeError):
+        item.rule = None
+    with pytest.raises(AttributeError):
+        del item.rule
+    assert not hasattr(item, "__dict__")
 
 
 # the types whose fields Record's own constructor binds (Rejection and
