@@ -23,31 +23,25 @@ density, coming from the binomial normalization of the quartic).
 Positivity of the density on open regular intervals is decided exactly
 with Sturm sequences; a zero at a wall is fine, a zero inside is not.
 
-The layer keeps two caches, neither keyed on a document:
-
-* a profile on the pair of end descriptions ``_end(data, 1)`` and
-  ``_end(data, -1)``: flat tuples of the end, the extreme's level read from
-  that end, and per piece its interval, formula and argument (``k2`` for the
-  ruled one), all that a profile reads of the data;
-* a piece's ``dh-positivity`` item, its text included, on ``(poly, lo,
-  hi)``, so each distinct piece is certified, and builds its Sturm
-  chains, once per process.
-
-Both keys are exact levels, functions and ``Poly``s, whose equality and
-hash read exact values (a function's is its identity), and both cached
-functions are pure and return immutable records, so a hit returns what a
-fresh call would. A verify-families pass over the benchmark's families
-corpus meets 180 distinct pairs and 44 distinct certificates, the edits
-corpus 22 and 20, ``enumerate_all(30)`` 24 and 20; each cache keeps at most
-``CACHE_SIZE`` entries, least recently used first out.
+The layer keeps one cache, not keyed on a document: a profile on the pair
+of end descriptions ``_end(data, 1)`` and ``_end(data, -1)``, flat tuples
+of the end, the extreme's level read from that end, and per piece its
+interval, formula and argument (``k2`` for the ruled one), all that a
+profile reads of the data. The key holds ints and functions, whose equality
+and hash read exact values (a function's is its identity), and
+``_profile`` is pure and returns an immutable record, so a hit returns what
+a fresh call would. A verify-families pass over the benchmark's families
+corpus meets 180 distinct pairs, the edits corpus 22, ``enumerate_all(30)``
+24; the cache keeps at most ``CACHE_SIZE`` of them, least recently used
+first out.
 
 A profile certifies its pieces when it is built: ``DHProfile.items`` holds
-their ``dh-positivity`` items, looked up in the certificate cache. A
-profile that ``dh_profile`` has returned before is the cached object
-itself, so ``positivity_check`` on it, the warm path of
-``verification_report``, reads those items and hashes or compares no
-``Poly`` or level. ``_certificate`` stays the one place where a distinct
-piece is certified.
+their ``dh-positivity`` items, one ``_certificate`` call, which builds the
+piece's Sturm chains, per piece. A profile that ``dh_profile`` has returned
+before is the cached object itself, so ``positivity_check`` on it, the warm
+path of ``verification_report``, reads those items and certifies nothing.
+No ``Poly`` is part of the key, so no pass, cold or warm, hashes or
+compares one.
 
 A level is exact and canonical: an int when it is integral, else a
 Fraction. The component levels are ints, and so are the piece endpoints
@@ -159,9 +153,9 @@ class DHPiece(Record):
 
 
 class DHProfile(Record):
-    """``items`` are the pieces' ``dh-positivity`` items, certified when the
-    profile is built (``_certificate``), or the one INFO item saying that
-    no piece is pinned; not a record field."""
+    """``items`` are the pieces' ``dh-positivity`` items, each piece
+    certified once (``_certificate``) when the profile is built, or the one
+    INFO item saying that no piece is pinned; not a record field."""
 
     _fields = ("pieces", "warnings")   # warnings: WARN-level CheckItems about seams
 
@@ -172,7 +166,7 @@ class DHProfile(Record):
                                 "no density piece is pinned for this configuration"),))
 
 
-CACHE_SIZE = 1024      # entries per cache, past every distinct count above
+CACHE_SIZE = 1024      # profiles kept, past every distinct count above
 
 
 def _end(data, end):
@@ -254,20 +248,14 @@ def dh_profile(data):
     return _profile(_end(data, 1), _end(data, -1))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _certificate(poly, lo, hi):
-    """The dh-positivity item of one piece. Every piece of a well-typed
-    profile has exact endpoints with lo < hi: an extreme a formula reads
-    (a point or a plane) lies at the lowest level its end can hold, so
-    each piece runs up from it, in level order."""
+    """The dh-positivity item of one piece, certified afresh: ``DHProfile``
+    calls it once per piece when ``_profile`` builds a profile. Every piece
+    of a well-typed profile has exact endpoints with lo < hi: an extreme a
+    formula reads (a point or a plane) lies at the lowest level its end can
+    hold, so each piece runs up from it, in level order."""
     ok, detail = positive_on_open(poly, lo, hi)
     return pass_fail("dh-positivity", ok, "%s on (%s, %s): %s" % (poly.fmt("L"), lo, hi, detail))
-
-
-def clear_caches():
-    """Empty the profile and certificate caches."""
-    _profile.cache_clear()
-    _certificate.cache_clear()
 
 
 def positivity_check(profile):

@@ -10,8 +10,8 @@ writes them as `str(Fraction)` does (`fmt_ratio`, which `fmt` shares), so
 an interval with no interior root is decided without loading `fractions`.
 Nothing is cached here: `count_roots_open` and `isolate_root` each build
 the Sturm chain of the polynomial they are given. Sharing is the density layer's
-(`semifree8.dh`): it certifies each distinct piece once per process, so a
-piece met again builds no chain.
+(`semifree8.dh`): it builds each profile once per process, certifying its
+pieces then, so a profile met again builds no chain.
 
 p(n/d) = d^deg * q(n/d) / (den * d^deg), and with a*x + b = (A*x + B)/D,
 p(a*x + b) = sum_i q_i D^(deg-i) (A*x + B)^i / (den * D^deg), by Horner's

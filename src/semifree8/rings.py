@@ -255,25 +255,25 @@ class _Projectivized(GradedRing):
         return out
 
 
-_point_ring = _Truncated("point", (), ())
-_p1xp1_ring = _Truncated("P1xP1", ("x", "y"), (1, 1))
-_cpn_rings = {}
+# every component ring, by the name a normal gives (``normal.ring``)
+_RINGS = {r.name: r for r in (
+    _Truncated("point", (), ()),
+    _Truncated("P1xP1", ("x", "y"), (1, 1)),
+    *(_Truncated("CP%d" % n, ("h",), (n,)) for n in range(1, 5)))}
 
 
 def ring_point():
-    return _point_ring
+    return _RINGS["point"]
 
 
 def ring_cpn(n):
     if not 1 <= n <= 4:
         raise ValueError("projective space dimension out of range: %d" % n)
-    if n not in _cpn_rings:
-        _cpn_rings[n] = _Truncated("CP%d" % n, ("h",), (n,))
-    return _cpn_rings[n]
+    return _RINGS["CP%d" % n]
 
 
 def ring_p1xp1():
-    return _p1xp1_ring
+    return _RINGS["P1xP1"]
 
 
 def ring_projectivized(k2):
@@ -368,9 +368,7 @@ def equivariant_euler(weights, normal):
     over the distinct nonzero weights w, r_w the multiplicity of w (Bott-Tu,
     section 21). Raises ValueError when the parts do not match the distinct
     nonzero weights, or a part holds a class of degree above its rank."""
-    # the component ring by the name the normal gives
-    ring = next(r for r in (_point_ring, _p1xp1_ring, *map(ring_cpn, range(1, 5)))
-                if r.name == normal.ring)
+    ring = _RINGS[normal.ring]
     distinct = sorted({w for w in weights if w})
     # a point states no parts: over it every c(N_w) is 1
     chern = normal.chern or ((),) * len(distinct)

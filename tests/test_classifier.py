@@ -19,6 +19,7 @@ from semifree8.classify import (
     enumerate_all,
     enumerate_case,
     fano_table_hash,
+    index_candidates,
     index_from_extremal,
     match_fp_class,
     sphere_constraints,
@@ -224,6 +225,16 @@ def test_index_from_extremal_on_catalog():
     }
     for name, data in catalog().items():
         assert index_from_extremal(data) == expected[name]
+
+
+@pytest.mark.parametrize("name", ["p4-sphere-min", "q4-two-planes", "x8-six-points"])
+def test_fano_index_info_names_the_minimum_where_both_extremes_agree(name):
+    # both extremes read the index; the INFO item names the first
+    # candidate, the minimum
+    data = catalog()[name]
+    assert [source for source, _ in index_candidates(data)] == ["minimum", "maximum"]
+    assert [it.detail for it in sphere_index_rules(data) if it.id == "fano-index"] == [
+        "index %d from the minimum" % index_from_extremal(data)]
 
 
 def test_index_rule_error_cases():

@@ -1,24 +1,24 @@
 """The memoized density layer against itself cold and against a fresh route.
 
 `semifree8.dh` caches each profile on what the formulas pin next to its two
-ends, and each piece's `dh-positivity` item on the piece's polynomial and
-interval, never on a document. A hit must return what a fresh call
-returns. So the report lines of ``positivity_check(dh_profile(d))`` must
-be the same three ways:
+ends, never on a document, and a profile certifies each of its pieces once,
+when it is built. A hit must return what a fresh call returns. So the
+report lines of ``positivity_check(dh_profile(d))`` must be the same three
+ways:
 
-* with every cache emptied before each document (cold),
+* with the profile cache emptied before each document (cold),
 * after the whole corpus has run once (warm), when each profile answers
-  with the items certified when it was built, with no certificate lookup
-  and no Sturm chain built, and
+  with the items certified when it was built, with no piece certified and
+  no Sturm chain built, and
 * from `positive_on_open` on freshly built `Poly`s, with the items
-  formatted as the layer did before it was cached.
+  formatted as the layer formats them.
 
 The documents are every family member of ``enumerate_all(14)`` over a box
 of free splits like the benchmark's families corpus, every catalog entry as
 given and reversed, and the documents of the report digest
 (``tests/test_report_digest.py``) that pass the structural gate.
 
-The certificate cache keys endpoints of any number type alike and has no
+A piece's certificate writes its endpoints as it is given them and has no
 branch for an empty interval; on every well-typed dataset of the
 benchmark's corpora each piece has exact endpoints in level order, an int
 when integral, else a Fraction, never a float.
@@ -82,8 +82,21 @@ def documents():
     return docs
 
 
+def count_certificates(monkeypatch):
+    """The pieces certified from here on, as ``count_chain_builds`` counts
+    chain builds."""
+    pieces = []
+    certify = dh._certificate
+
+    def counting(poly, lo, hi):
+        pieces.append((poly, lo, hi))
+        return certify(poly, lo, hi)
+    monkeypatch.setattr(dh, "_certificate", counting)
+    return pieces
+
+
 def fresh_lines(profile):
-    """The report of positivity_check before it was cached, on fresh Polys."""
+    """The report of positivity_check, rebuilt on fresh Polys."""
     rep = ConstraintReport()
     if not profile.pieces:
         rep.append(CheckItem("dh-positivity", "INFO",
@@ -101,11 +114,14 @@ def fresh_lines(profile):
 def test_cold_warm_and_fresh_reports_agree(monkeypatch):
     docs = documents()
     assert len(docs) > 300
+    certified = count_certificates(monkeypatch)
     cold = []
     for data in docs:
-        dh.clear_caches()
+        dh._profile.cache_clear()
         profile = dh_profile(data)
         cold.append((profile, positivity_check(profile).lines()))
+    # each cold build certifies each of its pieces once
+    assert len(certified) == sum(len(profile.pieces) for profile, _ in cold) > 0
     # the corpus reaches every kind of piece, passing and failing
     lines = [line for _, got in cold for line in got]
     assert any(line.startswith("FAIL dh-positivity") for line in lines)
@@ -113,15 +129,15 @@ def test_cold_warm_and_fresh_reports_agree(monkeypatch):
     assert any(line.startswith("INFO dh-positivity") for line in lines)
     for data in docs:                   # warm the caches with the whole corpus
         positivity_check(dh_profile(data))
-    before = dh._certificate.cache_info()
+    before = len(certified)
     builds = count_chain_builds(monkeypatch)
     for data, (profile, got) in zip(docs, cold):
         warm = dh_profile(data)
         assert warm == profile
         assert positivity_check(warm).lines() == got
     # a warm profile carries the items certified when it was built: the
-    # warm loop looks up no certificate and builds no Sturm chain
-    assert dh._certificate.cache_info() == before
+    # warm loop certifies no piece and builds no Sturm chain
+    assert len(certified) == before
     assert builds == []
     for profile, got in cold:
         assert fresh_lines(profile) == got
@@ -134,31 +150,30 @@ def test_documents_whose_ends_read_alike_share_a_profile():
     one, other = fam.instantiate(0, tail=(2, 2)), fam.instantiate(0, tail=(1, 3))
     assert one != other
     assert [dh._end(one, e) for e in (1, -1)] == [dh._end(other, e) for e in (1, -1)]
-    dh.clear_caches()
+    dh._profile.cache_clear()
     first = dh_profile(one)
     assert dh._profile.cache_info()[:2] == (0, 1)         # (hits, misses)
     assert dh_profile(other) is first
     assert dh._profile.cache_info()[:2] == (1, 1)
 
 
-def test_documents_sharing_an_end_share_its_piece():
+def test_each_profile_build_certifies_each_of_its_pieces_once(monkeypatch):
     # the same plane with k2 = 3 at the minimum, different planes at the maximum
     fam = [f for f in enumerate_all(14)[(4, 4)].families if f.key == "4,4/negative"][0]
     one, other = fam.instantiate(6, split=(3, 5)), fam.instantiate(7, split=(3, 6))
     assert dh._end(one, 1) == dh._end(other, 1) and dh._end(one, -1) != dh._end(other, -1)
-    dh.clear_caches()
+    dh._profile.cache_clear()
+    certified = count_certificates(monkeypatch)
     first = dh_profile(one)
-    before = dh._certificate.cache_info()
     second = dh_profile(other)
-    after = dh._certificate.cache_info()
     assert first != second
     assert first.pieces[0] == second.pieces[0]
     assert first.pieces[1] != second.pieces[1]
-    # building the second profile reads the shared end's certificate back
-    # and makes the other end's
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    # each build certifies its own pieces, the shared end's piece included,
+    # in level order, and nothing else
+    assert certified == [(pc.poly, pc.lo, pc.hi) for pc in first.pieces + second.pieces]
     assert positivity_check(second).items == list(second.items + second.warnings)
-    assert dh._certificate.cache_info() == after
+    assert len(certified) == len(first.pieces) + len(second.pieces)
 
 
 def exact_level(v):
@@ -168,10 +183,10 @@ def exact_level(v):
 
 
 def test_every_piece_of_a_well_typed_profile_runs_up_between_exact_levels():
-    # the certificate cache is keyed on (poly, lo, hi) untyped and certifies
-    # with no empty-interval branch: both hold because every piece that a
+    # a piece's certificate writes its endpoints as given and certifies with
+    # no empty-interval branch: both hold because every piece that a
     # well-typed dataset pins has canonical exact endpoints in level order,
-    # so one value is one key and writes one text
+    # so one level writes one text
     pieces = 0
     for data in corpus_data():
         if not data.well_typed:

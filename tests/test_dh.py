@@ -171,7 +171,7 @@ def test_half_level_seam_against_the_fraction_route():
     # integer pairs and written as their Fractions would be
     below = (1, 0, 0, 3, dh_isolated_min, ())
     above = (-1, -4, -4, -2, dh_near_cp2, (2,))
-    dh.clear_caches()
+    dh._profile.cache_clear()
     profile = dh._profile(below, above)
     seam = Fraction(5, 2)
     lo_poly, hi_poly = dh_isolated_min(), dh_near_cp2(2).compose_linear(-1, 4)

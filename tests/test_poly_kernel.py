@@ -10,8 +10,8 @@ The two must agree coefficient for coefficient, on equality, hashing,
 printing and degree, and the results must keep `Fraction` values.
 `count_roots_open` and `isolate_root` each build the Sturm chain of the
 polynomial they are given, and no `Poly` keeps one; the density layer,
-which shares its pieces, builds chains for each distinct piece once per
-process.
+which shares its profiles, builds chains for each piece of a profile once
+per process.
 """
 
 from fractions import Fraction
@@ -243,7 +243,7 @@ def test_interior_root_builds_one_chain(monkeypatch):
 def test_failing_density_piece_builds_one_chain(monkeypatch):
     fam = [f for f in enumerate_case((4, 4)).families if f.key == "4,4/negative"][0]
     data = fam.instantiate(12, split=(8, 6))        # k2 = 8 passes K2_CAP
-    dh.clear_caches()               # no piece built by an earlier test
+    dh._profile.cache_clear()       # no profile built by an earlier test
     builds = count_chain_builds(monkeypatch)
     profile = dh_profile(data)      # certifies its pieces
     report = positivity_check(profile)
@@ -253,8 +253,8 @@ def test_failing_density_piece_builds_one_chain(monkeypatch):
     # one chain to count the roots of each piece, and one more to isolate
     # the failing piece's interior root
     assert len(profile.pieces) == 2 and len(builds) == 3
-    # the density layer shares its pieces and their certificates: the same
-    # profile again, and an equal one built afresh, build no further chain
+    # the density layer shares its profiles: the same profile again, and
+    # that of an equal dataset built afresh, build no further chain
     assert positivity_check(profile).lines() == report.lines()
     assert positivity_check(dh_profile(fam.instantiate(12, split=(8, 6)))).lines() == report.lines()
     assert len(builds) == 3

@@ -1,13 +1,16 @@
-"""The warm verify path does no Fraction or Poly key work.
+"""The verify path does no Poly key work, and warm no Fraction work.
 
-Once a document's density profile has been built, verifying it again
-reads the profile's certified items off the profile, and the
-localization terms are ints. So after one warm-up pass,
-``verification_report`` plus ``match_fp_class`` over the same documents
-make no call into the ``fractions`` module and no call to ``Poly.__eq__``
-or ``Poly.__hash__``. The calls are counted with ``sys.setprofile`` on
-this process; the warm-up pass, run from empty caches under the same
-counter, shows that the counter sees such calls when they happen.
+The density layer's one cache is keyed on end descriptions, which hold no
+``Poly``, so ``verification_report`` plus ``match_fp_class`` make no call
+to ``Poly.__eq__`` or ``Poly.__hash__``, cold or warm. Once a document's
+density profile has been built, verifying it again reads the profile's
+certified items off the profile, and the localization terms are ints. So
+after one warm-up pass, the same documents make no call into the
+``fractions`` module either. The calls are counted with ``sys.setprofile``
+on this process; the warm-up pass, run from an empty profile cache under
+the same counter, shows that the counter sees Fraction calls when they
+happen, and hashing one ``Poly`` under it shows the same for the
+``Poly`` key calls.
 
 The documents are the families box of ``tests/test_density_memo.py`` and
 every catalog entry, each as given and reversed.
@@ -65,8 +68,8 @@ def documents():
     return docs + [reverse_action(d) for d in docs]
 
 
-def counted_pass(docs):
-    """The reports and classes of one pass, and the watched calls it made."""
+def counted(run):
+    """What ``run()`` returns, and the watched calls it made."""
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -81,20 +84,27 @@ def counted_pass(docs):
 
     sys.setprofile(profile)
     try:
-        out = [(verification_report(d).lines(), match_fp_class(d)) for d in docs]
+        return run(), calls
     finally:
         sys.setprofile(None)
-    return out, calls
+
+
+def counted_pass(docs):
+    """The reports and classes of one pass, and the watched calls it made."""
+    return counted(lambda: [(verification_report(d).lines(), match_fp_class(d)) for d in docs])
 
 
 def test_warm_pass_makes_no_fraction_or_poly_key_call():
+    x = Poly.x()
+    assert counted(lambda: hash(x))[1] == Counter({"Poly.__hash__": 1})
     docs = documents()
     assert len(docs) > 300
-    dh.clear_caches()
+    dh._profile.cache_clear()
     cold, cold_calls = counted_pass(docs)
-    # building and certifying the pieces does Fraction and Poly key work
+    # building and certifying the pieces does Fraction work, but no cache
+    # key holds a Poly, so not even the cold pass hashes or compares one
     assert cold_calls["fractions"] > 0
-    assert cold_calls["Poly.__hash__"] > 0
+    assert cold_calls["Poly.__eq__"] == cold_calls["Poly.__hash__"] == 0
     warm, warm_calls = counted_pass(docs)
     assert warm == cold
     assert warm_calls == Counter({"verification_report": len(docs)})
