@@ -165,7 +165,7 @@ def sphere_constraints(data):
                     "surface-degree-relation", rest == surface_tail(a1),
                     "3*%d vs 2 + %d + %d (surface alone below level 0 reading)"
                     % (a1, a1, rest)))
-    if not rep.items:
+    if not rep:
         rep.append(CheckItem("sphere-rules", "INFO",
                              "no sphere rule applies to this configuration"))
     return rep
@@ -216,24 +216,26 @@ def sphere_index_rules(data):
 
 def _lambda2_exclusion(data):
     """Interior two-negative-weight points (the dataset's ``lam2_points``)
-    need a 4-dim extreme."""
+    need a 4-dim extreme: the rule's one item, or no item when there are
+    no such points."""
     lam2 = data.lam2_points
     if not lam2:
-        return None
+        return ()
     has4 = any(c is not None and c.complex_dim == 2 for c in data.extremes)
-    return pass_fail("lambda2-needs-4dim-extremal", has4,
-                     "%d such points, 4-dim extreme %s" % (len(lam2), "present" if has4 else "absent"))
+    return (pass_fail("lambda2-needs-4dim-extremal", has4, "%d such points, 4-dim extreme %s"
+                      % (len(lam2), "present" if has4 else "absent")),)
 
 
 def _bundle_halves(data):
     """The (0,0) pin: interior 4-dim bundles are halves of the tangent
     class. Both extremes are points, so every one of the dataset's
-    ``fourdim`` is interior, and each is checked: the item of the first
-    that fails, or the first one's PASS."""
+    ``fourdim`` is interior, and each is checked: the rule's one item,
+    that of the first that fails or else the first one's PASS, or no item
+    outside shape (0,0) or without a 4-dim component."""
     if data.shape != (0, 0) or not data.fourdim:
-        return None
+        return ()
     items = [_halves_item(c) for c in data.fourdim]
-    return next((it for it in items if it.verdict == "FAIL"), items[0])
+    return (next((it for it in items if it.verdict == "FAIL"), items[0]),)
 
 
 def _halves_item(c):
@@ -257,7 +259,9 @@ def _halves_item(c):
 # ----------------------------------------------------------------------
 
 def verification_report(data):
-    """Everything this package can check about one dataset, in one report.
+    """Everything this package can check about one dataset, in one report:
+    the list of every rule's check items in the order the rules ran, each
+    rule adding its items, none when it does not apply.
 
     Past the structural gate every component stores its localization term
     (``abbv_term``, the closed form ``abbv_terms`` computes). The rules
@@ -275,9 +279,8 @@ def verification_report(data):
     rep.append(pass_fail("abbv-vanishing", total == 0, "contributions %s sum to %s"
                          % ([str(t) for t in terms], total)))
     rep.append(signature_check(data))
-    for item in (_lambda2_exclusion(data), _bundle_halves(data)):
-        if item is not None:
-            rep.append(item)
+    rep.extend(_lambda2_exclusion(data))
+    rep.extend(_bundle_halves(data))
     up = oriented(data)
     if up is not None:
         rep.extend(sphere_constraints(up))

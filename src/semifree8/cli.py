@@ -71,7 +71,7 @@ def _report(source, title, data):
     lines.extend(rep.lines())
     warns = sum(1 for it in rep if it.verdict == "WARN")
     lines.append("result: %s (%d checks, %d failed, %d warnings)"
-                 % ("PASS" if rep.ok else "FAIL", len(rep.items), len(rep.failures),
+                 % ("PASS" if rep.ok else "FAIL", len(rep), len(rep.failures),
                     warns))
     lines.append("fixed point class: %s" % fp_class)
     return (0 if rep.ok else 1), doc, lines

@@ -191,8 +191,7 @@ def _certified(key, n2_max=0):
         rep = verification_report(family.instantiate(n2))
         if not rep.ok:
             raise ClassifyError("family %s fails its own certification at n2=%d:\n%s"
-                                % (key, n2, "\n".join(l for l in rep.lines()
-                                                      if l.startswith("FAIL"))))
+                                % (key, n2, "\n".join(it.line() for it in rep.failures)))
     return family
 
 

@@ -227,11 +227,15 @@ def abbv_terms(components):
     fits its component."""
     from .model import FixedComponent, FixedPointData, require_well_typed
 
-    comps = tuple(components)
-    if all(isinstance(c, FixedComponent) for c in comps):
-        # a dataset is gated as the dataset of its own components, which fails
-        # the same checks
-        require_well_typed(FixedPointData(comps), "abbv-vanishing")
+    comps = components
+    if not isinstance(comps, FixedPointData):
+        comps = tuple(comps)
+        if all(isinstance(c, FixedComponent) for c in comps):
+            # components are gated as the dataset they form, which fails the
+            # same checks; a dataset is gated as it is
+            components = FixedPointData(comps)
+    if isinstance(components, FixedPointData):
+        require_well_typed(components, "abbv-vanishing")
     return tuple(contribution(c.weights, c.normal) for c in comps)
 
 

@@ -366,34 +366,23 @@ class CheckItem(tuple):
         return "%s %s: %s%s" % (verdict, id, rule, tail)
 
 
-class ConstraintReport:
-    """An ordered list of check items with an overall verdict."""
-
-    def __init__(self, items=()):
-        self.items = list(items)
-
-    def append(self, item):
-        self.items.append(item)
-
-    def extend(self, items):
-        self.items.extend(items)
+class ConstraintReport(list):
+    """A list of check items, in the order the rules ran, with an overall
+    verdict: it adds ``ok``, ``failures`` and ``lines()`` to the list."""
 
     @property
     def ok(self):
-        return all(it.verdict != "FAIL" for it in self.items)
+        return all(it.verdict != "FAIL" for it in self)
 
     @property
     def failures(self):
-        return [it for it in self.items if it.verdict == "FAIL"]
+        return [it for it in self if it.verdict == "FAIL"]
 
     def lines(self):
-        return [it.line() for it in self.items]
-
-    def __iter__(self):
-        return iter(self.items)
+        return [it.line() for it in self]
 
     def __repr__(self):
-        return "<report %s, %d checks>" % ("PASS" if self.ok else "FAIL", len(self.items))
+        return "<report %s, %d checks>" % ("PASS" if self.ok else "FAIL", len(self))
 
 
 def pass_fail(check_id, good, detail):

@@ -186,6 +186,22 @@ def test_family_instantiation_guards():
         f24.instantiate(degrees=(1, 1, 2))
 
 
+@pytest.mark.parametrize("key, choices, message", [
+    ("0,4/with-surface", {"tail": (1, 2)}, "positive-weight degrees must sum to 4"),
+    ("0,4/with-surface", {"tail": (2, 1, 1)}, "positive-weight degrees must sum to 4"),
+    ("2,4", {"degrees": (1, 2)}, "minimum degrees must be three integers summing to 3"),
+    ("4,4/positive", {"split": (0, 1)}, "c2 split must be two integers summing to b4 = 2"),
+    ("0,4/no-surface", {"tail": (2, 2)}, "no free choices in this family"),
+    ("0,0", {"split": (1, 1)}, "this family has no free parameters"),
+    ("0,6", {"degrees": (1, 1, 1)}, "this family has no free parameters"),
+])
+def test_each_builder_refuses_malformed_choices(key, choices, message):
+    # a choice of the wrong length or sum, or any choice where a family has
+    # none, is refused by name; none is cut or padded into a member
+    with pytest.raises(ClassifyError, match="^%s$" % message):
+        _FAMILIES[key].instantiate(**choices)
+
+
 def test_b4_cutoff_respected_even_with_roomy_box():
     for shape, result in enumerate_all(b4_max=30).items():
         for fam in result.families:

@@ -172,7 +172,7 @@ def test_each_profile_build_certifies_each_of_its_pieces_once(monkeypatch):
     # each build certifies its own pieces, the shared end's piece included,
     # in level order, and nothing else
     assert certified == [(pc.poly, pc.lo, pc.hi) for pc in first.pieces + second.pieces]
-    assert positivity_check(second).items == list(second.items + second.warnings)
+    assert positivity_check(second) == list(second.items + second.warnings)
     assert len(certified) == len(first.pieces) + len(second.pieces)
 
 

@@ -142,6 +142,26 @@ def test_abbv_refuses_ill_typed_data_by_name():
     assert abbv_terms(w5[::-1]) == abbv_terms(w5)[::-1] != abbv_terms(w5)
 
 
+def test_abbv_gates_a_dataset_as_it_is(monkeypatch):
+    # a dataset is gated directly; a list of components is gated as the one
+    # dataset it forms; either way the terms are the stored closed forms, in
+    # the order given
+    data = catalog()["x8-six-points"]
+    stored = tuple(c.abbv_term for c in data)
+    built = []
+    init = FixedPointData.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FixedPointData, "__init__", counting_init)
+    assert abbv_terms(data) == stored and abbv_sum(data) == 0
+    assert built == []
+    assert abbv_terms(list(data)[::-1]) == stored[::-1]
+    assert len(built) == 1
+
+
 def test_closed_forms_are_ints_on_the_catalog_and_every_family_member():
     datasets = list(catalog().values())
     datasets += [family.instantiate(n2)

@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from semifree8 import classify
 from semifree8.classify import (
     EnumerationResult,
     Family,
@@ -27,9 +28,11 @@ from semifree8.classify import (
     classify_fano,
     default_fano_table,
     enumerate_case,
+    sphere_constraints,
+    sphere_index_rules,
     verification_report,
 )
-from semifree8.dh import DHPiece, DHProfile, dh_profile
+from semifree8.dh import DHPiece, DHProfile, dh_profile, positivity_check
 from semifree8.localization import (
     FourDimExtremalNormal,
     FourDimSplitNormal,
@@ -40,9 +43,13 @@ from semifree8.localization import (
 from semifree8.model import (
     RULES,
     CheckItem,
+    ConstraintReport,
     FixedComponent,
     FixedPointData,
+    oriented,
     point_component,
+    signature_check,
+    validate,
 )
 from semifree8.record import set_field
 
@@ -177,6 +184,40 @@ def test_report_copies_and_pickles_read_the_same():
     report = verification_report(_x8())
     for copied in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert copied.lines() == report.lines()
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_a_report_is_the_list_of_its_items(name):
+    """A report is the list of every rule's items in the order the rules
+    ran, and compares, copies and pickles as that list."""
+    data = catalog()[name]
+    report, up = verification_report(data), oriented(data)
+    assert isinstance(report, list) and type(report) is ConstraintReport
+    head = validate(data)
+    n = len(head)
+    assert report[:n] == head
+    assert [it.id for it in report[n:n + 3]] == [
+        "betti-vector", "abbv-vanishing", "signature-self-intersection"]
+    assert report[n + 2] == signature_check(data)
+    assert report[n + 3:-1] == [
+        *classify._lambda2_exclusion(data), *classify._bundle_halves(data),
+        *sphere_constraints(up), *sphere_index_rules(up), *positivity_check(dh_profile(data))]
+    assert report[-1].id == "total-volume"
+    assert list(report) == report and len(report) == len(report.lines())
+    for copied in (copy.copy(report), pickle.loads(pickle.dumps(report))):
+        assert type(copied) is ConstraintReport and copied == report
+        assert copied is not report and repr(copied) == repr(report)
+    with pytest.raises(TypeError):
+        hash(report)
+    assert not ConstraintReport() and ConstraintReport().ok
+
+
+def test_no_applicable_sphere_rule_gives_one_info_item():
+    data = catalog()["p4-isolated-min"]
+    assert sphere_constraints(oriented(data)) == [CheckItem(
+        "sphere-rules", "INFO", "no sphere rule applies to this configuration")]
+    assert [it for it in verification_report(data) if it.id.startswith("sphere")] == [
+        CheckItem("sphere-rules", "INFO", "no sphere rule applies to this configuration")]
 
 
 def test_family_builder_is_not_compared():

@@ -151,7 +151,7 @@ def test_sphere_rules_on_data_without_oriented_extremes():
     with pytest.raises(IllTypedError, match="^index rules not applied: weight-zeros failed$"):
         sphere_index_rules(data)
     assert match_fp_class(data) == "unclassified"
-    assert verification_report(data).items[-1].id == "typed-rules"
+    assert verification_report(data)[-1].id == "typed-rules"
     # well typed, with two minima: no orientation, so no sphere rule applies
     two_minima = loads_data(json.dumps({"dimension": 8, "b2": 1, "components": [
         {"type": "point", "weights": [1, 1, 1, 1], "normal": {"kind": "point"}},
@@ -159,8 +159,8 @@ def test_sphere_rules_on_data_without_oriented_extremes():
         {"type": "point", "weights": [-1, -1, -1, -1], "normal": {"kind": "point"}},
     ]}))
     assert two_minima.well_typed and oriented(two_minima) is None
-    assert sphere_constraints(two_minima).items == []
-    assert sphere_index_rules(two_minima).items == []
+    assert sphere_constraints(two_minima) == []
+    assert sphere_index_rules(two_minima) == []
 
 
 # as given, a plane is the unique minimum under a sphere maximum, shape
